@@ -1,7 +1,7 @@
-/// R-F21 — Extreme-scale runtime: arena batch memory, lock-free MPSC
-/// ingestion, and skew-aware shard rebalancing.
+/// R-F21 — Extreme-scale runtime: arena batch memory and lock-free MPSC
+/// ingestion.
 ///
-/// Four sections in one table (CSV: bench_results/f21_runtime.csv). Every
+/// Three sections in one table (CSV: bench_results/f21_runtime.csv). Every
 /// compared pair carries a checksum over its output, and the CI gates
 /// (tools/check_bench_regression.py, f21 suite) hold the checksums equal:
 /// these are performance switches, never semantic ones.
@@ -25,16 +25,8 @@
 ///     real wall-clock scaling: p2 >= 1.3x p1 (hard), with identical
 ///     first-emission checksums across all producer counts.
 ///
-///   * section=skew — rebalancing pay-off and tax, on the adversarial case
-///     shard rebalancing exists for: the hot keys all hash-colocate on one
-///     worker under static placement. config=sink-latency models a sink
-///     whose cost is per tuple (the observer sleeps on the worker thread,
-///     proportional to tuples released): static placement serializes ~60%
-///     of that latency on the colocated worker; migrating the hot shards
-///     spreads it, so static/rebalance wall >= 1.2x (hard), with
-///     migrations > 0 and byte-identical output. config=pure-cpu is the
-///     same stream with no sink latency: the rebalancer's bookkeeping must
-///     stay in the noise (soft).
+/// Moving hot shards off a colocated worker is work stealing's job; R-F24
+/// gates it on the same colocated-skew stream.
 
 #include <algorithm>
 #include <chrono>
@@ -47,7 +39,6 @@
 #include "bench/bench_util.h"
 #include "common/arena.h"
 #include "core/parallel_runner.h"
-#include "core/pipeline_observer.h"
 #include "core/spsc_queue.h"
 #include "stream/event.h"
 #include "stream/generator.h"
@@ -114,7 +105,6 @@ struct Row {
   size_t producers = 0;
   int64_t events = 0;
   double wall_ms = 0.0;
-  int64_t migrations = 0;
   double max_share = 0.0;
   uint64_t checksum = 0;
 };
@@ -130,7 +120,6 @@ void EmitRow(TableWriter* table, const Row& r) {
   table->Cell(r.events);
   table->Cell(r.wall_ms, 2);
   table->Cell(static_cast<double>(r.events) / r.wall_ms, 1);  // keps
-  table->Cell(r.migrations);
   table->Cell(r.max_share, 3);
   table->Cell(static_cast<int64_t>(r.checksum));
 }
@@ -212,21 +201,17 @@ void FeedSection(TableWriter* table) {
 
 struct KeyedOutcome {
   double wall_ms = 0.0;
-  int64_t migrations = 0;
   double max_share = 0.0;
   uint64_t checksum = 0;
 };
 
 KeyedOutcome RunKeyed(const std::vector<Event>& events, size_t workers,
-                      const ParallelOptions& options, bool arena_handler,
-                      PipelineObserver* observer) {
+                      const ParallelOptions& options, bool arena_handler) {
   ShardedKeyedRunner runner(KeyedQuery(arena_handler), workers, options);
-  if (observer != nullptr) runner.SetObserver(observer);
   VectorSource source(events);
   const RunReport report = runner.Run(&source);
   KeyedOutcome out;
   out.wall_ms = report.wall_seconds * 1000.0;
-  out.migrations = runner.migrations();
   int64_t busiest = 0;
   for (const WorkerLoad& load : runner.worker_loads()) {
     busiest = std::max(busiest, load.events_processed);
@@ -248,10 +233,10 @@ void PipelineSection(TableWriter* table) {
   for (int rep = 0; rep < kReps; ++rep) {
     ParallelOptions arena_opts = base;
     arena_opts.use_arena = true;
-    const KeyedOutcome a = RunKeyed(events, 3, arena_opts, true, nullptr);
+    const KeyedOutcome a = RunKeyed(events, 3, arena_opts, true);
     ParallelOptions malloc_opts = base;
     malloc_opts.use_arena = false;
-    const KeyedOutcome m = RunKeyed(events, 3, malloc_opts, false, nullptr);
+    const KeyedOutcome m = RunKeyed(events, 3, malloc_opts, false);
     if (rep == 0 || a.wall_ms < best_arena.wall_ms) best_arena = a;
     if (rep == 0 || m.wall_ms < best_malloc.wall_ms) best_malloc = m;
   }
@@ -367,130 +352,15 @@ void MpscSection(TableWriter* table) {
   }
 }
 
-// --------------------------------------------------------------- section=skew
-
-/// Models a slow downstream sink with per-tuple cost: releasing N tuples
-/// stalls the WORKER thread ~N * per_tuple_us. Sleeps are accumulated to
-/// >= 200us before being paid so OS timer slack stays negligible relative
-/// to the modeled latency. Static placement serializes the hot worker's
-/// stalls; rebalancing spreads them across workers so they overlap.
-class SlowSinkObserver : public PipelineObserver {
- public:
-  explicit SlowSinkObserver(DurationUs per_tuple_us)
-      : per_tuple_us_(per_tuple_us) {}
-  void OnHandlerRelease(int64_t released, size_t buffered_after,
-                        TimestampUs watermark) override {
-    (void)buffered_after;
-    (void)watermark;
-    if (per_tuple_us_ == 0 || released <= 0) return;
-    thread_local DurationUs pending = 0;  // Workers are per-run threads, so
-                                          // no debt leaks across runs.
-    pending += released * per_tuple_us_;
-    if (pending >= 200) {
-      std::this_thread::sleep_for(std::chrono::microseconds(pending));
-      pending = 0;
-    }
-  }
-
- private:
-  DurationUs per_tuple_us_;
-};
-
-/// The adversarial placement case: four hot keys (~15% of the stream each)
-/// whose shards — 0, 4, 8, 12 of 16 — ALL land on worker 0 under the
-/// static placement[v] = v % 4, plus twelve cold keys spread over the
-/// other workers' shards. Static placement funnels ~60% of the stream
-/// through one worker; the rebalancer can cut that to ~one hot shard per
-/// worker. Built by remapping a uniform 64-key stream, keeping timestamps
-/// and bounded delays (so nothing is late and outputs stay comparable).
-std::vector<Event> ColocatedSkewStream(int64_t n, uint64_t seed) {
-  std::vector<Event> events = SkewedStream(n, /*zipf_s=*/0.0, seed);
-  constexpr size_t kShards = 16;
-  constexpr size_t kWorkers = 4;
-  std::vector<int64_t> hot_key_for_shard(kShards, -1);
-  std::vector<int64_t> cold_keys;
-  size_t hot_found = 0;
-  for (int64_t key = 0; hot_found < kWorkers || cold_keys.size() < 12;
-       ++key) {
-    const size_t shard = ShardedKeyedRunner::ShardOf(key, kShards);
-    if (shard % kWorkers == 0) {
-      if (hot_key_for_shard[shard] < 0) {
-        hot_key_for_shard[shard] = key;
-        ++hot_found;
-      }
-    } else if (cold_keys.size() < 12) {
-      cold_keys.push_back(key);
-    }
-  }
-  const int64_t hot_keys[] = {hot_key_for_shard[0], hot_key_for_shard[4],
-                              hot_key_for_shard[8], hot_key_for_shard[12]};
-  for (Event& e : events) {
-    const int64_t k = e.key;  // Uniform in [0, 64).
-    e.key = k < 38 ? hot_keys[k % 4]
-                   : cold_keys[static_cast<size_t>(k - 38) % cold_keys.size()];
-  }
-  return events;
-}
-
-void SkewSection(TableWriter* table) {
-  const std::vector<Event> events = ColocatedSkewStream(60000, 99);
-  constexpr size_t kWorkers = 4;
-  ParallelOptions static_opts;
-  static_opts.batch_size = 64;
-  static_opts.virtual_shards = 16;
-  ParallelOptions rebalance_opts = static_opts;
-  rebalance_opts.rebalance = true;
-  rebalance_opts.rebalance_interval_batches = 16;
-  rebalance_opts.rebalance_threshold = 1.2;
-
-  struct Config {
-    const char* name;
-    DurationUs per_tuple_us;
-    int reps;
-  };
-  for (const Config& config : {Config{"sink-latency", 20, 2},
-                               Config{"pure-cpu", 0, 3}}) {
-    SlowSinkObserver observer(config.per_tuple_us);
-    PipelineObserver* obs = config.per_tuple_us > 0 ? &observer : nullptr;
-    KeyedOutcome best_static, best_rebalance;
-    for (int rep = 0; rep < config.reps; ++rep) {
-      const KeyedOutcome s =
-          RunKeyed(events, kWorkers, static_opts, true, obs);
-      const KeyedOutcome r =
-          RunKeyed(events, kWorkers, rebalance_opts, true, obs);
-      if (rep == 0 || s.wall_ms < best_static.wall_ms) best_static = s;
-      if (rep == 0 || r.wall_ms < best_rebalance.wall_ms) best_rebalance = r;
-    }
-    struct Labeled {
-      const char* mode;
-      KeyedOutcome out;
-    };
-    for (const Labeled& l : {Labeled{"static", best_static},
-                             Labeled{"rebalance", best_rebalance}}) {
-      Row row{.section = "skew", .config = config.name, .mode = l.mode};
-      row.workers = kWorkers;
-      row.vshards = 16;
-      row.producers = 1;
-      row.events = static_cast<int64_t>(events.size());
-      row.wall_ms = l.out.wall_ms;
-      row.migrations = l.out.migrations;
-      row.max_share = l.out.max_share;
-      row.checksum = l.out.checksum;
-      EmitRow(table, row);
-    }
-  }
-}
-
 void Run() {
   TableWriter table(
       "R-F21: extreme-scale runtime — arena feed memory, MPSC ingestion "
-      "scaling, skew-aware rebalancing",
+      "scaling",
       {"section", "config", "mode", "workers", "vshards", "producers",
-       "events", "wall_ms", "keps", "migrations", "max_share", "checksum"});
+       "events", "wall_ms", "keps", "max_share", "checksum"});
   FeedSection(&table);
   PipelineSection(&table);
   MpscSection(&table);
-  SkewSection(&table);
   EmitTable(table, "f21_runtime.csv");
 }
 

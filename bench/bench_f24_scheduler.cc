@@ -1,7 +1,6 @@
-/// R-F24 — Pull-based work stealing, adaptive batch sizing, and NUMA-aware
-/// arena pools.
+/// R-F24 — Pull-based work stealing and adaptive batch sizing.
 ///
-/// Three sections in one table (CSV: bench_results/f24_scheduler.csv).
+/// Two sections in one table (CSV: bench_results/f24_scheduler.csv).
 /// Every compared pair carries a checksum over its merged output, and the
 /// CI gates (tools/check_bench_regression.py, f24 suite) hold the
 /// checksums equal: the scheduler switches are performance switches, never
@@ -9,15 +8,12 @@
 ///
 ///   * section=steal — demand-driven stealing on the adversarial placement
 ///     case it exists for: the hot keys all hash-colocate on worker 0
-///     under static placement (same ColocatedSkewStream as R-F21), with a
-///     slow per-tuple sink stalling the worker thread. Static placement
-///     serializes the hot worker's sink latency while workers 1..3 sit
-///     idle; with --steal the starving workers pull the hot shards at
-///     watermark-aligned safe points and the stalls overlap:
-///     static/steal wall >= 1.2x (hard), steals > 0, byte-identical
-///     output. mode=steal+rebal composes both schedulers and must stay a
-///     win over static (steals and migrations may trade off against each
-///     other, so only the combined wall clock is gated).
+///     under static placement, with a slow per-tuple sink stalling the
+///     worker thread. Static placement serializes the hot worker's sink
+///     latency while workers 1..3 sit idle; with --steal the starving
+///     workers pull the hot shards at in-band safe points (once a victim
+///     is two feed batches behind) and the stalls overlap: static/steal
+///     wall >= 1.2x (hard), steals > 0, byte-identical output.
 ///
 ///   * section=batch — feed batch sizing on the whole sharded pipeline:
 ///     fixed sizes {16, 64, 256, 1024} against the PI controller
@@ -26,12 +22,6 @@
 ///     is that it lands within 10% of the best fixed row's throughput
 ///     (hard) without being told which size that is. batch_end records
 ///     where the controller settled.
-///
-///   * section=numa — per-node arena pools on vs off on the same pipeline.
-///     On a single-node host (this container, most CI) the set degrades to
-///     exactly one pool, so the gate is checksum equality plus
-///     no-inversion: the node-detection bookkeeping must stay in the
-///     noise (soft).
 
 #include <algorithm>
 #include <chrono>
@@ -108,7 +98,6 @@ struct Row {
   int64_t events = 0;
   double wall_ms = 0.0;
   int64_t steals = 0;
-  int64_t migrations = 0;
   size_t batch_end = 0;
   uint64_t checksum = 0;
 };
@@ -124,7 +113,6 @@ void EmitRow(TableWriter* table, const Row& r) {
   table->Cell(r.wall_ms, 2);
   table->Cell(static_cast<double>(r.events) / r.wall_ms, 1);  // keps
   table->Cell(r.steals);
-  table->Cell(r.migrations);
   table->Cell(r.batch_end);
   table->Cell(static_cast<int64_t>(r.checksum));
 }
@@ -132,7 +120,6 @@ void EmitRow(TableWriter* table, const Row& r) {
 struct Outcome {
   double wall_ms = 0.0;
   int64_t steals = 0;
-  int64_t migrations = 0;
   size_t batch_end = 0;
   uint64_t checksum = 0;
 };
@@ -146,16 +133,14 @@ Outcome RunOnce(const std::vector<Event>& events, size_t workers,
   Outcome out;
   out.wall_ms = report.wall_seconds * 1000.0;
   out.steals = runner.steals();
-  out.migrations = runner.migrations();
   out.batch_end = runner.final_batch_size();
   out.checksum = ResultChecksum(report);
   return out;
 }
 
 /// Models a slow downstream sink with per-tuple cost: releasing N tuples
-/// stalls the WORKER thread ~N * per_tuple_us (same as R-F21's skew
-/// section). Sleeps accumulate to >= 200us before being paid so OS timer
-/// slack stays negligible.
+/// stalls the WORKER thread ~N * per_tuple_us. Sleeps accumulate to
+/// >= 200us before being paid so OS timer slack stays negligible.
 class SlowSinkObserver : public PipelineObserver {
  public:
   explicit SlowSinkObserver(DurationUs per_tuple_us)
@@ -177,9 +162,12 @@ class SlowSinkObserver : public PipelineObserver {
   DurationUs per_tuple_us_;
 };
 
-/// The adversarial placement case (identical construction to R-F21): four
-/// hot keys whose shards — 0, 4, 8, 12 of 16 — ALL land on worker 0 under
-/// placement[v] = v % 4, plus twelve cold keys on the other workers.
+/// The adversarial placement case: four hot keys (~15% of the stream each)
+/// whose shards — 0, 4, 8, 12 of 16 — ALL land on worker 0 under
+/// placement[v] = v % 4, plus twelve cold keys on the other workers, so
+/// static placement funnels ~60% of the stream through one worker. Built
+/// by remapping a uniform 64-key stream, keeping timestamps and bounded
+/// delays (so nothing is late and outputs stay comparable).
 std::vector<Event> ColocatedSkewStream(int64_t n, uint64_t seed) {
   std::vector<Event> events = SkewedStream(n, /*zipf_s=*/0.0, seed);
   constexpr size_t kShards = 16;
@@ -219,37 +207,28 @@ void StealSection(TableWriter* table) {
   static_opts.virtual_shards = 16;
   ParallelOptions steal_opts = static_opts;
   steal_opts.steal = true;
-  steal_opts.steal_min_backlog = 256;
-  ParallelOptions both_opts = steal_opts;
-  both_opts.rebalance = true;
-  both_opts.rebalance_interval_batches = 16;
-  both_opts.rebalance_threshold = 1.2;
 
   SlowSinkObserver observer(/*per_tuple_us=*/20);
   constexpr int kReps = 2;
-  Outcome best_static, best_steal, best_both;
+  Outcome best_static, best_steal;
   for (int rep = 0; rep < kReps; ++rep) {  // Interleaved min-of-N.
     const Outcome s = RunOnce(events, kWorkers, static_opts, &observer);
     const Outcome t = RunOnce(events, kWorkers, steal_opts, &observer);
-    const Outcome b = RunOnce(events, kWorkers, both_opts, &observer);
     if (rep == 0 || s.wall_ms < best_static.wall_ms) best_static = s;
     if (rep == 0 || t.wall_ms < best_steal.wall_ms) best_steal = t;
-    if (rep == 0 || b.wall_ms < best_both.wall_ms) best_both = b;
   }
   struct Labeled {
     const char* mode;
     Outcome out;
   };
-  for (const Labeled& l : {Labeled{"static", best_static},
-                           Labeled{"steal", best_steal},
-                           Labeled{"steal+rebal", best_both}}) {
+  for (const Labeled& l :
+       {Labeled{"static", best_static}, Labeled{"steal", best_steal}}) {
     Row row{.section = "steal", .config = "sink-latency", .mode = l.mode};
     row.workers = kWorkers;
     row.vshards = 16;
     row.events = static_cast<int64_t>(events.size());
     row.wall_ms = l.out.wall_ms;
     row.steals = l.out.steals;
-    row.migrations = l.out.migrations;
     row.batch_end = l.out.batch_end;
     row.checksum = l.out.checksum;
     EmitRow(table, row);
@@ -304,51 +283,14 @@ void BatchSection(TableWriter* table) {
   EmitRow(table, row);
 }
 
-// --------------------------------------------------------------- section=numa
-
-void NumaSection(TableWriter* table) {
-  const std::vector<Event> events = SkewedStream(400000, 1.2, 404);
-  constexpr size_t kWorkers = 3;
-  ParallelOptions base;
-  base.batch_size = 64;
-  base.virtual_shards = 12;
-
-  constexpr int kReps = 3;
-  Outcome best_flat, best_numa;
-  for (int rep = 0; rep < kReps; ++rep) {  // Interleaved min-of-N.
-    const Outcome f = RunOnce(events, kWorkers, base, nullptr);
-    ParallelOptions numa_opts = base;
-    numa_opts.numa_arena = true;
-    const Outcome n = RunOnce(events, kWorkers, numa_opts, nullptr);
-    if (rep == 0 || f.wall_ms < best_flat.wall_ms) best_flat = f;
-    if (rep == 0 || n.wall_ms < best_numa.wall_ms) best_numa = n;
-  }
-  struct Labeled {
-    const char* mode;
-    Outcome out;
-  };
-  for (const Labeled& l :
-       {Labeled{"flat", best_flat}, Labeled{"numa", best_numa}}) {
-    Row row{.section = "numa", .config = "zipf-keyed", .mode = l.mode};
-    row.workers = kWorkers;
-    row.vshards = 12;
-    row.events = static_cast<int64_t>(events.size());
-    row.wall_ms = l.out.wall_ms;
-    row.batch_end = l.out.batch_end;
-    row.checksum = l.out.checksum;
-    EmitRow(table, row);
-  }
-}
-
 void Run() {
   TableWriter table(
       "R-F24: pull-based scheduler — work stealing under colocated skew, "
-      "adaptive feed batch sizing, NUMA-aware arena pools",
+      "adaptive feed batch sizing",
       {"section", "config", "mode", "workers", "vshards", "events",
-       "wall_ms", "keps", "steals", "migrations", "batch_end", "checksum"});
+       "wall_ms", "keps", "steals", "batch_end", "checksum"});
   StealSection(&table);
   BatchSection(&table);
-  NumaSection(&table);
   EmitTable(table, "f24_scheduler.csv");
 }
 

@@ -17,7 +17,6 @@
 #include "core/multi_query.h"
 #include "core/parallel_runner.h"
 #include "disorder/event_sink.h"
-#include "window/paned_window_operator.h"
 
 namespace streamq {
 namespace bench {
@@ -238,32 +237,6 @@ BENCHMARK(BM_MultiQueryParallel)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
-/// R-F14: the pane optimization — same query shape as above, but tuples
-/// fold into one pane instead of size/slide windows. Compare against
-/// BM_SlidingWindowFanout at equal fanout.
-void BM_PanedSlidingWindowFanout(benchmark::State& state) {
-  const auto& w = Workload();
-  const int64_t fanout = state.range(0);
-  for (auto _ : state) {
-    auto handler = MakeDisorderHandlerOrDie(DisorderHandlerSpec::Fixed(Millis(30)));
-    PanedWindowedAggregation::Options options;
-    options.window = WindowSpec::Sliding(Millis(50) * fanout, Millis(50));
-    options.aggregate.kind = AggKind::kSum;
-    CollectingResultSink results;
-    PanedWindowedAggregation op(options, &results);
-    for (const Event& e : w.arrival_order) handler->OnEvent(e, &op);
-    handler->Flush(&op);
-    benchmark::DoNotOptimize(results.results.size());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(w.arrival_order.size()));
-}
-BENCHMARK(BM_PanedSlidingWindowFanout)
-    ->Arg(1)
-    ->Arg(4)
-    ->Arg(16)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -10,10 +10,10 @@
 /// load generator — see core/session_options.h for the full list):
 ///   --window=<ms> --slide=<ms> --agg=<name> --strategy=<s> --quality=<q>
 ///   --latency-budget=<ms> --k=<ms> --per-key --lateness=<ms>
-///   --threads=<n> --vshards=<v> --rebalance --mpsc=<p> --pin-cores
-///   --steal --adaptive-batch --numa-arena
-///   --arena=<on|off> --buffer-cap=<n> --shed=<policy> --max-slack=<ms>
-///   --validate=<mode> --window-engine=<legacy|hot|amend> --speculative
+///   --threads=<n> --vshards=<v> --mpsc=<p> --pin-cores --steal
+///   --adaptive-batch --arena=<on|off> --buffer-cap=<n> --shed=<policy>
+///   --max-slack=<ms> --validate=<mode> --window-engine=<hot|amend>
+///   --speculative
 ///
 /// CLI-only options:
 ///   --audit                score results against the exact oracle
@@ -318,10 +318,6 @@ int main(int argc, char** argv) {
     std::printf("faults: %s\n", faulty.stats().ToString().c_str());
   } else {
     report = session.value()->Run(&source);
-  }
-  if (options.rebalance) {
-    std::printf("rebalance: %lld shard migration(s)\n",
-                static_cast<long long>(session.value()->migrations()));
   }
   std::printf("%s\n", report.ToString().c_str());
   if (!report.status.ok()) {

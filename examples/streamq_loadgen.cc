@@ -89,13 +89,12 @@ bool AppendCsvRow(const std::string& path, const LoadGenOptions& options,
     std::fprintf(f,
                  "clients,tenants,events_per_tenant,rate_eps,batch,seed,"
                  "disorder_ms,events_sent,wall_s,throughput_eps,rtt_p50_us,"
-                 "rtt_p99_us,errors,identities_ok,deliveries_ok,migrations,"
-                 "steals,faults,retries,reconnects,replayed,deduped,"
+                 "rtt_p99_us,errors,identities_ok,deliveries_ok,steals,"
+                 "faults,retries,reconnects,replayed,deduped,"
                  "throttled,checksum\n");
   }
   std::fprintf(f, "%d,%d,%lld,%.0f,%d,%llu,%.3f,%lld,%.4f,%.1f,%.1f,%.1f,"
-                  "%lld,%d,%d,%lld,%lld,%lld,%lld,%lld,%lld,%lld,%lld,"
-                  "%llu\n",
+                  "%lld,%d,%d,%lld,%lld,%lld,%lld,%lld,%lld,%lld,%llu\n",
                options.clients, options.tenants,
                static_cast<long long>(options.events_per_tenant),
                options.rate_eps, options.batch,
@@ -106,7 +105,6 @@ bool AppendCsvRow(const std::string& path, const LoadGenOptions& options,
                static_cast<long long>(report.errors),
                report.all_identities_ok ? 1 : 0,
                report.all_deliveries_ok ? 1 : 0,
-               static_cast<long long>(report.shard_migrations),
                static_cast<long long>(report.segments_stolen),
                static_cast<long long>(report.faults_injected),
                static_cast<long long>(report.retries),

@@ -258,64 +258,6 @@ class SlabArena {
   std::shared_ptr<Impl> impl_;
 };
 
-/// Topology-aware set of SlabArena pools: one independent pool per NUMA
-/// node, so a producer can mint slabs from the pool of the node it runs on.
-///
-/// Locality comes from two properties, neither of which needs libnuma:
-///
-///  * **First touch.** A freshly heap-allocated slab has no physical pages
-///    until written; the kernel places each page on the node of the thread
-///    that first touches it. Since the producer that acquires a slab also
-///    fills it, fresh slabs land on the producer's node, and recycled slabs
-///    keep the placement their first life earned.
-///  * **Home-pool return.** A batch minted from node k's pool returns to
-///    node k's pool when its last reference dies — wherever that thread
-///    runs (SlabArena's intrusive `home` pointer). A consumer on another
-///    node never captures the storage into its own pool, so slabs do not
-///    drift across sockets as segments migrate between workers; the
-///    cross-node return costs one mutex push on the home pool, off the
-///    per-event hot path.
-///
-/// With one node (or the fallback topology) this is exactly one SlabArena.
-template <typename T>
-class NumaArenaSet {
- public:
-  NumaArenaSet(typename SlabArena<T>::Options options, int node_count) {
-    const int n = node_count < 1 ? 1 : node_count;
-    arenas_.reserve(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) arenas_.emplace_back(options);
-  }
-
-  int node_count() const { return static_cast<int>(arenas_.size()); }
-
-  /// The pool for `node`; out-of-range nodes clamp to node 0 so callers can
-  /// pass NodeOfCore results straight through.
-  SlabArena<T>& ForNode(int node) {
-    if (node < 0 || node >= node_count()) node = 0;
-    return arenas_[static_cast<size_t>(node)];
-  }
-
-  /// Summed counters across every node's pool.
-  ArenaStats TotalStats() const {
-    ArenaStats total;
-    for (const SlabArena<T>& arena : arenas_) {
-      const ArenaStats s = arena.stats();
-      total.slab_acquires += s.slab_acquires;
-      total.slab_reuses += s.slab_reuses;
-      total.slab_recycles += s.slab_recycles;
-      total.slab_drops += s.slab_drops;
-      total.batch_shares += s.batch_shares;
-      total.batch_reuses += s.batch_reuses;
-      total.free_slabs += s.free_slabs;
-      total.free_batches += s.free_batches;
-    }
-    return total;
-  }
-
- private:
-  std::vector<SlabArena<T>> arenas_;
-};
-
 }  // namespace streamq
 
 #endif  // STREAMQ_COMMON_ARENA_H_

@@ -1,9 +1,5 @@
 #include "common/cpu_affinity.h"
 
-#include <algorithm>
-#include <cctype>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 #include <thread>
 
@@ -43,111 +39,6 @@ Status PinCurrentThreadToCore(int core) {
   (void)core;
   return Status::Unimplemented("cpu pinning not supported on this platform");
 #endif
-}
-
-int CurrentCore() {
-#if defined(__linux__)
-  const int cpu = sched_getcpu();
-  return cpu < 0 ? -1 : cpu;
-#else
-  return -1;
-#endif
-}
-
-namespace {
-
-/// Parses one kernel cpulist ("0-3,8,10-11") into core indices. The empty
-/// string is a valid list of no cores (a memory-only NUMA node).
-Status ParseCpuList(const std::string& text, std::vector<int>* out) {
-  size_t i = 0;
-  const auto read_int = [&](int* value) -> Status {
-    const size_t start = i;
-    while (i < text.size() && std::isdigit(static_cast<unsigned char>(text[i]))) {
-      ++i;
-    }
-    if (i == start) {
-      return Status::InvalidArgument("bad cpulist '" + text + "'");
-    }
-    *value = std::atoi(text.substr(start, i - start).c_str());
-    return Status::OK();
-  };
-  while (i < text.size()) {
-    int lo = 0;
-    STREAMQ_RETURN_NOT_OK(read_int(&lo));
-    int hi = lo;
-    if (i < text.size() && text[i] == '-') {
-      ++i;
-      STREAMQ_RETURN_NOT_OK(read_int(&hi));
-    }
-    if (hi < lo) {
-      return Status::InvalidArgument("bad cpulist range in '" + text + "'");
-    }
-    for (int c = lo; c <= hi; ++c) out->push_back(c);
-    if (i < text.size()) {
-      if (text[i] != ',') {
-        return Status::InvalidArgument("bad cpulist separator in '" + text +
-                                       "'");
-      }
-      ++i;
-    }
-  }
-  return Status::OK();
-}
-
-NumaTopology ReadSystemTopology() {
-#if defined(__linux__)
-  std::vector<std::string> lists;
-  for (int node = 0;; ++node) {
-    std::ifstream in("/sys/devices/system/node/node" + std::to_string(node) +
-                     "/cpulist");
-    if (!in.is_open()) break;
-    std::string line;
-    std::getline(in, line);
-    // Trim trailing whitespace/newline the kernel appends.
-    while (!line.empty() &&
-           std::isspace(static_cast<unsigned char>(line.back()))) {
-      line.pop_back();
-    }
-    lists.push_back(line);
-  }
-  if (!lists.empty()) {
-    Result<NumaTopology> parsed = NumaTopology::FromCpuLists(lists);
-    if (parsed.ok()) return parsed.value();
-  }
-#endif
-  return NumaTopology();
-}
-
-}  // namespace
-
-NumaTopology::NumaTopology() = default;
-
-const NumaTopology& NumaTopology::System() {
-  static const NumaTopology* topology = new NumaTopology(ReadSystemTopology());
-  return *topology;
-}
-
-Result<NumaTopology> NumaTopology::FromCpuLists(
-    const std::vector<std::string>& node_cpulists) {
-  NumaTopology out;
-  if (node_cpulists.empty()) return out;
-  out.nodes_ = node_cpulists.size();
-  for (size_t node = 0; node < node_cpulists.size(); ++node) {
-    std::vector<int> cores;
-    STREAMQ_RETURN_NOT_OK(ParseCpuList(node_cpulists[node], &cores));
-    for (const int core : cores) {
-      if (core >= static_cast<int>(out.node_of_core_.size())) {
-        out.node_of_core_.resize(static_cast<size_t>(core) + 1, 0);
-      }
-      out.node_of_core_[static_cast<size_t>(core)] = static_cast<int>(node);
-    }
-  }
-  return out;
-}
-
-int NumaTopology::NodeOfCore(int core) const {
-  if (core < 0 || core >= static_cast<int>(node_of_core_.size())) return 0;
-  return node_of_core_[static_cast<size_t>(core)];
 }
 
 }  // namespace streamq

@@ -1,9 +1,6 @@
 #ifndef STREAMQ_COMMON_CPU_AFFINITY_H_
 #define STREAMQ_COMMON_CPU_AFFINITY_H_
 
-#include <string>
-#include <vector>
-
 #include "common/status.h"
 
 namespace streamq {
@@ -22,46 +19,6 @@ int LogicalCoreCount();
 /// rejects the mask (e.g. a cgroup cpuset excludes the core). Pinning is a
 /// placement *hint* for the runners: failures are recorded, never fatal.
 Status PinCurrentThreadToCore(int core);
-
-/// Logical core the calling thread is executing on right now, or -1 where
-/// the platform cannot tell. A scheduling-time sample, not a promise: the
-/// thread may move unless pinned.
-int CurrentCore();
-
-/// Core→NUMA-node map. On Linux this is parsed once from
-/// /sys/devices/system/node/node*/cpulist; everywhere else (and on
-/// single-socket machines) it degrades to one node holding every core.
-/// FromCpuLists builds a synthetic topology for tests, using the same
-/// cpulist grammar the kernel emits ("0-3,8-11").
-class NumaTopology {
- public:
-  /// One node covering every logical core (the no-NUMA fallback).
-  NumaTopology();
-
-  /// The machine's topology, parsed once and cached for the process.
-  static const NumaTopology& System();
-
-  /// Synthetic topology: element i of `node_cpulists` is node i's cpulist.
-  /// Malformed entries are InvalidArgument; an empty list means no nodes,
-  /// which degrades to the single-node fallback.
-  static Result<NumaTopology> FromCpuLists(
-      const std::vector<std::string>& node_cpulists);
-
-  int node_count() const { return static_cast<int>(nodes_); }
-
-  /// NUMA node of `core`; 0 for cores the map does not cover (hotplug,
-  /// fallback topology). Negative cores (CurrentCore() on an unsupported
-  /// platform) land on node 0.
-  int NodeOfCore(int core) const;
-
-  /// NodeOfCore(CurrentCore()) — where the calling thread's memory should
-  /// come from for first-touch locality.
-  int NodeOfCurrentThread() const { return NodeOfCore(CurrentCore()); }
-
- private:
-  size_t nodes_ = 1;
-  std::vector<int> node_of_core_;  // Indexed by core; may be empty.
-};
 
 }  // namespace streamq
 

@@ -13,7 +13,7 @@ namespace streamq {
 /// Per-producer feed batch-size controller for the parallel runners: grows
 /// the batch when workers are starving (deep amortization of per-batch
 /// dispatch) and shrinks it when their queues back up (less in-flight work
-/// per decision, finer migration granularity, lower queueing latency). The
+/// per decision, finer steal granularity, lower queueing latency). The
 /// same PI shape as the AQ quality loop, re-targeted from delay quantiles
 /// to queue occupancy:
 ///
@@ -28,8 +28,8 @@ namespace streamq {
 /// Batch size never affects merged results: routing is per event and
 /// FeedBatch is semantically a loop of Feed (pinned by
 /// batch_equivalence_test), so the controller is free to chase throughput.
-/// It only changes *when* decisions (rebalance checks, steal safe points)
-/// happen, which placement-invariance already makes output-neutral.
+/// It only changes *when* steal decisions happen, which placement-
+/// invariance already makes output-neutral.
 class AdaptiveBatcher {
  public:
   struct Options {

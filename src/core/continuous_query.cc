@@ -24,13 +24,6 @@ Status ContinuousQuery::Validate() const {
   if (window.allowed_lateness < 0) {
     return Status::InvalidArgument("allowed_lateness must be >= 0");
   }
-  if (handler.kind == DisorderHandlerSpec::Kind::kSpeculative &&
-      window.engine == WindowedAggregation::Engine::kLegacy) {
-    return Status::InvalidArgument(
-        "speculative emit-then-amend forwards tuples out of order and "
-        "needs an amend-capable window engine: use --window-engine=amend "
-        "(or hot), not legacy");
-  }
   return handler.Validate();
 }
 
@@ -147,11 +140,6 @@ QueryBuilder& QueryBuilder::SpeculativeDriven(
   quality_driven_ = true;
   explicit_gamma_ = gamma > 0.0;
   gamma_override_ = gamma;
-  // Speculation needs an engine that absorbs out-of-order folds; switch
-  // off the legacy reference unless the caller already chose.
-  if (query_.window.engine == WindowedAggregation::Engine::kLegacy) {
-    query_.window.engine = WindowedAggregation::Engine::kAmend;
-  }
   return *this;
 }
 

@@ -105,10 +105,9 @@ class QueryBuilder {
   QueryBuilder& NoDisorderHandling();
 
   /// Speculative emit-then-amend: no reorder buffer, an adaptive hold on
-  /// the output watermark driven by the amend-rate controller. Requires an
-  /// amend-capable window engine (WindowEngine kAmend or kHot); rejected
-  /// with kLegacy by Validate. Like QualityTarget, `target` prices the
-  /// provisional results: 1 - target is the amend-rate budget.
+  /// the output watermark driven by the amend-rate controller; both window
+  /// engines absorb its out-of-order folds. Like QualityTarget, `target`
+  /// prices the provisional results: 1 - target is the amend-rate budget.
   QueryBuilder& Speculative(double target = 0.95, double gamma = 0.0);
 
   /// Speculative with full SpeculativeHandler options control.

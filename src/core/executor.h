@@ -54,15 +54,13 @@ struct RunReport {
   /// Handler slack at end of run (instrumentation).
   DurationUs final_slack = 0;
 
-  /// Scheduler accounting from the sharded runner: shard handoffs
-  /// performed by the periodic rebalancer and by demand-driven work
-  /// stealing (ParallelOptions::rebalance / ::steal). Zero for sequential
-  /// and independent-runner reports.
-  int64_t shard_migrations = 0;
+  /// Scheduler accounting from the sharded runner: shards moved by
+  /// demand-driven work stealing (ParallelOptions::steal). Zero for
+  /// sequential and independent-runner reports.
   int64_t segments_stolen = 0;
 
   /// Runtime configuration the run executed under (thread count, feed
-  /// mode, arena/pinning switches, migrations...). Filled by the threaded
+  /// mode, arena/pinning switches, steals...). Filled by the threaded
   /// runners so a persisted report says how it was produced; empty for
   /// plain sequential runs.
   std::string runtime_config;

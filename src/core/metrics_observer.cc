@@ -84,11 +84,7 @@ MetricsObserver::MetricsObserver(const MetricsRegistry::Options& options)
           registry_.counter("streamq.scheduler.segments_stolen_total")),
       batch_size_(registry_.gauge("streamq.scheduler.batch_size")),
       batch_adaptations_(
-          registry_.counter("streamq.scheduler.batch_adaptations_total")),
-      arena_node_local_(
-          registry_.counter("streamq.arena.node_local_batches_total")),
-      arena_node_remote_(
-          registry_.counter("streamq.arena.node_remote_batches_total")) {}
+          registry_.counter("streamq.scheduler.batch_adaptations_total")) {}
 
 void MetricsObserver::OnSourceBatch(int64_t events) {
   source_batches_->Increment();
@@ -208,11 +204,6 @@ void MetricsObserver::OnBatchSizeAdapted(size_t producer, size_t batch) {
   (void)producer;
   batch_adaptations_->Increment();
   batch_size_->Set(static_cast<double>(batch));
-}
-
-void MetricsObserver::OnArenaNodeRelease(size_t worker, bool local) {
-  (void)worker;
-  (local ? arena_node_local_ : arena_node_remote_)->Increment();
 }
 
 Counter* MetricsObserver::ShardCounter(size_t shard) {

@@ -55,7 +55,6 @@ class MetricsObserver : public PipelineObserver {
   void OnShardBatch(size_t shard, int64_t events) override;
   void OnSegmentSteal(size_t victim, size_t thief, size_t shard) override;
   void OnBatchSizeAdapted(size_t producer, size_t batch) override;
-  void OnArenaNodeRelease(size_t worker, bool local) override;
 
  private:
   /// Lazily-created per-worker scheduler metrics (same pattern as
@@ -105,8 +104,6 @@ class MetricsObserver : public PipelineObserver {
   Counter* segments_stolen_;
   Gauge* batch_size_;
   Counter* batch_adaptations_;
-  Counter* arena_node_local_;
-  Counter* arena_node_remote_;
 
   std::mutex shard_mu_;
   std::vector<Counter*> shard_events_;

@@ -26,30 +26,18 @@ namespace {
 using EventBatch = EventArena::Batch;
 using EventSlab = EventArena::Slab;
 
-/// Run-scoped arena pools for everything crossing the queues: feed scratch,
+/// Run-scoped arena pool for everything crossing the queues: feed scratch,
 /// shard sub-batches, and the batch nodes themselves. use_arena=false keeps
 /// the same code path but disables pooling, so every batch is one heap
 /// allocation freed by whichever thread drops it last — the reference
-/// malloc path. Without numa_arena this is one pool (node 0); with it, one
-/// independent pool per detected NUMA node, and each producer mints from
-/// the node it runs on.
-NumaArenaSet<Event> MakeRunArenas(const ParallelOptions& options) {
+/// malloc path.
+EventArena MakeRunArena(const ParallelOptions& options) {
   EventArena::Options a;
   a.slab_capacity = options.batch_size;
   const bool pool = options.use_arena;
   a.max_free_slabs = pool ? 1024 : 0;
   a.max_free_batches = pool ? 1024 : 0;
-  const int nodes =
-      options.numa_arena ? NumaTopology::System().node_count() : 1;
-  return NumaArenaSet<Event>(a, nodes);
-}
-
-/// NUMA node whose pool the calling (producer) thread should mint from.
-/// Sampled once per thread, after any pinning, so a pinned producer's
-/// choice is stable for the run.
-int ProducerNode(const ParallelOptions& options) {
-  return options.numa_arena ? NumaTopology::System().NodeOfCurrentThread()
-                            : 0;
+  return EventArena(a);
 }
 
 AdaptiveBatcher::Options BatcherOptions(const ParallelOptions& options) {
@@ -191,7 +179,7 @@ std::vector<RunReport> RunIndependent(const std::vector<ContinuousQuery>& querie
     queues.push_back(std::make_unique<Queue>(options.queue_capacity));
   }
 
-  NumaArenaSet<Event> arenas = MakeRunArenas(options);
+  EventArena arena = MakeRunArena(options);
   const TimestampUs start = WallClockMicros();
 
   std::vector<Status> worker_status(n);
@@ -221,11 +209,9 @@ std::vector<RunReport> RunIndependent(const std::vector<ContinuousQuery>& querie
   // the arena's batch nodes, so the steady state allocates nothing.
   auto produce = [&](EventSource* source, size_t producer) {
     MaybePin(options, static_cast<int>(n + producer));
-    // Shared handle onto this producer's node-local pools.
-    EventArena local = arenas.ForNode(ProducerNode(options));
     AdaptiveBatcher batcher(BatcherOptions(options));
     size_t feed_batch = options.batch_size;
-    EventSlab chunk = local.Acquire();
+    EventSlab chunk = arena.Acquire();
     while (feeding_count.load(std::memory_order_relaxed) > 0 &&
            source->NextBatch(&chunk, feed_batch) > 0) {
       const TimestampUs route_start =
@@ -233,7 +219,7 @@ std::vector<RunReport> RunIndependent(const std::vector<ContinuousQuery>& querie
       const int64_t pulled = static_cast<int64_t>(chunk.size());
       events_pulled.fetch_add(pulled, std::memory_order_relaxed);
       if (observer != nullptr) observer->OnSourceBatch(pulled);
-      EventBatch batch = local.Share(&chunk);
+      EventBatch batch = arena.Share(&chunk);
       for (size_t i = 0; i < n; ++i) {
         if (!feeding[i].load(std::memory_order_relaxed)) continue;
         EventBatch copy = batch;
@@ -256,7 +242,7 @@ std::vector<RunReport> RunIndependent(const std::vector<ContinuousQuery>& querie
         }
       }
     }
-    local.Recycle(std::move(chunk));
+    arena.Recycle(std::move(chunk));
     final_batch.store(feed_batch, std::memory_order_relaxed);
   };
 
@@ -283,11 +269,10 @@ std::vector<RunReport> RunIndependent(const std::vector<ContinuousQuery>& querie
   char cfg[224];
   std::snprintf(cfg, sizeof(cfg),
                 "workers=%zu producers=%zu feed=%s arena=%s pin=%s "
-                "batch_final=%zu numa=%s",
+                "batch_final=%zu",
                 n, num_producers, num_producers > 1 ? "mpsc" : "spsc",
                 options.use_arena ? "on" : "off", DescribePin(options),
-                final_batch.load(std::memory_order_relaxed),
-                options.numa_arena ? "on" : "off");
+                final_batch.load(std::memory_order_relaxed));
 
   std::vector<RunReport> reports;
   reports.reserve(n);
@@ -309,36 +294,17 @@ std::vector<RunReport> RunIndependent(const std::vector<ContinuousQuery>& querie
 // --- Sharded keyed runner -------------------------------------------------
 
 /// What crosses a keyed worker's queue. kBatch carries events for one
-/// virtual shard; the markers drive the migration/termination protocol:
+/// virtual shard; the markers drive the steal/termination protocol:
 /// kRelease publishes "every batch this worker will ever see for this
-/// shard has been fed" (the watermark-aligned migration safe point),
-/// kFinish flushes one shard's executor, kStop ends the worker. A
-/// default-constructed item is kStop, so SendEos works unchanged.
+/// shard has been fed" (the handoff safe point), kFinish flushes one
+/// shard's executor, kStop ends the worker. A default-constructed item is
+/// kStop, so SendEos works unchanged.
 enum class FeedKind : uint8_t { kStop, kBatch, kRelease, kFinish };
 
 struct FeedItem {
   EventBatch batch;
   uint32_t shard = 0;
   FeedKind kind = FeedKind::kStop;
-  /// NUMA node the batch's slab storage was minted on (numa_arena runs);
-  /// lets the receiving worker account local vs remote batches.
-  uint8_t node = 0;
-};
-
-/// Per-worker scheduling context shared between a keyed worker and the
-/// driver. `hungry` is the pull signal for work stealing: the worker raises
-/// it when its queue runs dry, right before blocking, and clears it on the
-/// next item — the driver reads it (relaxed; it is a heuristic, not a
-/// synchronization edge) to pick steal beneficiaries. The NUMA fields are
-/// written by the worker thread only and read by the driver after join.
-struct ShardWorkerSched {
-  std::atomic<uint32_t>* hungry = nullptr;
-  bool count_nodes = false;
-  int node = 0;
-  int64_t local_batches = 0;
-  int64_t remote_batches = 0;
-  PipelineObserver* observer = nullptr;
-  size_t worker = 0;
 };
 
 /// Keyed worker loop. `executors` is the full virtual-shard table (shared,
@@ -347,12 +313,16 @@ struct ShardWorkerSched {
 /// the kRelease handshake, which sequences old-owner writes
 /// before new-owner reads). `owned` tracks which shards this worker is
 /// currently responsible for, so an abandoned worker can still flush its
-/// partial results like the legacy runner did.
+/// partial results like the legacy runner did. `hungry` is the pull signal
+/// for work stealing: the worker raises it when its queue runs dry, right
+/// before blocking, and clears it on the next item — the driver reads it
+/// (relaxed; it is a heuristic, not a synchronization edge) to pick steal
+/// beneficiaries.
 template <typename Queue>
 void RunShardWorker(Queue* q, QueryExecutor* const* executors,
                     size_t num_virtual, std::atomic<uint32_t>* released,
                     Status* status, std::atomic<int64_t>* processed,
-                    std::atomic<bool>* exited, ShardWorkerSched* sched) {
+                    std::atomic<bool>* exited, std::atomic<uint32_t>* hungry) {
   std::vector<uint8_t> owned(num_virtual, 0);
   try {
     FeedItem item;
@@ -361,9 +331,9 @@ void RunShardWorker(Queue* q, QueryExecutor* const* executors,
       if (!q->TryPop(&item)) {
         // Queue dry: advertise hunger so a stealing driver can route a
         // backlogged shard here, then block for the next item.
-        sched->hungry->store(1, std::memory_order_relaxed);
+        hungry->store(1, std::memory_order_relaxed);
         const bool got = q->Pop(&item);
-        sched->hungry->store(0, std::memory_order_relaxed);
+        hungry->store(0, std::memory_order_relaxed);
         if (!got) break;
       }
       switch (item.kind) {
@@ -372,14 +342,6 @@ void RunShardWorker(Queue* q, QueryExecutor* const* executors,
           executors[item.shard]->FeedBatch(*item.batch);
           processed->fetch_add(static_cast<int64_t>(item.batch->size()),
                                std::memory_order_relaxed);
-          if (sched->count_nodes) {
-            const bool local =
-                item.node == static_cast<uint8_t>(sched->node);
-            (local ? sched->local_batches : sched->remote_batches) += 1;
-            if (sched->observer != nullptr) {
-              sched->observer->OnArenaNodeRelease(sched->worker, local);
-            }
-          }
           item.batch.reset();
           break;
         case FeedKind::kRelease:
@@ -427,7 +389,6 @@ void RunShardWorker(Queue* q, QueryExecutor* const* executors,
 struct KeyedOutcome {
   RunReport merged;
   std::vector<WorkerLoad> loads;
-  int64_t migrations = 0;
   int64_t steals = 0;
   size_t final_batch = 0;
 };
@@ -478,22 +439,15 @@ KeyedOutcome RunSharded(const ContinuousQuery& query, size_t num_workers,
   std::vector<Status> driver_status(W);
 
   /// shard -> worker. Starts round-robin (identity when V == W, matching
-  /// the legacy static routing bit for bit); the rebalancer is the only
-  /// writer, and only in the single-producer path.
+  /// the legacy static routing bit for bit); stealing is the only writer,
+  /// and only in the single-producer path.
   std::vector<uint32_t> placement(V);
   for (size_t v = 0; v < V; ++v) placement[v] = static_cast<uint32_t>(v % W);
 
   auto hungry = std::make_unique<std::atomic<uint32_t>[]>(W);
   for (size_t w = 0; w < W; ++w) hungry[w].store(0, std::memory_order_relaxed);
-  std::vector<ShardWorkerSched> sched(W);
-  for (size_t w = 0; w < W; ++w) {
-    sched[w].hungry = &hungry[w];
-    sched[w].count_nodes = options.numa_arena;
-    sched[w].observer = observer;
-    sched[w].worker = w;
-  }
 
-  NumaArenaSet<Event> arenas = MakeRunArenas(options);
+  EventArena arena = MakeRunArena(options);
   const TimestampUs start = WallClockMicros();
 
   std::vector<std::thread> workers;
@@ -501,42 +455,33 @@ KeyedOutcome RunSharded(const ContinuousQuery& query, size_t num_workers,
   for (size_t w = 0; w < W; ++w) {
     workers.emplace_back([&, w] {
       MaybePin(options, static_cast<int>(w));
-      sched[w].node = options.numa_arena
-                          ? NumaTopology::System().NodeOfCurrentThread()
-                          : 0;
       RunShardWorker(queues[w].get(), exec_ptrs.data(), V, released.get(),
-                     &worker_status[w], &processed[w], &exited[w], &sched[w]);
+                     &worker_status[w], &processed[w], &exited[w],
+                     &hungry[w]);
     });
   }
 
-  int64_t migrations = 0;
   int64_t steals = 0;
   std::vector<int64_t> stolen_by(W, 0);
   std::vector<int64_t> donated_by(W, 0);
   std::atomic<size_t> final_batch{options.batch_size};
 
   if (num_producers == 1) {
-    // --- Single-producer drive; rebalancing and stealing live here -------
+    // --- Single-producer drive; stealing lives here ----------------------
     EventSource* source = sources[0];
-    const int driver_node = ProducerNode(options);
-    EventArena arena = arenas.ForNode(driver_node);
     std::vector<EventSlab> shard_slabs(V);
     std::vector<uint32_t> touched;
     touched.reserve(std::min<size_t>(V, 256));
-    // Per-shard decayed load (rebalance decisions) and the raw counts
-    // accumulated since the last check. Both derive only from routed
-    // events, so decisions — hence placements and output — are a pure
-    // function of the source stream.
-    std::vector<double> shard_load(V, 0.0);
-    std::vector<int64_t> shard_recent(V, 0);
-    std::vector<double> worker_load(W, 0.0);
+    // Events routed to each shard so far: the load estimate stealing ranks
+    // shards by.
+    std::vector<int64_t> shard_routed(V, 0);
+    AdaptiveBatcher batcher(BatcherOptions(options));
+    size_t feed_batch = options.batch_size;
 
-    bool migrating = false;
-    uint32_t mig_shard = 0;
-    uint32_t mig_from = 0;
-    uint32_t mig_to = 0;
-    std::vector<EventBatch> mig_pending;
-    int64_t batch_counter = 0;
+    bool handing_off = false;
+    uint32_t handoff_shard = 0;
+    uint32_t handoff_from = 0;
+    std::vector<EventBatch> handoff_pending;
 
     auto deliver = [&](uint32_t v, EventBatch batch) {
       const size_t w = placement[v];
@@ -546,7 +491,6 @@ KeyedOutcome RunSharded(const ContinuousQuery& query, size_t num_workers,
       item.batch = std::move(batch);
       item.shard = v;
       item.kind = FeedKind::kBatch;
-      item.node = static_cast<uint8_t>(driver_node);
       Status fail;
       if (!FeedQueue(queues[w].get(), std::move(item), w, options, observer,
                      &stalls[w], &fail)) {
@@ -564,19 +508,20 @@ KeyedOutcome RunSharded(const ContinuousQuery& query, size_t num_workers,
 
     // The old owner acknowledged the handoff (or died): flush the batches
     // buffered while the shard was in flight to its new worker, in routed
-    // order. placement[mig_shard] already points at the target.
-    auto complete_migration = [&] {
-      for (EventBatch& b : mig_pending) deliver(mig_shard, std::move(b));
-      mig_pending.clear();
-      migrating = false;
+    // order. placement[handoff_shard] already points at the target.
+    auto complete_handoff = [&] {
+      for (EventBatch& b : handoff_pending) {
+        deliver(handoff_shard, std::move(b));
+      }
+      handoff_pending.clear();
+      handing_off = false;
     };
 
-    // Shared safe-point handoff: re-arm the release flag *before* the
-    // marker is visible, then hand the in-band kRelease marker to the
-    // current owner. From the marker on, batches for the shard are
-    // buffered (mig_pending) until the owner acknowledges. Both the
-    // periodic rebalancer and demand-driven stealing start transfers
-    // through this one path, so at most one handoff is in flight.
+    // Safe-point handoff: re-arm the release flag *before* the marker is
+    // visible, then hand the in-band kRelease marker to the current owner.
+    // From the marker on, batches for the shard are buffered
+    // (handoff_pending) until the owner acknowledges, so at most one
+    // handoff is in flight.
     auto start_handoff = [&](uint32_t shard, size_t from, size_t to) -> bool {
       released[shard].store(0, std::memory_order_relaxed);
       FeedItem marker;
@@ -589,60 +534,11 @@ KeyedOutcome RunSharded(const ContinuousQuery& query, size_t num_workers,
                       std::move(fail));
         return false;
       }
-      migrating = true;
-      mig_shard = shard;
-      mig_from = static_cast<uint32_t>(from);
-      mig_to = static_cast<uint32_t>(to);
-      placement[shard] = mig_to;
+      handing_off = true;
+      handoff_shard = shard;
+      handoff_from = static_cast<uint32_t>(from);
+      placement[shard] = static_cast<uint32_t>(to);
       return true;
-    };
-
-    auto maybe_start_migration = [&] {
-      for (size_t v = 0; v < V; ++v) {
-        shard_load[v] = shard_load[v] * options.rebalance_decay +
-                        static_cast<double>(shard_recent[v]);
-        shard_recent[v] = 0;
-      }
-      std::fill(worker_load.begin(), worker_load.end(), 0.0);
-      for (size_t v = 0; v < V; ++v) worker_load[placement[v]] += shard_load[v];
-      size_t wmax = 0;
-      size_t wmin = 0;
-      for (size_t w = 1; w < W; ++w) {
-        if (worker_load[w] > worker_load[wmax]) wmax = w;
-        if (worker_load[w] < worker_load[wmin]) wmin = w;
-      }
-      if (wmax == wmin) return;
-      if (!feeding[wmax].load(std::memory_order_relaxed) ||
-          !feeding[wmin].load(std::memory_order_relaxed)) {
-        return;
-      }
-      if (worker_load[wmax] <=
-          options.rebalance_threshold * worker_load[wmin]) {
-        return;
-      }
-      // Move the largest shard that still fits in the gap, so the transfer
-      // shrinks the imbalance instead of flipping it onto the target.
-      const double gap = worker_load[wmax] - worker_load[wmin];
-      int64_t best = -1;
-      for (size_t v = 0; v < V; ++v) {
-        if (placement[v] != wmax) continue;
-        if (shard_load[v] <= 0.0 || shard_load[v] >= gap) continue;
-        if (best < 0 || shard_load[v] > shard_load[static_cast<size_t>(best)]) {
-          best = static_cast<int64_t>(v);
-        }
-      }
-      if (best < 0) return;
-      if (start_handoff(static_cast<uint32_t>(best), wmax, wmin)) {
-        ++migrations;
-      }
-    };
-
-    // Decayed per-shard load as the rebalancer would see it at the next
-    // fold, computed without mutating the fold state: stealing must not
-    // perturb the rebalancer's decision sequence.
-    auto effective_load = [&](size_t v) {
-      return shard_load[v] * options.rebalance_decay +
-             static_cast<double>(shard_recent[v]);
     };
 
     // Demand-driven steal: a worker blocked on an empty queue (hungry)
@@ -663,10 +559,10 @@ KeyedOutcome RunSharded(const ContinuousQuery& query, size_t num_workers,
       }
       if (thief == W) return;
       // Victim: the most backlogged worker (routed minus processed) with
-      // at least steal_min_backlog events pending and batches still
-      // queued; a drained victim has nothing worth pulling.
+      // at least two feed batches pending and batches still queued; a
+      // drained victim has nothing worth pulling.
       size_t victim = W;
-      int64_t victim_backlog = options.steal_min_backlog - 1;
+      int64_t victim_backlog = 2 * static_cast<int64_t>(feed_batch) - 1;
       for (size_t w = 0; w < W; ++w) {
         if (w == thief) continue;
         if (!feeding[w].load(std::memory_order_relaxed)) continue;
@@ -685,19 +581,17 @@ KeyedOutcome RunSharded(const ContinuousQuery& query, size_t num_workers,
       // bounce the shard straight back (and with one shard holding all
       // the heat, there is nothing stealable — correct: moving it only
       // relabels the bottleneck).
-      double victim_total = 0.0;
+      int64_t victim_total = 0;
       for (size_t v = 0; v < V; ++v) {
-        if (placement[v] == victim) victim_total += effective_load(v);
+        if (placement[v] == victim) victim_total += shard_routed[v];
       }
       int64_t best = -1;
-      double best_load = 0.0;
       for (size_t v = 0; v < V; ++v) {
         if (placement[v] != victim) continue;
-        const double load = effective_load(v);
-        if (load <= 0.0 || load > 0.5 * victim_total) continue;
-        if (best < 0 || load > best_load) {
+        const int64_t load = shard_routed[v];
+        if (load <= 0 || 2 * load > victim_total) continue;
+        if (best < 0 || load > shard_routed[static_cast<size_t>(best)]) {
           best = static_cast<int64_t>(v);
-          best_load = load;
         }
       }
       if (best < 0) return;
@@ -712,8 +606,6 @@ KeyedOutcome RunSharded(const ContinuousQuery& query, size_t num_workers,
       }
     };
 
-    AdaptiveBatcher batcher(BatcherOptions(options));
-    size_t feed_batch = options.batch_size;
     EventSlab chunk = arena.Acquire();
     while (feeding_count.load(std::memory_order_relaxed) > 0 &&
            source->NextBatch(&chunk, feed_batch) > 0) {
@@ -728,20 +620,19 @@ KeyedOutcome RunSharded(const ContinuousQuery& query, size_t num_workers,
         EventSlab& slab = shard_slabs[v];
         if (slab.empty()) touched.push_back(v);
         slab.push_back(e);
-        ++shard_recent[v];
       }
       chunk.clear();
       for (const uint32_t v : touched) {
-        if (migrating && v == mig_shard) {
+        shard_routed[v] += static_cast<int64_t>(shard_slabs[v].size());
+        if (handing_off && v == handoff_shard) {
           // In flight between workers: buffer until the old owner
           // acknowledges the release marker.
-          mig_pending.push_back(arena.Share(&shard_slabs[v]));
+          handoff_pending.push_back(arena.Share(&shard_slabs[v]));
           continue;
         }
         deliver(v, arena.Share(&shard_slabs[v]));
       }
       touched.clear();
-      ++batch_counter;
       if (options.adaptive_batch &&
           batcher.Observe(MeanDepthFraction(queues),
                           static_cast<double>(WallClockMicros() -
@@ -749,28 +640,11 @@ KeyedOutcome RunSharded(const ContinuousQuery& query, size_t num_workers,
         feed_batch = batcher.batch();
         if (observer != nullptr) observer->OnBatchSizeAdapted(0, feed_batch);
       }
-      if (migrating &&
-          released[mig_shard].load(std::memory_order_acquire) != 0) {
-        complete_migration();
+      if (handing_off &&
+          released[handoff_shard].load(std::memory_order_acquire) != 0) {
+        complete_handoff();
       }
-      if (options.steal && !migrating) maybe_steal();
-      if (options.rebalance &&
-          batch_counter % options.rebalance_interval_batches == 0) {
-        // A decision point must not depend on how fast the old owner
-        // drains: if the handoff is still in flight, wait for the
-        // acknowledgement (or the owner's death) before deciding, so the
-        // decision sequence — hence migration count and placements — stays
-        // a pure function of the routed stream. The wait is bounded: the
-        // marker is already in the old owner's queue.
-        if (migrating) {
-          BackoffUntil([&] {
-            return released[mig_shard].load(std::memory_order_acquire) != 0 ||
-                   exited[mig_from].load(std::memory_order_acquire);
-          });
-          complete_migration();
-        }
-        maybe_start_migration();
-      }
+      if (options.steal && !handing_off) maybe_steal();
     }
     arena.Recycle(std::move(chunk));
     for (EventSlab& slab : shard_slabs) {
@@ -778,35 +652,31 @@ KeyedOutcome RunSharded(const ContinuousQuery& query, size_t num_workers,
     }
     final_batch.store(feed_batch, std::memory_order_relaxed);
 
-    // Settle an in-flight migration before the terminal flush: wait for
+    // Settle an in-flight handoff before the terminal flush: wait for
     // the old owner's acknowledgement (or its exit — a dead owner can
     // never touch the shard again, which is just as safe).
-    if (migrating) {
+    if (handing_off) {
       BackoffUntil([&] {
-        return released[mig_shard].load(std::memory_order_acquire) != 0 ||
-               exited[mig_from].load(std::memory_order_acquire);
+        return released[handoff_shard].load(std::memory_order_acquire) != 0 ||
+               exited[handoff_from].load(std::memory_order_acquire);
       });
-      complete_migration();
+      complete_handoff();
     }
   } else {
     // --- Multi-producer drive: static placement over MPSC queues ---------
-    STREAMQ_CHECK(!options.rebalance)
-        << "rebalance requires a single-source run";
     STREAMQ_CHECK(!options.steal) << "steal requires a single-source run";
     std::vector<std::thread> producers;
     producers.reserve(num_producers);
     for (size_t p = 0; p < num_producers; ++p) {
       producers.emplace_back([&, p] {
         MaybePin(options, static_cast<int>(W + p));
-        const int node = ProducerNode(options);
-        EventArena local = arenas.ForNode(node);
         EventSource* source = sources[p];
         std::vector<EventSlab> shard_slabs(V);
         std::vector<uint32_t> touched;
         touched.reserve(std::min<size_t>(V, 256));
         AdaptiveBatcher batcher(BatcherOptions(options));
         size_t feed_batch = options.batch_size;
-        EventSlab chunk = local.Acquire();
+        EventSlab chunk = arena.Acquire();
         while (feeding_count.load(std::memory_order_relaxed) > 0 &&
                source->NextBatch(&chunk, feed_batch) > 0) {
           const TimestampUs route_start =
@@ -831,10 +701,9 @@ KeyedOutcome RunSharded(const ContinuousQuery& query, size_t num_workers,
             const int64_t count =
                 static_cast<int64_t>(shard_slabs[v].size());
             FeedItem item;
-            item.batch = local.Share(&shard_slabs[v]);
+            item.batch = arena.Share(&shard_slabs[v]);
             item.shard = v;
             item.kind = FeedKind::kBatch;
-            item.node = static_cast<uint8_t>(node);
             Status fail;
             if (!FeedQueue(queues[w].get(), std::move(item), w, options,
                            observer, &stalls[w], &fail)) {
@@ -860,9 +729,9 @@ KeyedOutcome RunSharded(const ContinuousQuery& query, size_t num_workers,
             }
           }
         }
-        local.Recycle(std::move(chunk));
+        arena.Recycle(std::move(chunk));
         for (EventSlab& slab : shard_slabs) {
-          if (slab.capacity() > 0) local.Recycle(std::move(slab));
+          if (slab.capacity() > 0) arena.Recycle(std::move(slab));
         }
         final_batch.store(feed_batch, std::memory_order_relaxed);
       });
@@ -894,19 +763,14 @@ KeyedOutcome RunSharded(const ContinuousQuery& query, size_t num_workers,
   std::snprintf(
       cfg, sizeof(cfg),
       "workers=%zu vshards=%zu producers=%zu feed=%s arena=%s pin=%s "
-      "rebalance=%s migrations=%lld steal=%s steals=%lld "
-      "batch_final=%zu numa=%s nodes=%d",
+      "steal=%s steals=%lld batch_final=%zu",
       W, V, num_producers, num_producers > 1 ? "mpsc" : "spsc",
       options.use_arena ? "on" : "off", DescribePin(options),
-      options.rebalance ? "on" : "off", static_cast<long long>(migrations),
       options.steal ? "on" : "off", static_cast<long long>(steals),
-      final_batch.load(std::memory_order_relaxed),
-      options.numa_arena ? "on" : "off",
-      options.numa_arena ? NumaTopology::System().node_count() : 1);
+      final_batch.load(std::memory_order_relaxed));
 
   // Merge shard reports into one.
   KeyedOutcome out;
-  out.migrations = migrations;
   out.steals = steals;
   out.final_batch = final_batch.load(std::memory_order_relaxed);
   RunReport& merged = out.merged;
@@ -947,7 +811,6 @@ KeyedOutcome RunSharded(const ContinuousQuery& query, size_t num_workers,
                           std::make_move_iterator(r.results.begin()),
                           std::make_move_iterator(r.results.end()));
   }
-  merged.shard_migrations = migrations;
   merged.segments_stolen = steals;
   merged.throughput_eps =
       wall_seconds > 0.0
@@ -973,8 +836,6 @@ KeyedOutcome RunSharded(const ContinuousQuery& query, size_t num_workers,
     out.loads[w].stalls = stalls[w].load(std::memory_order_relaxed);
     out.loads[w].segments_stolen = stolen_by[w];
     out.loads[w].segments_donated = donated_by[w];
-    out.loads[w].node_local_batches = sched[w].local_batches;
-    out.loads[w].node_remote_batches = sched[w].remote_batches;
   }
   return out;
 }
@@ -993,26 +854,6 @@ Status ParallelOptions::Validate() const {
   }
   if (feed_max_attempts <= 0) {
     return Status::InvalidArgument("feed_max_attempts must be positive");
-  }
-  if (rebalance_interval_batches <= 0) {
-    return Status::InvalidArgument(
-        "rebalance_interval_batches must be positive (source batches "
-        "between checks; did you mean 32?)");
-  }
-  if (rebalance_threshold < 1.0) {
-    return Status::InvalidArgument(
-        "rebalance_threshold is a max/min load ratio and must be >= 1.0 "
-        "(did you mean 1.25?)");
-  }
-  if (rebalance_decay < 0.0 || rebalance_decay > 1.0) {
-    return Status::InvalidArgument(
-        "rebalance_decay must be in [0, 1] (per-check exponential decay; "
-        "did you mean 0.5?)");
-  }
-  if (steal_min_backlog <= 0) {
-    return Status::InvalidArgument(
-        "steal_min_backlog must be positive (events behind before a steal; "
-        "did you mean 1024?)");
   }
   if (min_batch == 0) {
     return Status::InvalidArgument("min_batch must be positive");
@@ -1090,7 +931,6 @@ RunReport ShardedKeyedRunner::Run(EventSource* source) {
       query_, num_workers_, std::span<EventSource* const>(one, 1), options_,
       observer_);
   loads_ = std::move(out.loads);
-  migrations_ = out.migrations;
   steals_ = out.steals;
   final_batch_ = out.final_batch;
   return std::move(out.merged);
@@ -1099,8 +939,6 @@ RunReport ShardedKeyedRunner::Run(EventSource* source) {
 RunReport ShardedKeyedRunner::RunMultiSource(
     std::span<EventSource* const> sources) {
   STREAMQ_CHECK(!sources.empty()) << "no sources";
-  STREAMQ_CHECK(!options_.rebalance || sources.size() == 1)
-      << "rebalance requires a single-source run";
   STREAMQ_CHECK(!options_.steal || sources.size() == 1)
       << "steal requires a single-source run";
   KeyedOutcome out =
@@ -1110,7 +948,6 @@ RunReport ShardedKeyedRunner::RunMultiSource(
           : RunSharded<MpscQueue<FeedItem>>(query_, num_workers_, sources,
                                             options_, observer_);
   loads_ = std::move(out.loads);
-  migrations_ = out.migrations;
   steals_ = out.steals;
   final_batch_ = out.final_batch;
   return std::move(out.merged);

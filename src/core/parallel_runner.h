@@ -56,46 +56,24 @@ struct ParallelOptions {
   /// ShardedKeyedRunner only: number of virtual shards multiplexed over
   /// the worker threads (0 = one per worker, the static legacy topology,
   /// bit-for-bit identical routing to earlier releases). With more virtual
-  /// shards than workers, each shard is a self-contained executor the
-  /// rebalancer can migrate between workers without splitting any key's
+  /// shards than workers, each shard is a self-contained executor that
+  /// work stealing can move between workers without splitting any key's
   /// state. Must be >= the worker count when nonzero.
   size_t virtual_shards = 0;
 
-  /// ShardedKeyedRunner, single-source runs only: periodically migrate the
-  /// hottest shard off the most loaded worker at a watermark-aligned safe
-  /// point (see DESIGN §11.3). Decisions depend only on routed-event
-  /// counts, so a rebalanced run is deterministic — same placements, same
-  /// migrations, same merged output — for a given source.
-  bool rebalance = false;
-
-  /// Source batches between rebalance checks.
-  int64_t rebalance_interval_batches = 32;
-
-  /// Trigger: migrate when max worker load > threshold * min worker load.
-  double rebalance_threshold = 1.25;
-
-  /// Exponential decay applied to per-shard load at each check (recent
-  /// traffic dominates; old skew fades).
-  double rebalance_decay = 0.5;
-
   /// ShardedKeyedRunner, single-source runs only: demand-driven work
-  /// stealing. Each worker's bounded queue is its deque of ready
-  /// virtual-shard batch segments; when a worker runs dry (blocked on an
-  /// empty deque) while another is backlogged past steal_min_backlog
-  /// events, the driver moves the hottest movable shard from the
-  /// most-backlogged victim to the starving worker through the same
-  /// in-band kRelease safe-point handshake the rebalancer uses (DESIGN
-  /// §14). Stealing moves whole shards — never splitting a key's state —
-  /// so the merged output is byte-identical to a static placement for
-  /// *any* steal schedule; unlike `rebalance`, the trigger reads worker
-  /// progress, so the steal count (recorded in runtime_config and
-  /// WorkerLoad) is timing-dependent even though the results are not.
-  /// Composes with rebalance; both share the single in-flight handoff.
+  /// stealing, the one way a shard moves between workers. Each worker's
+  /// bounded queue is its deque of ready virtual-shard batch segments;
+  /// when a worker runs dry (blocked on an empty deque) while another is
+  /// backlogged by at least two feed batches, the driver moves the hottest
+  /// movable shard from the most-backlogged victim to the starving worker
+  /// through an in-band kRelease safe-point handshake (DESIGN §14).
+  /// Stealing moves whole shards — never splitting a key's state — so the
+  /// merged output is byte-identical to a static placement for *any*
+  /// steal schedule; the trigger reads worker progress, so the steal count
+  /// (recorded in runtime_config and WorkerLoad) is timing-dependent even
+  /// though the results are not.
   bool steal = false;
-
-  /// Steal trigger: the victim must be at least this many routed-but-
-  /// unprocessed events behind before a starving worker may pull from it.
-  int64_t steal_min_backlog = 1024;
 
   /// Adapt the per-source feed batch size at run time within [min_batch,
   /// max_batch], starting from batch_size, driven by observed queue depth
@@ -105,14 +83,6 @@ struct ParallelOptions {
   bool adaptive_batch = false;
   size_t min_batch = 64;
   size_t max_batch = 8192;
-
-  /// Mint feed slabs from per-NUMA-node arena pools (NumaArenaSet +
-  /// cpu_affinity topology detection): each producer acquires from the
-  /// node it runs on (first-touch page placement) and batch storage always
-  /// returns to its minting node's pool, so migrated or stolen segments
-  /// never drag slab storage across sockets. Single-node machines take the
-  /// identical code path with one pool.
-  bool numa_arena = false;
 
   /// Field and range checks for everything above, centralized so every
   /// front end (runner constructors, SessionOptions::Validate, tests)
@@ -125,7 +95,7 @@ struct ParallelOptions {
 /// routed to each worker's queue, what it reported processing, and how
 /// often the driver stalled on its queue. For the independent runner every
 /// worker is routed the whole stream; for the keyed runner this is the
-/// placement-weighted load the rebalancer acts on.
+/// placement-weighted load work stealing acts on.
 struct WorkerLoad {
   int64_t events_routed = 0;
   int64_t batches_routed = 0;
@@ -135,11 +105,6 @@ struct WorkerLoad {
   /// pulled *from* it.
   int64_t segments_stolen = 0;
   int64_t segments_donated = 0;
-  /// Feed batches this worker released whose slab storage was minted on
-  /// its own NUMA node vs another node (numa_arena runs only; both zero
-  /// otherwise).
-  int64_t node_local_batches = 0;
-  int64_t node_remote_batches = 0;
 };
 
 /// Runs N independent continuous queries over one arrival-ordered stream,
@@ -206,9 +171,9 @@ class ParallelMultiQueryRunner {
 /// for key k depend only on key k's own subsequence, every window's first
 /// emission (bounds, key, value, tuple_count) is identical to the
 /// unsharded run — and independent of shard→worker placement, which is
-/// what makes rebalancing output-preserving: migration moves a whole shard
-/// (executor and all) between workers at a watermark-aligned safe point,
-/// never splitting a key's state. What sharding may legitimately change:
+/// what makes stealing output-preserving: a steal moves a whole shard
+/// (executor and all) between workers at an in-band safe point, never
+/// splitting a key's state. What sharding may legitimately change:
 /// each shard's merged watermark is at least the global one (fewer keys to
 /// wait for), so terminal-flush emission times and revision/purge timing
 /// can differ. Results are merged and sorted by (window start, key,
@@ -229,7 +194,7 @@ class ShardedKeyedRunner {
   RunReport Run(EventSource* source);
 
   /// Multi-producer feed over lock-free MPSC worker queues: one producer
-  /// thread per source routes its own events (static placement; rebalance
+  /// thread per source routes its own events (static placement; steal
   /// must be off). Sources must partition the key space — each key's
   /// events all arriving through one source — for the per-key subsequences
   /// (hence first emissions) to be interleaving-invariant; with key-
@@ -248,10 +213,6 @@ class ShardedKeyedRunner {
   /// Per-worker accounting for the most recent Run/RunMultiSource, indexed
   /// by worker; empty before the first run.
   const std::vector<WorkerLoad>& worker_loads() const { return loads_; }
-
-  /// Shard migrations performed by the most recent run (periodic
-  /// rebalancing; demand-driven steals are counted separately).
-  int64_t migrations() const { return migrations_; }
 
   /// Segments stolen by starving workers during the most recent run
   /// (options.steal). Timing-dependent by design; the merged output is
@@ -273,7 +234,6 @@ class ShardedKeyedRunner {
   ParallelOptions options_;
   PipelineObserver* observer_ = nullptr;
   std::vector<WorkerLoad> loads_;
-  int64_t migrations_ = 0;
   int64_t steals_ = 0;
   size_t final_batch_ = 0;
 };

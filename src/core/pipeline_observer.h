@@ -157,14 +157,6 @@ class PipelineObserver {
     (void)producer;
     (void)batch;
   }
-
-  /// Worker `worker` released a feed batch whose slab storage was minted
-  /// on its own NUMA node (`local`) or a different node. Per batch, only
-  /// on numa-arena runs.
-  virtual void OnArenaNodeRelease(size_t worker, bool local) {
-    (void)worker;
-    (void)local;
-  }
 };
 
 }  // namespace streamq

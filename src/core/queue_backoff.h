@@ -31,10 +31,10 @@ struct QueueBackoff {
   }
 };
 
-/// Spins with escalating backoff until `done()` returns true. The drivers'
-/// bounded waits (migration settles, handoff acknowledgements) all share
-/// this shape; the predicate must become true through another thread's
-/// progress, which the backoff never blocks.
+/// Spins with escalating backoff until `done()` returns true — the shape of
+/// the keyed driver's bounded wait for a steal handoff acknowledgement. The
+/// predicate must become true through another thread's progress, which the
+/// backoff never blocks.
 template <typename Pred>
 inline void BackoffUntil(Pred&& done) {
   QueueBackoff backoff;

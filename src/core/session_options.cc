@@ -92,10 +92,12 @@ Status ParseWindowEngineName(const std::string& name,
   } else if (name == "amend") {
     *out = WindowedAggregation::Engine::kAmend;
   } else if (name == "legacy") {
-    *out = WindowedAggregation::Engine::kLegacy;
+    return Status::InvalidArgument(
+        "the legacy window engine was removed; hot produces the same "
+        "results (did you mean --window-engine=hot?)");
   } else {
     return Status::InvalidArgument("unknown window engine '" + name +
-                                   "' (want hot, amend or legacy)");
+                                   "' (want hot or amend)");
   }
   return Status::OK();
 }
@@ -176,10 +178,6 @@ SessionOptions& SessionOptions::VirtualShards(int64_t n) {
   vshards = n;
   return *this;
 }
-SessionOptions& SessionOptions::Rebalance(bool on) {
-  rebalance = on;
-  return *this;
-}
 SessionOptions& SessionOptions::PinCores(bool on) {
   pin_cores = on;
   return *this;
@@ -198,10 +196,6 @@ SessionOptions& SessionOptions::Steal(bool on) {
 }
 SessionOptions& SessionOptions::AdaptiveBatch(bool on) {
   adaptive_batch = on;
-  return *this;
-}
-SessionOptions& SessionOptions::NumaArena(bool on) {
-  numa_arena = on;
   return *this;
 }
 SessionOptions& SessionOptions::BufferCap(int64_t cap, std::string policy) {
@@ -248,18 +242,10 @@ Status SessionOptions::Validate() const {
     WindowedAggregation::Engine engine;
     STREAMQ_RETURN_NOT_OK(ParseWindowEngineName(window_engine, &engine));
   }
-  if (speculative) {
-    if (strategy != "aq") {
-      return Status::InvalidArgument(
-          "--speculative is its own disorder strategy (emit-then-amend); "
-          "drop --strategy=" + strategy);
-    }
-    if (window_engine == "legacy") {
-      return Status::InvalidArgument(
-          "--speculative emits provisional results and amends them in "
-          "place, which the legacy reference engine cannot do; use "
-          "--window-engine=amend (or hot)");
-    }
+  if (speculative && strategy != "aq") {
+    return Status::InvalidArgument(
+        "--speculative is its own disorder strategy (emit-then-amend); "
+        "drop --strategy=" + strategy);
   }
   if (strategy == "lb" && latency_budget_ms <= 0) {
     return Status::InvalidArgument("--latency-budget must be > 0 ms");
@@ -272,11 +258,10 @@ Status SessionOptions::Validate() const {
   }
   if (threads < 0) return Status::InvalidArgument("--threads must be >= 0");
   if (threads == 0) {
-    if (vshards != 0 || rebalance || pin_cores || mpsc != 0 || steal ||
-        adaptive_batch || numa_arena) {
+    if (vshards != 0 || pin_cores || mpsc != 0 || steal || adaptive_batch) {
       return Status::InvalidArgument(
-          "--vshards/--rebalance/--pin-cores/--mpsc/--steal/"
-          "--adaptive-batch/--numa-arena require --threads=<n>");
+          "--vshards/--pin-cores/--mpsc/--steal/--adaptive-batch require "
+          "--threads=<n>");
     }
   } else {
     if (!per_key) {
@@ -290,10 +275,6 @@ Status SessionOptions::Validate() const {
     if (mpsc != 0) {
       if (mpsc < 2) {
         return Status::InvalidArgument("--mpsc needs >= 2 producers");
-      }
-      if (rebalance) {
-        return Status::InvalidArgument(
-            "--rebalance requires a single-source run; drop --mpsc");
       }
       if (steal) {
         return Status::InvalidArgument(
@@ -378,10 +359,8 @@ ParallelOptions SessionOptions::BuildParallelOptions() const {
   popts.use_arena = arena;
   popts.pin_cores = pin_cores;
   popts.virtual_shards = static_cast<size_t>(vshards);
-  popts.rebalance = rebalance;
   popts.steal = steal;
   popts.adaptive_batch = adaptive_batch;
-  popts.numa_arena = numa_arena;
   return popts;
 }
 
@@ -419,13 +398,11 @@ std::vector<std::string> SessionOptions::ToTokens() const {
   }
   if (threads != defaults.threads) emit("--threads", std::to_string(threads));
   if (vshards != defaults.vshards) emit("--vshards", std::to_string(vshards));
-  if (rebalance) out.push_back("--rebalance");
   if (pin_cores) out.push_back("--pin-cores");
   if (mpsc != defaults.mpsc) emit("--mpsc", std::to_string(mpsc));
   if (arena != defaults.arena) emit("--arena", arena ? "on" : "off");
   if (steal) out.push_back("--steal");
   if (adaptive_batch) out.push_back("--adaptive-batch");
-  if (numa_arena) out.push_back("--numa-arena");
   if (buffer_cap != defaults.buffer_cap) {
     emit("--buffer-cap", std::to_string(buffer_cap));
   }
@@ -475,6 +452,18 @@ struct ParsedToken {
 Status BadValue(const ParsedToken& t, const Status& why) {
   return Status::InvalidArgument("bad " + t.flag + ": " + why.message());
 }
+
+/// Session flags that no longer exist, with what replaced each.
+struct RetiredFlag {
+  const char* flag;
+  const char* hint;
+};
+constexpr RetiredFlag kRetiredFlags[] = {
+    {"--rebalance",
+     "work stealing is the one way to move a shard (did you mean --steal?)"},
+    {"--numa-arena",
+     "threaded runs use one slab arena (did you mean --arena=on?)"},
+};
 
 }  // namespace
 
@@ -536,7 +525,10 @@ Status SessionOptions::ParseTokens(std::span<const std::string> tokens,
     } else if (t.flag == "--speculative") {
       out->speculative = true;
     } else if (t.flag == "--window-engine") {
-      st = string_value(&out->window_engine);
+      STREAMQ_RETURN_NOT_OK(want_value());
+      WindowedAggregation::Engine engine = WindowedAggregation::Engine::kHot;
+      st = ParseWindowEngineName(t.value, &engine);
+      if (st.ok()) out->window_engine = t.value;
     } else if (t.flag == "--per-key") {
       out->per_key = true;
     } else if (t.flag == "--lateness") {
@@ -545,8 +537,6 @@ Status SessionOptions::ParseTokens(std::span<const std::string> tokens,
       st = int_value(&out->threads);
     } else if (t.flag == "--vshards") {
       st = int_value(&out->vshards);
-    } else if (t.flag == "--rebalance") {
-      out->rebalance = true;
     } else if (t.flag == "--pin-cores") {
       out->pin_cores = true;
     } else if (t.flag == "--mpsc") {
@@ -565,8 +555,6 @@ Status SessionOptions::ParseTokens(std::span<const std::string> tokens,
       out->steal = true;
     } else if (t.flag == "--adaptive-batch") {
       out->adaptive_batch = true;
-    } else if (t.flag == "--numa-arena") {
-      out->numa_arena = true;
     } else if (t.flag == "--buffer-cap") {
       st = int_value(&out->buffer_cap);
     } else if (t.flag == "--shed") {
@@ -576,6 +564,12 @@ Status SessionOptions::ParseTokens(std::span<const std::string> tokens,
     } else if (t.flag == "--validate") {
       st = string_value(&out->validate);
     } else {
+      for (const RetiredFlag& retired : kRetiredFlags) {
+        if (t.flag == retired.flag) {
+          return Status::InvalidArgument(t.flag + " was removed; " +
+                                         retired.hint);
+        }
+      }
       if (unrecognized != nullptr) unrecognized->push_back(token);
       continue;
     }
@@ -598,9 +592,9 @@ const std::vector<std::string>& SessionOptions::KnownFlags() {
       "--strategy",  "--speculative", "--window-engine", "--quality",
       "--latency-budget", "--k",
       "--per-key",   "--lateness",  "--threads",        "--vshards",
-      "--rebalance", "--pin-cores", "--mpsc",           "--arena",
-      "--steal",     "--adaptive-batch", "--numa-arena",
-      "--buffer-cap", "--shed",     "--max-slack",      "--validate"};
+      "--pin-cores", "--mpsc",      "--arena",          "--steal",
+      "--adaptive-batch", "--buffer-cap", "--shed",     "--max-slack",
+      "--validate"};
   return *flags;
 }
 
@@ -624,10 +618,8 @@ std::string SessionOptions::Describe() const {
     out << ", " << threads << " thread" << (threads > 1 ? "s" : "");
     if (vshards > 0) out << " x " << vshards << " vshards";
     if (mpsc > 0) out << ", " << mpsc << " producers";
-    if (rebalance) out << ", rebalance";
     if (steal) out << ", steal";
     if (adaptive_batch) out << ", adaptive-batch";
-    if (numa_arena) out << ", numa";
   }
   if (buffer_cap > 0) out << ", cap=" << buffer_cap << "(" << shed << ")";
   if (validate != "off") out << ", validate=" << validate;

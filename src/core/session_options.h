@@ -42,13 +42,12 @@ struct SessionOptions {
   /// Speculative emit-then-amend: skip the reorder buffer, emit provisional
   /// results at watermark time and patch them with amendment revisions.
   /// Replaces the buffered strategy (so combining it with a non-default
-  /// --strategy is rejected) and requires an amend-capable window engine —
-  /// --window-engine=legacy is rejected with it. Uses `quality` as the
-  /// amend-rate target, like aq.
+  /// --strategy is rejected). Both window engines absorb its out-of-order
+  /// folds. Uses `quality` as the amend-rate target, like aq.
   bool speculative = false;
 
-  /// Window engine: hot (flat store, the default), amend (out-of-order
-  /// B-tree store), legacy (std::map reference).
+  /// Window engine: hot (flat store, the default) or amend (out-of-order
+  /// B-tree store).
   std::string window_engine = "hot";
 
   /// Strategy parameters (each read only by the matching strategy).
@@ -66,13 +65,11 @@ struct SessionOptions {
   /// requires per_key; everything below it requires threads > 0).
   int64_t threads = 0;
   int64_t vshards = 0;   // 0 = one per worker; else must be >= threads.
-  bool rebalance = false;
   bool pin_cores = false;
   int64_t mpsc = 0;      // 0 = single producer; else >= 2 producer threads.
   bool arena = true;     // slab-arena batch memory on the threaded paths.
   bool steal = false;    // demand-driven work stealing (single source only).
   bool adaptive_batch = false;  // adapt feed batch size at run time.
-  bool numa_arena = false;      // per-NUMA-node arena pools.
 
   /// Robustness / degradation.
   int64_t buffer_cap = 0;            // 0 = unbounded.
@@ -95,13 +92,11 @@ struct SessionOptions {
   SessionOptions& AllowedLateness(int64_t ms);
   SessionOptions& Threads(int64_t n);
   SessionOptions& VirtualShards(int64_t n);
-  SessionOptions& Rebalance(bool on = true);
   SessionOptions& PinCores(bool on = true);
   SessionOptions& MpscProducers(int64_t n);
   SessionOptions& Arena(bool on);
   SessionOptions& Steal(bool on = true);
   SessionOptions& AdaptiveBatch(bool on = true);
-  SessionOptions& NumaArena(bool on = true);
   SessionOptions& BufferCap(int64_t cap, std::string policy = "emit-early");
   SessionOptions& MaxSlack(int64_t ms);
   SessionOptions& ValidateIngest(std::string mode);
@@ -136,7 +131,9 @@ struct SessionOptions {
   /// callers with extra flags of their own — trace paths, fault injection,
   /// output knobs — handle them and then reject real strays, with
   /// SuggestFlag for the hint). Malformed values for known flags are an
-  /// immediate InvalidArgument. Does not call Validate().
+  /// immediate InvalidArgument, and so are retired flags and engine names,
+  /// each with a did-you-mean hint naming what replaced it. Does not call
+  /// Validate().
   static Status ParseTokens(std::span<const std::string> tokens,
                             SessionOptions* out,
                             std::vector<std::string>* unrecognized);

@@ -241,10 +241,6 @@ int64_t StreamSession::BufferedEvents() const {
   return queue_ != nullptr ? static_cast<int64_t>(queue_->size()) : 0;
 }
 
-int64_t StreamSession::migrations() const {
-  return runner_ != nullptr ? runner_->migrations() : 0;
-}
-
 int64_t StreamSession::steals() const {
   return runner_ != nullptr ? runner_->steals() : 0;
 }

@@ -95,9 +95,6 @@ class StreamSession {
   /// the runner). Cheap enough to call per ingest frame.
   int64_t BufferedEvents() const;
 
-  /// Shard migrations performed (threaded sessions with rebalance on).
-  int64_t migrations() const;
-
   /// Segments stolen by starving workers (threaded sessions with steal
   /// on). Timing-dependent; the output is not.
   int64_t steals() const;

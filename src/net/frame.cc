@@ -382,12 +382,13 @@ Status DecodeOverloaded(std::string_view payload, OverloadInfo* out) {
 // --------------------------------------------------------------- snapshots
 
 namespace {
-// v2 appended the scheduler counters (shard_migrations, segments_stolen);
-// v3 the resilience counters (epoch, last_acked_seq, replay/dedup/throttle).
-// Decoding is strict: both peers ship from one tree, so there is no
-// cross-version traffic to tolerate, and a version mismatch should fail
-// loudly instead of zero-filling.
-constexpr uint8_t kSnapshotVersion = 3;
+// v2 appended the scheduler counters; v3 the resilience counters (epoch,
+// last_acked_seq, replay/dedup/throttle); v4 dropped the shard-migration
+// counter, leaving segments_stolen as the one scheduler counter. Decoding
+// is strict: both peers ship from one tree, so there is no cross-version
+// traffic to tolerate, and a version mismatch should fail loudly instead
+// of zero-filling.
+constexpr uint8_t kSnapshotVersion = 4;
 }  // namespace
 
 void EncodeSnapshotStats(const SnapshotStats& stats, std::string* out) {
@@ -409,7 +410,6 @@ void EncodeSnapshotStats(const SnapshotStats& stats, std::string* out) {
   AppendU64(stats.result_checksum, out);
   AppendF64(stats.mean_buffering_latency_us, out);
   AppendI64(stats.final_slack_us, out);
-  AppendI64(stats.shard_migrations, out);
   AppendI64(stats.segments_stolen, out);
   AppendU32(stats.epoch, out);
   AppendU64(stats.last_acked_seq, out);
@@ -448,7 +448,6 @@ Status DecodeSnapshotStats(std::string_view payload, SnapshotStats* out) {
   STREAMQ_RETURN_NOT_OK(reader.ReadU64(&out->result_checksum));
   STREAMQ_RETURN_NOT_OK(reader.ReadF64(&out->mean_buffering_latency_us));
   STREAMQ_RETURN_NOT_OK(reader.ReadI64(&out->final_slack_us));
-  STREAMQ_RETURN_NOT_OK(reader.ReadI64(&out->shard_migrations));
   STREAMQ_RETURN_NOT_OK(reader.ReadI64(&out->segments_stolen));
   STREAMQ_RETURN_NOT_OK(reader.ReadU32(&out->epoch));
   STREAMQ_RETURN_NOT_OK(reader.ReadU64(&out->last_acked_seq));
@@ -500,7 +499,6 @@ SnapshotStats SnapshotFromReport(const RunReport& report, int64_t ingested,
   s.result_checksum = ResultChecksum(report);
   s.mean_buffering_latency_us = report.handler_stats.buffering_latency_us.mean();
   s.final_slack_us = report.final_slack;
-  s.shard_migrations = report.shard_migrations;
   s.segments_stolen = report.segments_stolen;
   return s;
 }

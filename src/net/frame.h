@@ -273,10 +273,8 @@ struct SnapshotStats {
   uint64_t result_checksum = 0;
   double mean_buffering_latency_us = 0.0;
   int64_t final_slack_us = 0;
-  /// Scheduler accounting from threaded sessions (v2 fields): shards the
-  /// rebalancer migrated and segments starving workers stole. Zero on
-  /// single-threaded sessions.
-  int64_t shard_migrations = 0;
+  /// Scheduler accounting from threaded sessions: segments starving
+  /// workers stole. Zero on single-threaded sessions.
   int64_t segments_stolen = 0;
   /// Resilience accounting (v3 fields); all zero for plain (non-sequenced)
   /// tenants. `frames_replayed` counts sequenced frames that arrived with

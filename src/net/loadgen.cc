@@ -308,10 +308,10 @@ std::string LoadGenReport::Summary() const {
       << " us, errors " << errors << ", tenants " << tenants.size()
       << ", identities " << (all_identities_ok ? "ok" : "VIOLATED")
       << ", delivery " << (all_deliveries_ok ? "ok" : "INCOMPLETE")
-      << ", migrations " << shard_migrations << ", steals "
-      << segments_stolen << ", faults " << faults_injected << ", retries "
-      << retries << ", reconnects " << reconnects << ", replayed "
-      << replayed << ", deduped " << deduped << ", throttled " << throttled
+      << ", steals " << segments_stolen << ", faults " << faults_injected
+      << ", retries " << retries << ", reconnects " << reconnects
+      << ", replayed " << replayed << ", deduped " << deduped
+      << ", throttled " << throttled
       << ", checksum " << combined_checksum;
   return out.str();
 }
@@ -467,7 +467,6 @@ Result<LoadGenReport> RunLoadGen(const LoadGenOptions& options) {
     outcome.identity_ok = stats.AccountingIdentityHolds();
     report.all_identities_ok &= outcome.identity_ok;
     report.all_deliveries_ok &= outcome.delivery_ok;
-    report.shard_migrations += stats.shard_migrations;
     report.segments_stolen += stats.segments_stolen;
     report.replayed += stats.frames_replayed;
     report.deduped += stats.frames_deduped;

@@ -127,10 +127,9 @@ struct LoadGenReport {
   /// number that witnesses every tenant's result bytes.
   uint64_t combined_checksum = 0;
 
-  /// Scheduler activity summed over the sealed tenant reports: shards the
-  /// rebalancer migrated and segments starving workers stole. Zero unless
-  /// tenants registered with --threads plus --rebalance/--steal.
-  int64_t shard_migrations = 0;
+  /// Scheduler activity summed over the sealed tenant reports: segments
+  /// starving workers stole. Zero unless tenants registered with --threads
+  /// plus --steal.
   int64_t segments_stolen = 0;
 
   /// Resilience taxonomy (all zero unless retry/chaos mode):

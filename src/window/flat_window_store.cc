@@ -77,20 +77,19 @@ FlatWindowStore::Bucket* FlatWindowStore::GetOrCreateBucket(
   const int64_t q = window_internal::FloorDiv(start, slide_);
   if (live_buckets_ == 0) {
     q_min_ = q_max_ = q;
-  } else if (q < q_min_ || q > q_max_) {
-    EnsureSpan(q);
-    q_min_ = std::min(q_min_, q);
-    q_max_ = std::max(q_max_, q);
+  } else if (q >= q_min_ && q <= q_max_) {
+    if (Bucket* b = BucketAt(q)) return b;
   }
+  MaybeGrow(Span(std::min(q, q_min_), std::max(q, q_max_)));
+  q_min_ = std::min(q_min_, q);
+  q_max_ = std::max(q_max_, q);
+  auto bucket = std::make_unique<Bucket>();
+  bucket->start_ = start;
+  bucket->probe_.assign(kInitialProbeCapacity, 0);
   std::unique_ptr<Bucket>& cell = ring_[IndexOf(q)];
-  if (cell == nullptr) {
-    cell = std::make_unique<Bucket>();
-    cell->start_ = start;
-    cell->probe_.assign(kInitialProbeCapacity, 0);
-    ++live_buckets_;
-  } else {
-    STREAMQ_DCHECK_EQ(cell->start_, start);
-  }
+  bucket->next_ = std::move(cell);
+  cell = std::move(bucket);
+  ++live_buckets_;
   return cell.get();
 }
 
@@ -119,33 +118,49 @@ FlatWindowStore::Slot* FlatWindowStore::Find(TimestampUs start, int64_t key) {
 }
 
 void FlatWindowStore::RemoveBucket(int64_t q) {
-  std::unique_ptr<Bucket>& cell = ring_[IndexOf(q)];
-  STREAMQ_DCHECK(cell != nullptr);
-  slot_count_ -= cell->slots_.size();
-  cell.reset();
+  const TimestampUs start = q * slide_;
+  std::unique_ptr<Bucket>* link = &ring_[IndexOf(q)];
+  while ((*link)->start_ != start) link = &(*link)->next_;
+  slot_count_ -= (*link)->slots_.size();
+  std::unique_ptr<Bucket> next = std::move((*link)->next_);
+  *link = std::move(next);
   --live_buckets_;
   ++epoch_;
 }
 
-void FlatWindowStore::EnsureSpan(int64_t q) {
-  const int64_t new_min = std::min(q, q_min_);
-  const int64_t new_max = std::max(q, q_max_);
-  // Spans are bounded by live window retention (watermark purging), so the
-  // unsigned difference fits comfortably; grow with 2x headroom.
-  const uint64_t span =
-      static_cast<uint64_t>(new_max) - static_cast<uint64_t>(new_min) + 1;
-  if (span <= ring_.size()) return;
-  size_t new_capacity = ring_.size();
-  while (new_capacity < span * 2) new_capacity *= 2;
-  std::vector<std::unique_ptr<Bucket>> old = std::move(ring_);
-  const size_t old_mask = old.size() - 1;
-  ring_.clear();
-  ring_.resize(new_capacity);
-  for (int64_t i = q_min_; i <= q_max_; ++i) {
-    std::unique_ptr<Bucket>& cell =
-        old[static_cast<size_t>(static_cast<uint64_t>(i) & old_mask)];
-    if (cell != nullptr) ring_[IndexOf(i)] = std::move(cell);
+void FlatWindowStore::MaybeGrow(uint64_t span) {
+  const uint64_t live = live_buckets_ + 1;
+  size_t capacity = ring_.size();
+  // Cover a dense span (cell-by-cell scans, no chains) with 2x headroom;
+  // a sparse one only gets load-factor growth, keeping chains short.
+  if (span > capacity && span <= kDenseSpanFactor * live) {
+    while (capacity < span * 2) capacity *= 2;
   }
+  while (capacity < live * 2) capacity *= 2;
+  if (capacity == ring_.size()) return;
+  std::vector<std::unique_ptr<Bucket>> old = std::move(ring_);
+  ring_.clear();
+  ring_.resize(capacity);
+  for (std::unique_ptr<Bucket>& cell : old) {
+    while (cell != nullptr) {
+      std::unique_ptr<Bucket> b = std::move(cell);
+      cell = std::move(b->next_);
+      std::unique_ptr<Bucket>& dst =
+          ring_[IndexOf(window_internal::FloorDiv(b->start_, slide_))];
+      b->next_ = std::move(dst);
+      dst = std::move(b);
+    }
+  }
+}
+
+void FlatWindowStore::SortLiveQuotients() {
+  sorted_q_.clear();
+  for (const std::unique_ptr<Bucket>& cell : ring_) {
+    for (const Bucket* b = cell.get(); b != nullptr; b = b->next_.get()) {
+      sorted_q_.push_back(window_internal::FloorDiv(b->start_, slide_));
+    }
+  }
+  std::sort(sorted_q_.begin(), sorted_q_.end());
 }
 
 void FlatWindowStore::TrimFront() {
@@ -155,6 +170,20 @@ void FlatWindowStore::TrimFront() {
     return;
   }
   while (BucketAt(q_min_) == nullptr) ++q_min_;
+}
+
+void FlatWindowStore::TrimToSorted() {
+  if (live_buckets_ == 0) {
+    q_min_ = 0;
+    q_max_ = -1;
+    return;
+  }
+  size_t lo = 0;
+  while (BucketAt(sorted_q_[lo]) == nullptr) ++lo;
+  size_t hi = sorted_q_.size() - 1;
+  while (BucketAt(sorted_q_[hi]) == nullptr) --hi;
+  q_min_ = sorted_q_[lo];
+  q_max_ = sorted_q_[hi];
 }
 
 }  // namespace streamq

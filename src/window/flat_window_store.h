@@ -21,12 +21,18 @@ namespace streamq {
 ///    power-of-two capacity. Locating a bucket is a shift-and-mask; the
 ///    ring grows geometrically when the live start span outgrows it
 ///    (bucket objects are heap-owned, so growth never moves a bucket).
+///    A span that is mostly empty — an idle gap with a window still live
+///    on each side — does not size the ring: past kDenseSpanFactor cells
+///    per live bucket the ring stops covering the span and colliding
+///    starts chain off their cell, so memory and scans track live buckets,
+///    not elapsed event time.
 ///  * Within a bucket, keys live in an open-addressing probe table mapping
 ///    key -> dense slot index. Slots are appended in first-touch order and
 ///    never erased individually — a bucket dies as a whole when its window
 ///    retires — so dense indices are stable for a bucket's lifetime.
-///  * Firing and purging need the ordered (start, key) scan the old map
-///    gave for free: Scan() walks buckets in ascending start order, and
+///  * Firing and purging need an ordered (start, key) scan: Scan() walks
+///    buckets in ascending start order (cell by cell while the ring covers
+///    the span, through a sorted list of live starts otherwise), and
 ///    SortedByKey() lazily materializes a key-sorted view of a bucket's
 ///    slots (cached until the next insertion).
 ///
@@ -72,6 +78,7 @@ class FlatWindowStore {
     void Rehash(size_t new_capacity);
 
     TimestampUs start_ = 0;
+    std::unique_ptr<Bucket> next_;    // Ring-cell collision chain.
     std::vector<Slot> slots_;         // First-touch order; indices stable.
     std::vector<uint32_t> probe_;     // Power-of-two; value = index + 1.
     std::vector<uint32_t> by_key_;    // Key-sorted dense indices (lazy).
@@ -102,17 +109,23 @@ class FlatWindowStore {
   template <typename Fn>
   void Scan(Fn&& fn) {
     if (live_buckets_ == 0) return;
-    for (int64_t q = q_min_; q <= q_max_; ++q) {
+    auto visit = [&](int64_t q) {
       Bucket* b = BucketAt(q);
-      if (b == nullptr) continue;
+      if (b == nullptr) return true;
       const Visit action = fn(*b);
-      if (action == Visit::kPurge) {
-        RemoveBucket(q);
-      } else if (action == Visit::kStop) {
-        break;
+      if (action == Visit::kPurge) RemoveBucket(q);
+      return action != Visit::kStop;
+    };
+    if (CoversSpan()) {
+      for (int64_t q = q_min_; q <= q_max_ && visit(q); ++q) {
       }
+      TrimFront();
+    } else {
+      SortLiveQuotients();
+      for (size_t i = 0; i < sorted_q_.size() && visit(sorted_q_[i]); ++i) {
+      }
+      TrimToSorted();
     }
-    TrimFront();
   }
 
   /// Live (start, key) states across all buckets.
@@ -124,22 +137,37 @@ class FlatWindowStore {
   uint64_t epoch() const { return epoch_; }
 
  private:
+  /// Ring cells per live bucket beyond which the ring stops growing to
+  /// cover the live start span.
+  static constexpr uint64_t kDenseSpanFactor = 16;
+
   size_t IndexOf(int64_t q) const {
     return static_cast<size_t>(static_cast<uint64_t>(q) &
                                (ring_.size() - 1));
   }
   Bucket* BucketAt(int64_t q) const {
+    const TimestampUs start = q * slide_;
     Bucket* b = ring_[IndexOf(q)].get();
-    return (b != nullptr && b->start_ == q * slide_) ? b : nullptr;
+    while (b != nullptr && b->start_ != start) b = b->next_.get();
+    return b;
   }
+  static uint64_t Span(int64_t lo, int64_t hi) {
+    return static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo) + 1;
+  }
+  /// Every live start has its own ring cell (no chains), so a cell-by-cell
+  /// walk over [q_min_, q_max_] visits buckets in start order.
+  bool CoversSpan() const { return Span(q_min_, q_max_) <= ring_.size(); }
 
   Bucket* GetOrCreateBucket(TimestampUs start);
   void RemoveBucket(int64_t q);
-  void EnsureSpan(int64_t q);  // Grows the ring to cover q.
-  void TrimFront();            // Advances q_min_ past purged buckets.
+  void MaybeGrow(uint64_t span);  // Before inserting one more bucket.
+  void SortLiveQuotients();       // Fills sorted_q_ from the ring.
+  void TrimFront();     // Advances q_min_ past purged buckets.
+  void TrimToSorted();  // Shrinks [q_min_, q_max_] to the live sorted_q_.
 
   DurationUs slide_;
   std::vector<std::unique_ptr<Bucket>> ring_;  // Power-of-two capacity.
+  std::vector<int64_t> sorted_q_;  // Scan scratch when !CoversSpan().
   int64_t q_min_ = 0;   // Valid iff live_buckets_ > 0.
   int64_t q_max_ = -1;
   size_t live_buckets_ = 0;

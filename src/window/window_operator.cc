@@ -13,7 +13,6 @@ WindowedAggregation::WindowedAggregation(const Options& options,
   STREAMQ_CHECK_OK(options.window.Validate());
   STREAMQ_CHECK_OK(options.aggregate.Validate());
   STREAMQ_CHECK_GE(options.allowed_lateness, 0);
-  if (options_.engine == Engine::kLegacy) return;
 
   if (options_.engine == Engine::kAmend) {
     amend_store_ = std::make_unique<AmendWindowStore>(options_.window.slide);
@@ -25,21 +24,11 @@ WindowedAggregation::WindowedAggregation(const Options& options,
   // partial into every covering window: correct for any window family, but
   // only profitable when windows overlap, and only byte-identical to the
   // per-tuple path for grouping-exact kinds. Gate on exactly-tiling
-  // sliding windows; kAuto additionally requires bit-exact merges.
+  // sliding windows and bit-exact merges.
   const WindowSpec& w = options_.window;
   const bool tiling_sliding = w.slide < w.size && w.size % w.slide == 0;
-  switch (options_.pane_sharing) {
-    case PaneSharing::kOff:
-      pane_active_ = false;
-      break;
-    case PaneSharing::kAuto:
-      pane_active_ =
-          inline_kind_ && tiling_sliding && PaneMergeIsExact(agg_spec_.kind);
-      break;
-    case PaneSharing::kForce:
-      pane_active_ = inline_kind_ && tiling_sliding;
-      break;
-  }
+  pane_active_ =
+      inline_kind_ && tiling_sliding && PaneMergeIsExact(agg_spec_.kind);
   if (options_.engine == Engine::kAmend) {
     BindEngine<AmendWindowStore>();
   } else {
@@ -89,172 +78,10 @@ void WindowedAggregation::BindHotFns() {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy engine: std::map over (start, key), polymorphic accumulators. The
-// reference implementation the hot engine is pinned against.
-// ---------------------------------------------------------------------------
-
-WindowedAggregation::WindowState* WindowedAggregation::GetOrCreateState(
-    TimestampUs window_start, int64_t key) {
-  const StateKey sk{window_start, key};
-  if (cached_state_ != nullptr && cached_key_ == sk) return cached_state_;
-  auto it = windows_.find(sk);
-  if (it == windows_.end()) {
-    WindowState state;
-    state.acc = MakeAggregator(agg_spec_);
-    it = windows_.emplace(sk, std::move(state)).first;
-    stats_.max_live_windows = std::max(
-        stats_.max_live_windows, static_cast<int64_t>(windows_.size()));
-  }
-  cached_key_ = sk;
-  cached_state_ = &it->second;
-  return cached_state_;
-}
-
-void WindowedAggregation::FoldEvent(const Event& e) {
-  ++stats_.events;
-  last_activity_ = std::max(last_activity_, e.arrival_time);
-  ForEachWindow(options_.window, e.event_time, [this, &e](
-                                                   const WindowBounds& w) {
-    WindowState* state = GetOrCreateState(w.start, e.key);
-    state->acc->Add(e.value);
-    // In-order events never target fired windows (their window end is above
-    // the watermark by construction), so no revision logic here.
-  });
-}
-
-void WindowedAggregation::Emit(const StateKey& sk, WindowState* state,
-                               TimestampUs now, bool revision) {
-  WindowResult r;
-  r.bounds = WindowBounds{sk.first, sk.first + options_.window.size};
-  r.key = sk.second;
-  r.value = state->acc->Value();
-  r.tuple_count = state->acc->count();
-  r.emit_stream_time = now;
-  r.is_revision = revision;
-  r.revision_index = revision ? ++state->revisions : 0;
-  state->fired = true;
-  state->dirty_since_fire = false;
-  if (revision) {
-    ++stats_.revisions;
-  } else {
-    ++stats_.windows_fired;
-  }
-  sink_->OnResult(r);
-  if (observer_ != nullptr) {
-    observer_->OnWindowFired(r);
-    if (revision) observer_->OnAmend(r);
-  }
-}
-
-void WindowedAggregation::LegacyOnWatermark(TimestampUs watermark,
-                                            TimestampUs stream_time) {
-  cached_state_ = nullptr;  // The purge loop below may erase the memo target.
-
-  auto it = windows_.begin();
-  while (it != windows_.end()) {
-    const TimestampUs end = it->first.first + options_.window.size;
-    const bool fire = end <= watermark && !it->second.fired;
-    // Saturating end + allowed_lateness (watermark can be kMaxTimestamp).
-    const TimestampUs retire_at =
-        (end > kMaxTimestamp - options_.allowed_lateness)
-            ? kMaxTimestamp
-            : end + options_.allowed_lateness;
-    const bool purge = retire_at <= watermark || watermark == kMaxTimestamp;
-    if (!fire && !purge && end > watermark) {
-      // Map is ordered by window start; with fixed-size windows, both the
-      // fire and purge conditions are monotone — nothing further can match.
-      break;
-    }
-    if (fire) {
-      Emit(it->first, &it->second, stream_time, /*revision=*/false);
-    }
-    if (purge) {
-      if (it->second.fired && it->second.dirty_since_fire) {
-        // Batch-refinement mode: flush pending amendments as one revision.
-        Emit(it->first, &it->second, stream_time, /*revision=*/true);
-      } else if (!it->second.fired) {
-        // Purge without fire can only happen at the terminal watermark for
-        // windows that never saw their end watermark; fire them now.
-        Emit(it->first, &it->second, stream_time, /*revision=*/false);
-      }
-      it = windows_.erase(it);
-      if (observer_ != nullptr) observer_->OnWindowPurged(end, windows_.size());
-    } else {
-      ++it;
-    }
-  }
-}
-
-void WindowedAggregation::LegacyOnKeyedWatermark(int64_t key,
-                                                 TimestampUs watermark,
-                                                 TimestampUs stream_time) {
-  // Fire this key's complete windows without waiting for the merged
-  // watermark. Purge stays with the merged watermark (OnWatermark). Firing
-  // mutates state in place (map nodes are stable), but drop the lookup
-  // memo anyway: this path runs interleaved with per-key purge policies and
-  // a stale memo here is the dangling-pointer hazard class the flat store
-  // guards against with its epoch.
-  cached_state_ = nullptr;
-  for (auto& [sk, state] : windows_) {
-    if (sk.second != key || state.fired) continue;
-    const TimestampUs end = sk.first + options_.window.size;
-    if (end > watermark) break;  // Ordered by start; later entries are later.
-    Emit(sk, &state, stream_time, /*revision=*/false);
-  }
-}
-
-void WindowedAggregation::LegacyOnLateEvent(const Event& e) {
-  for (const WindowBounds& w : AssignWindows(options_.window, e.event_time)) {
-    const StateKey sk{w.start, e.key};
-    auto it = windows_.find(sk);
-    if (it == windows_.end()) {
-      // No state yet: either the window was purged (a real quality loss) or
-      // no on-time tuple of this key ever touched it. Admit the tuple when
-      // the window is still open (it has not fired, so the contribution is
-      // free) or when the lateness policy allows amending.
-      const bool window_open = w.end > last_watermark_;
-      if (window_open ||
-          (options_.allowed_lateness > 0 &&
-           w.end + options_.allowed_lateness > last_watermark_)) {
-        // Window state never existed (no on-time tuple) but is still within
-        // lateness: create it so the late tuple is not lost.
-        WindowState* state = GetOrCreateState(w.start, e.key);
-        state->acc->Add(e.value);
-        ++stats_.late_applied;
-        if (w.end <= last_watermark_) {
-          // Window already semantically closed: this is a (first) firing
-          // with the late data included.
-          if (options_.emit_revision_per_update) {
-            Emit(sk, state, e.arrival_time, /*revision=*/false);
-          } else {
-            state->dirty_since_fire = true;
-            state->fired = true;
-          }
-        }
-        continue;
-      }
-      ++stats_.late_dropped;
-      if (observer_ != nullptr) observer_->OnWindowLateDropped(e);
-      continue;
-    }
-    WindowState* state = &it->second;
-    state->acc->Add(e.value);
-    ++stats_.late_applied;
-    if (state->fired) {
-      if (options_.emit_revision_per_update) {
-        Emit(sk, state, e.arrival_time, /*revision=*/true);
-      } else {
-        state->dirty_since_fire = true;
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Hot/amend engines: inline states in a flat (kHot) or finger-B-tree
-// (kAmend) store, fold-plan memo, pane-shared batch folding. Result- and
-// stat-equivalent to the legacy engine above (aggregation_equivalence_test
-// and amend_equivalence_test pin this byte-for-byte).
+// Inline states in a flat (kHot) or finger-B-tree (kAmend) store, fold-plan
+// memo, pane-shared batch folding. Result- and stat-equivalent to the
+// std::map reference in tests/reference/ (aggregation_equivalence_test and
+// amend_equivalence_test pin this byte-for-byte).
 // ---------------------------------------------------------------------------
 
 template <class Store>
@@ -301,7 +128,6 @@ template <AggKind K, class Store>
 void WindowedAggregation::FoldEventHot(const Event& e) {
   Store* store = GetStore<Store>();
   ++stats_.events;
-  last_activity_ = std::max(last_activity_, e.arrival_time);
   if (!PlanHits(e, store->epoch())) RebuildPlan(store, e.event_time, e.key);
   if (plan_.num >= 0) {
     for (int i = 0; i < plan_.num; ++i) {
@@ -332,7 +158,6 @@ void WindowedAggregation::FoldBatchPaned(std::span<const Event> events) {
   while (i < events.size()) {
     const Event& head = events[i];
     ++stats_.events;
-    last_activity_ = std::max(last_activity_, head.arrival_time);
     if (!PlanHits(head, store->epoch())) {
       RebuildPlan(store, head.event_time, head.key);
     }
@@ -356,7 +181,6 @@ void WindowedAggregation::FoldBatchPaned(std::span<const Event> events) {
            events[j].event_time < plan_.valid_end) {
       InlineFold<K>(partial, events[j].value);
       ++stats_.events;
-      last_activity_ = std::max(last_activity_, events[j].arrival_time);
       ++j;
     }
     for (int k = 0; k < plan_.num; ++k) {
@@ -370,7 +194,6 @@ template <class Store>
 void WindowedAggregation::FoldEventHeavy(const Event& e) {
   Store* store = GetStore<Store>();
   ++stats_.events;
-  last_activity_ = std::max(last_activity_, e.arrival_time);
   if (!PlanHits(e, store->epoch())) RebuildPlan(store, e.event_time, e.key);
   if (plan_.num >= 0) {
     for (int i = 0; i < plan_.num; ++i) plan_.slots[i]->acc->Add(e.value);
@@ -429,9 +252,9 @@ void WindowedAggregation::HotOnWatermark(TimestampUs watermark,
                                          TimestampUs stream_time) {
   Store* store = GetStore<Store>();
   plan_.num = FoldPlan::kInvalid;  // Purges below invalidate slot pointers.
-  // Mirrors LegacyOnWatermark entry for entry: buckets ascend by start and
-  // SortedByKey ascends by key, reproducing the map's (start, key) order;
-  // `live` tracks the post-erase store size the legacy observer call saw.
+  // Buckets ascend by start and SortedByKey ascends by key: results leave
+  // in (start, key) order. `live` tracks the post-erase store size each
+  // purge notification reports.
   size_t live = store->size();
   store->Scan([&](typename Store::Bucket& b) {
     const TimestampUs end = b.start() + options_.window.size;
@@ -523,54 +346,31 @@ void WindowedAggregation::HotOnLateEvent(const Event& e) {
 }
 
 // ---------------------------------------------------------------------------
-// EventSink entry points: one engine branch, then straight-line code.
+// EventSink entry points: one indirect call into the bound engine.
 // ---------------------------------------------------------------------------
 
-void WindowedAggregation::OnEvent(const Event& e) {
-  if (one_fn_ != nullptr) {
-    (this->*one_fn_)(e);
-  } else {
-    FoldEvent(e);
-  }
-}
+void WindowedAggregation::OnEvent(const Event& e) { (this->*one_fn_)(e); }
 
 void WindowedAggregation::OnEvents(std::span<const Event> events) {
-  if (batch_fn_ != nullptr) {
-    (this->*batch_fn_)(events);
-  } else {
-    for (const Event& e : events) FoldEvent(e);
-  }
+  (this->*batch_fn_)(events);
 }
 
 void WindowedAggregation::OnWatermark(TimestampUs watermark,
                                       TimestampUs stream_time) {
   if (watermark <= last_watermark_) return;
   last_watermark_ = watermark;
-  if (wm_fn_ != nullptr) {
-    (this->*wm_fn_)(watermark, stream_time);
-  } else {
-    LegacyOnWatermark(watermark, stream_time);
-  }
+  (this->*wm_fn_)(watermark, stream_time);
 }
 
 void WindowedAggregation::OnKeyedWatermark(int64_t key, TimestampUs watermark,
                                            TimestampUs stream_time) {
   if (!options_.per_key_watermarks) return;
-  if (kwm_fn_ != nullptr) {
-    (this->*kwm_fn_)(key, watermark, stream_time);
-  } else {
-    LegacyOnKeyedWatermark(key, watermark, stream_time);
-  }
+  (this->*kwm_fn_)(key, watermark, stream_time);
 }
 
 void WindowedAggregation::OnLateEvent(const Event& e) {
   ++stats_.events;
-  last_activity_ = std::max(last_activity_, e.arrival_time);
-  if (late_fn_ != nullptr) {
-    (this->*late_fn_)(e);
-  } else {
-    LegacyOnLateEvent(e);
-  }
+  (this->*late_fn_)(e);
 }
 
 }  // namespace streamq

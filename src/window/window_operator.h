@@ -2,11 +2,8 @@
 #define STREAMQ_WINDOW_WINDOW_OPERATOR_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <span>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "agg/aggregate.h"
@@ -57,39 +54,25 @@ class CollectingResultSink : public WindowResultSink {
 ///    accumulator) stored in a `FlatWindowStore` (O(1) amortized lookup).
 ///    Fold dispatch is resolved once per batch, and for exactly-tiling
 ///    sliding windows each batch is folded once per pane run and merged
-///    into the covering windows when that is bit-exact (count/min/max;
-///    Options::pane_sharing). Heavy kinds (median/quantile/distinct) keep
-///    the polymorphic accumulator inside the flat store.
-///  * kLegacy — the original std::map + virtual-Aggregator path, kept as
-///    the reference implementation the equivalence test pins kHot against.
+///    into the covering windows when that is bit-exact (count/min/max).
+///    Heavy kinds (median/quantile/distinct) keep the polymorphic
+///    accumulator inside the flat store.
 ///  * kAmend — the same inline-state hot path over an `AmendWindowStore`
 ///    (finger-hinted B-tree over window starts) instead of the slide-
 ///    aligned ring: tuples may reach OnEvent *out of order* and amend
 ///    already-materialized window state directly, which is what the
 ///    speculative emit-then-amend execution mode feeds it. Behind an
 ///    identical disorder handler it is byte-identical to kHot.
+///
+/// Both are pinned byte-for-byte against the std::map + virtual-Aggregator
+/// reference in tests/reference/.
 class WindowedAggregation : public EventSink {
  public:
-  /// Execution engine selection. All engines produce byte-identical
-  /// results and stats under the same sink-call sequence; kLegacy exists
-  /// as the reference for equivalence testing and as an escape hatch.
+  /// Execution engine selection. Both engines produce byte-identical
+  /// results and stats under the same sink-call sequence.
   enum class Engine {
     kHot,
-    kLegacy,
     kAmend,
-  };
-
-  /// Pane-shared batch folding policy (kHot engine, light kinds only).
-  enum class PaneSharing {
-    /// Share only when merging partials is bit-identical to per-tuple
-    /// folding (count/min/max) and the window tiles exactly.
-    kAuto,
-    /// Never share; always per-tuple folds.
-    kOff,
-    /// Share for every inline kind. For sum/mean/variance/stddev this
-    /// regroups floating-point reductions and may differ from the
-    /// per-tuple path in the last ulps.
-    kForce,
   };
 
   struct Options {
@@ -113,7 +96,6 @@ class WindowedAggregation : public EventSink {
     bool per_key_watermarks = false;
 
     Engine engine = Engine::kHot;
-    PaneSharing pane_sharing = PaneSharing::kAuto;
   };
 
   struct Stats {
@@ -140,18 +122,16 @@ class WindowedAggregation : public EventSink {
 
   /// Number of window instances currently holding state.
   size_t live_windows() const {
-    if (store_ != nullptr) return store_->size();
-    if (amend_store_ != nullptr) return amend_store_->size();
-    return windows_.size();
+    return store_ != nullptr ? store_->size() : amend_store_->size();
   }
 
-  /// True when this instance runs the devirtualized inline-state fold
-  /// (kHot/kAmend engine and a light aggregate kind).
-  bool uses_inline_states() const {
-    return (store_ != nullptr || amend_store_ != nullptr) && inline_kind_;
-  }
+  /// True when this instance runs the devirtualized inline-state fold (a
+  /// light aggregate kind).
+  bool uses_inline_states() const { return inline_kind_; }
 
-  /// True when batches are folded once per pane run and merged.
+  /// True when batches are folded once per pane run and merged: a light
+  /// kind whose partials merge bit-exactly (count/min/max) over an
+  /// exactly-tiling sliding window.
   bool uses_pane_sharing() const { return pane_active_; }
 
   /// Installs a read-only instrumentation observer (nullptr = none). Same
@@ -159,32 +139,6 @@ class WindowedAggregation : public EventSink {
   void set_observer(PipelineObserver* observer) { observer_ = observer; }
 
  private:
-  // ---- Legacy engine (reference implementation) ----
-
-  struct WindowState {
-    std::unique_ptr<Aggregator> acc;
-    bool fired = false;
-    int32_t revisions = 0;
-    /// Dirty since last emission (for batch refinement mode).
-    bool dirty_since_fire = false;
-  };
-
-  /// State key ordered by (window start, key) so firing scans stop early.
-  using StateKey = std::pair<TimestampUs, int64_t>;
-
-  WindowState* GetOrCreateState(TimestampUs window_start, int64_t key);
-  void Emit(const StateKey& sk, WindowState* state, TimestampUs now,
-            bool revision);
-  /// Folds one in-order event into all covering windows (shared by OnEvent
-  /// and the batched OnEvents).
-  void FoldEvent(const Event& e);
-  void LegacyOnWatermark(TimestampUs watermark, TimestampUs stream_time);
-  void LegacyOnKeyedWatermark(int64_t key, TimestampUs watermark,
-                              TimestampUs stream_time);
-  void LegacyOnLateEvent(const Event& e);
-
-  // ---- Hot / amend engines ----
-  //
   // One body of code, two stores: the fold, watermark and late paths are
   // templated on the store type (FlatWindowStore for kHot, AmendWindowStore
   // for kAmend — same Bucket/Slot/Visit vocabulary) and bound once, at
@@ -262,22 +216,14 @@ class WindowedAggregation : public EventSink {
   Options options_;
   WindowResultSink* sink_;
   AggregateSpec agg_spec_;
-  std::map<StateKey, WindowState> windows_;  // kLegacy engine only.
   TimestampUs last_watermark_ = kMinTimestamp;
-  TimestampUs last_activity_ = 0;  // Arrival time of last event seen.
   Stats stats_;
   PipelineObserver* observer_ = nullptr;
 
-  /// Memo of the last state lookup (kLegacy): consecutive tuples
-  /// overwhelmingly hit the same (window, key) slot, and map nodes are
-  /// stable until erased. Invalidated whenever OnWatermark purges state.
-  StateKey cached_key_{};
-  WindowState* cached_state_ = nullptr;
-
-  // kHot/kAmend engine state. Fold and watermark dispatch are resolved
-  // once, at construction (one member-function-pointer indirection per
-  // event / per batch instead of a virtual call per tuple per window, and
-  // no per-call engine branches). All pointers stay null under kLegacy.
+  // Engine state. Fold and watermark dispatch are resolved once, at
+  // construction (one member-function-pointer indirection per event / per
+  // batch instead of a virtual call per tuple per window, and no per-call
+  // engine branches).
   std::unique_ptr<FlatWindowStore> store_;        // kHot only.
   std::unique_ptr<AmendWindowStore> amend_store_;  // kAmend only.
   bool inline_kind_ = false;

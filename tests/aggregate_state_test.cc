@@ -1,6 +1,7 @@
 // Pins the inline AggregateState fold/merge/value against the polymorphic
 // Aggregators bit-for-bit: the hot window engine relies on this equivalence
-// to produce byte-identical results to the legacy engine.
+// to produce byte-identical results to the std::map reference engine in
+// tests/reference/.
 
 #include <bit>
 #include <cmath>

@@ -1,13 +1,13 @@
 // Engine-equivalence property test: the devirtualized hot path (inline
 // states + flat store + fold-plan memo + pane-shared batch folding) must be
-// indistinguishable from the legacy std::map + virtual-Aggregator engine —
-// byte-identical WindowResult sequences and window stats — for every
-// aggregate kind, window family, handler spec, revision mode, and feed
-// granularity, including late-tuple, revision and allowed-lateness paths.
+// indistinguishable from the std::map + virtual-Aggregator reference in
+// tests/reference/ — byte-identical WindowResult sequences and window
+// stats — for every aggregate kind, window family, handler spec, revision
+// mode, and feed granularity, including late-tuple, revision and
+// allowed-lateness paths.
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -19,6 +19,7 @@
 #include "core/continuous_query.h"
 #include "core/executor.h"
 #include "stream/generator.h"
+#include "tests/reference/reference_window.h"
 #include "tests/test_util.h"
 #include "window/window.h"
 #include "window/window_operator.h"
@@ -27,7 +28,7 @@ namespace streamq {
 namespace {
 
 using Engine = WindowedAggregation::Engine;
-using PaneSharing = WindowedAggregation::PaneSharing;
+using reference::RunReference;
 
 const std::vector<AggKind> kAllKinds = {
     AggKind::kCount,    AggKind::kSum,    AggKind::kMean,
@@ -86,8 +87,7 @@ const std::vector<Event>& TestStream() {
 
 ContinuousQuery MakeQuery(AggKind kind, const WindowSpec& shape,
                           const DisorderHandlerSpec& handler,
-                          bool emit_revision_per_update, Engine engine,
-                          PaneSharing pane) {
+                          bool emit_revision_per_update) {
   ContinuousQuery q;
   q.name = "agg_equiv";
   q.handler = handler;
@@ -97,8 +97,6 @@ ContinuousQuery MakeQuery(AggKind kind, const WindowSpec& shape,
   q.window.allowed_lateness = Millis(20);
   q.window.emit_revision_per_update = emit_revision_per_update;
   q.window.per_key_watermarks = handler.per_key;
-  q.window.engine = engine;
-  q.window.pane_sharing = pane;
   return q;
 }
 
@@ -152,8 +150,8 @@ using Param = std::tuple<int, int>;  // (kind index, shape index)
 
 class AggregationEquivalenceTest : public ::testing::TestWithParam<Param> {};
 
-// Hot engine (default pane policy) == legacy engine, bit for bit, per-event
-// and batched, in both revision modes, under every handler spec.
+// Hot engine == the std::map reference, bit for bit, per-event and
+// batched, in both revision modes, under every handler spec.
 TEST_P(AggregationEquivalenceTest, HotMatchesLegacyBitwise) {
   const auto [kind_index, shape_index] = GetParam();
   const AggKind kind = kAllKinds[static_cast<size_t>(kind_index)];
@@ -161,14 +159,12 @@ TEST_P(AggregationEquivalenceTest, HotMatchesLegacyBitwise) {
   for (const DisorderHandlerSpec& handler : HandlerSpecs()) {
     for (bool per_update : {true, false}) {
       SCOPED_TRACE(handler.Describe() + (per_update ? " perupdate" : " batchrev"));
-      const ContinuousQuery legacy_q =
-          MakeQuery(kind, shape.spec, handler, per_update, Engine::kLegacy,
-                    PaneSharing::kAuto);
       const ContinuousQuery hot_q =
-          MakeQuery(kind, shape.spec, handler, per_update, Engine::kHot,
-                    PaneSharing::kAuto);
-      const RunReport reference = RunQuery(legacy_q, /*batched=*/false);
-      ExpectBitIdentical(reference, RunQuery(legacy_q, /*batched=*/true));
+          MakeQuery(kind, shape.spec, handler, per_update);
+      const RunReport reference =
+          RunReference(hot_q, TestStream(), /*batched=*/false);
+      ExpectBitIdentical(reference,
+                         RunReference(hot_q, TestStream(), /*batched=*/true));
       ExpectBitIdentical(reference, RunQuery(hot_q, /*batched=*/false));
       ExpectBitIdentical(reference, RunQuery(hot_q, /*batched=*/true));
     }
@@ -190,54 +186,6 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// Forced pane sharing regroups floating-point folds; results must still
-// match the reference structurally, with values within rounding noise.
-TEST(PaneSharingForcedTest, InexactKindsMatchWithinRounding) {
-  const WindowSpec shape = WindowSpec::Sliding(Millis(50), Millis(25));
-  for (AggKind kind : {AggKind::kSum, AggKind::kMean, AggKind::kVariance,
-                       AggKind::kStdDev}) {
-    SCOPED_TRACE(static_cast<int>(kind));
-    const DisorderHandlerSpec handler = DisorderHandlerSpec::Fixed(Millis(30));
-    const RunReport want =
-        RunQuery(MakeQuery(kind, shape, handler, true, Engine::kLegacy,
-                      PaneSharing::kAuto),
-            /*batched=*/true);
-    const RunReport got =
-        RunQuery(MakeQuery(kind, shape, handler, true, Engine::kHot,
-                      PaneSharing::kForce),
-            /*batched=*/true);
-    ASSERT_EQ(want.results.size(), got.results.size());
-    for (size_t i = 0; i < want.results.size(); ++i) {
-      const WindowResult& a = want.results[i];
-      const WindowResult& b = got.results[i];
-      EXPECT_EQ(a.bounds, b.bounds);
-      EXPECT_EQ(a.key, b.key);
-      EXPECT_EQ(a.tuple_count, b.tuple_count);
-      EXPECT_EQ(a.is_revision, b.is_revision);
-      const double tol = 1e-9 * std::max(1.0, std::abs(a.value));
-      EXPECT_NEAR(a.value, b.value, tol);
-    }
-    EXPECT_EQ(want.window_stats.windows_fired, got.window_stats.windows_fired);
-    EXPECT_EQ(want.window_stats.revisions, got.window_stats.revisions);
-  }
-}
-
-// ...and for the grouping-exact kinds, forced sharing stays bit-identical.
-TEST(PaneSharingForcedTest, ExactKindsStayBitIdentical) {
-  const WindowSpec shape = WindowSpec::Sliding(Millis(100), Millis(25));
-  for (AggKind kind : {AggKind::kCount, AggKind::kMin, AggKind::kMax}) {
-    SCOPED_TRACE(static_cast<int>(kind));
-    const DisorderHandlerSpec handler = DisorderHandlerSpec::Fixed(Millis(30));
-    const RunReport want =
-        RunQuery(MakeQuery(kind, shape, handler, true, Engine::kLegacy,
-                      PaneSharing::kAuto),
-            /*batched=*/true);
-    ExpectBitIdentical(want, RunQuery(MakeQuery(kind, shape, handler, true,
-                                           Engine::kHot, PaneSharing::kForce),
-                                 /*batched=*/true));
-  }
-}
-
 // Engine/pane plumbing sanity.
 TEST(EngineSelectionTest, DefaultsAndGates) {
   CollectingResultSink sink;
@@ -255,11 +203,7 @@ TEST(EngineSelectionTest, DefaultsAndGates) {
     o.aggregate.kind = AggKind::kSum;
     WindowedAggregation op(o, &sink);
     EXPECT_TRUE(op.uses_inline_states());
-    EXPECT_FALSE(op.uses_pane_sharing());  // Inexact under kAuto.
-    WindowedAggregation::Options f = o;
-    f.pane_sharing = PaneSharing::kForce;
-    WindowedAggregation opf(f, &sink);
-    EXPECT_TRUE(opf.uses_pane_sharing());
+    EXPECT_FALSE(op.uses_pane_sharing());  // Merging partials is inexact.
   }
   {
     WindowedAggregation::Options o;
@@ -281,12 +225,6 @@ TEST(EngineSelectionTest, DefaultsAndGates) {
     WindowedAggregation op(o, &sink);
     EXPECT_FALSE(op.uses_inline_states());  // Heavy kind.
   }
-  {
-    WindowedAggregation::Options o;
-    o.engine = Engine::kLegacy;
-    WindowedAggregation op(o, &sink);
-    EXPECT_FALSE(op.uses_inline_states());
-  }
 }
 
 // Regression for the fold-plan dangling-pointer hazard: a late event that
@@ -294,8 +232,8 @@ TEST(EngineSelectionTest, DefaultsAndGates) {
 // buckets' slot arrays. The epoch check must force a plan rebuild — under
 // ASan a miss here is a use-after-free; here it shows up as wrong sums.
 TEST(FoldPlanInvalidationTest, LateInsertIntoCachedBucketForcesRebuild) {
-  for (Engine engine : {Engine::kHot, Engine::kLegacy}) {
-    SCOPED_TRACE(engine == Engine::kHot ? "hot" : "legacy");
+  for (Engine engine : {Engine::kHot, Engine::kAmend}) {
+    SCOPED_TRACE(engine == Engine::kHot ? "hot" : "amend");
     WindowedAggregation::Options o;
     o.window = WindowSpec::Sliding(Seconds(4), Seconds(1));
     o.aggregate.kind = AggKind::kSum;

@@ -1,7 +1,8 @@
 // Amend-engine equivalence: the kAmend B-tree store must be
-// indistinguishable from the kLegacy reference (and therefore from kHot)
-// — byte-identical WindowResult sequences and stats — for every aggregate
-// kind, window family, handler spec, and feed granularity. On top, the
+// indistinguishable from the std::map reference in tests/reference/ (and
+// therefore from kHot) — byte-identical WindowResult sequences and stats —
+// for every aggregate kind, window family, handler spec, and feed
+// granularity. On top, the
 // speculative emit-then-amend mode is pinned two ways: kAmend and kHot
 // produce bit-identical emission logs under the same speculative handler,
 // and the *final revision* per window matches a fully-buffered run
@@ -20,8 +21,10 @@
 
 #include "core/continuous_query.h"
 #include "core/executor.h"
+#include "core/session_options.h"
 #include "quality/speculation.h"
 #include "stream/generator.h"
+#include "tests/reference/reference_window.h"
 #include "window/amend_window_store.h"
 #include "window/window.h"
 #include "window/window_operator.h"
@@ -152,10 +155,10 @@ using Param = std::tuple<int, int>;  // (kind index, shape index)
 
 class AmendEquivalenceTest : public ::testing::TestWithParam<Param> {};
 
-// kAmend == kLegacy == kHot, bit for bit, per-event and batched, under
+// kAmend == reference == kHot, bit for bit, per-event and batched, under
 // every handler spec — including the speculative handler, which feeds the
-// engines out-of-order tuples directly (kLegacy is skipped there: Validate
-// rejects the pairing, so kHot serves as the reference).
+// engines out-of-order tuples directly (the in-order reference cannot
+// absorb those, so kHot serves as the reference there).
 TEST_P(AmendEquivalenceTest, AmendMatchesReferenceBitwise) {
   const auto [kind_index, shape_index] = GetParam();
   const AggKind kind = kAllKinds[static_cast<size_t>(kind_index)];
@@ -164,13 +167,17 @@ TEST_P(AmendEquivalenceTest, AmendMatchesReferenceBitwise) {
     SCOPED_TRACE(handler.Describe());
     const bool speculative =
         handler.kind == DisorderHandlerSpec::Kind::kSpeculative;
-    const ContinuousQuery reference_q =
-        MakeQuery(kind, shape.spec, handler,
-                  speculative ? Engine::kHot : Engine::kLegacy);
+    const ContinuousQuery hot_q =
+        MakeQuery(kind, shape.spec, handler, Engine::kHot);
     const ContinuousQuery amend_q =
         MakeQuery(kind, shape.spec, handler, Engine::kAmend);
-    const RunReport reference = RunQuery(reference_q, /*batched=*/false);
-    ExpectBitIdentical(reference, RunQuery(reference_q, /*batched=*/true));
+    auto run_reference = [&](bool batched) {
+      return speculative
+                 ? RunQuery(hot_q, batched)
+                 : reference::RunReference(hot_q, TestStream(), batched);
+    };
+    const RunReport reference = run_reference(/*batched=*/false);
+    ExpectBitIdentical(reference, run_reference(/*batched=*/true));
     ExpectBitIdentical(reference, RunQuery(amend_q, /*batched=*/false));
     ExpectBitIdentical(reference, RunQuery(amend_q, /*batched=*/true));
   }
@@ -327,29 +334,32 @@ TEST(AmendWindowStoreTest, SplitsPreserveOrderAndFind) {
   EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
 }
 
-// Speculative + kLegacy is a configuration error, not a silent downgrade.
+// The retired legacy engine is a configuration error with a hint, not a
+// silent downgrade.
 TEST(SpeculativeValidationTest, LegacyEngineRejected) {
-  SpeculativeHandler::Options sp;
-  ContinuousQuery q = MakeQuery(AggKind::kSum, Shapes()[0].spec,
-                                DisorderHandlerSpec::Speculative(sp),
-                                Engine::kLegacy);
-  const Status status = q.Validate();
-  EXPECT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("amend"), std::string::npos)
+  WindowedAggregation::Engine engine = Engine::kAmend;
+  const Status status = ParseWindowEngineName("legacy", &engine);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("did you mean --window-engine=hot"),
+            std::string::npos)
       << status.ToString();
+  EXPECT_EQ(engine, Engine::kAmend);  // Untouched on error.
 }
 
-// The builder's Speculative() upgrades the engine away from the default
-// only when it would otherwise be the legacy reference.
+// The builder's Speculative() keeps whichever engine the caller chose:
+// both absorb out-of-order folds.
 TEST(SpeculativeValidationTest, BuilderPairsSpeculativeWithAmendEngine) {
-  const ContinuousQuery q = QueryBuilder("spec")
-                                .Sliding(Millis(50), Millis(25))
-                                .Aggregate("count")
-                                .WindowEngine(Engine::kLegacy)
-                                .Speculative(0.9)
-                                .Build();
-  EXPECT_EQ(q.window.engine, Engine::kAmend);
-  EXPECT_EQ(q.handler.kind, DisorderHandlerSpec::Kind::kSpeculative);
+  for (Engine engine : {Engine::kHot, Engine::kAmend}) {
+    const ContinuousQuery q = QueryBuilder("spec")
+                                  .Sliding(Millis(50), Millis(25))
+                                  .Aggregate("count")
+                                  .WindowEngine(engine)
+                                  .Speculative(0.9)
+                                  .Build();
+    EXPECT_EQ(q.window.engine, engine);
+    EXPECT_EQ(q.handler.kind, DisorderHandlerSpec::Kind::kSpeculative);
+    EXPECT_TRUE(q.Validate().ok());
+  }
 }
 
 }  // namespace

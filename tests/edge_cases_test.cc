@@ -1,6 +1,8 @@
 /// Edge cases across modules: extreme timestamps, empty streams, idle gaps,
 /// degenerate configurations — the inputs that find arithmetic bugs.
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/executor.h"
@@ -8,7 +10,6 @@
 #include "disorder/fixed_kslack.h"
 #include "disorder/mp_kslack.h"
 #include "tests/test_util.h"
-#include "window/paned_window_operator.h"
 #include "window/window_operator.h"
 
 namespace streamq {
@@ -100,21 +101,32 @@ TEST(EdgeCaseTest, DuplicateTimestampsKeepStableIdOrder) {
 }
 
 TEST(EdgeCaseTest, PanedOperatorSkipsLongIdleGaps) {
-  // Hours of idle event time between two bursts: the fire cursor must jump,
-  // not iterate over millions of empty windows.
+  // An hour of idle event time between two bursts on the pane-sharing
+  // path (tiling sliding count window, batched folds), with a window still
+  // live across the gap: firing must jump the empty window starts, not
+  // walk millions of them, and the store must not size itself to the gap.
   CollectingResultSink results;
-  PanedWindowedAggregation::Options o;
-  o.window = WindowSpec::Sliding(Millis(1), Millis(1));
+  WindowedAggregation::Options o;
+  o.window = WindowSpec::Sliding(Millis(2), Millis(1));
   o.aggregate.kind = AggKind::kCount;
-  PanedWindowedAggregation op(o, &results);
-  op.OnEvent(E(0, 0, 0));
+  WindowedAggregation op(o, &results);
+  ASSERT_TRUE(op.uses_pane_sharing());
+  const std::vector<Event> before = {E(0, 0, 0)};
+  op.OnEvents(before);
   op.OnWatermark(Millis(1), 1);
-  ASSERT_EQ(results.results.size(), 1u);
-  // Jump ~1 hour of event time.
-  op.OnEvent(E(1, Seconds(3600), Seconds(3600)));
+  ASSERT_EQ(results.results.size(), 1u);  // [-1ms, 1ms).
+  EXPECT_EQ(op.live_windows(), 1u);       // [0, 2ms) spans the gap.
+  const std::vector<Event> after = {E(1, Seconds(3600), Seconds(3600)),
+                                    E(2, Seconds(3600), Seconds(3600))};
+  op.OnEvents(after);
+  EXPECT_EQ(op.live_windows(), 3u);
   op.OnWatermark(Seconds(3600) + Millis(1), Seconds(3600) + 1);
-  ASSERT_EQ(results.results.size(), 2u);  // Returns promptly.
-  EXPECT_EQ(results.results[1].bounds.start, Seconds(3600));
+  ASSERT_EQ(results.results.size(), 3u);  // Returns promptly.
+  EXPECT_EQ(results.results[1].bounds.start, 0);
+  EXPECT_EQ(results.results[1].tuple_count, 1);
+  EXPECT_EQ(results.results[2].bounds.start, Seconds(3600) - Millis(1));
+  EXPECT_EQ(results.results[2].tuple_count, 2);
+  EXPECT_EQ(op.live_windows(), 1u);  // [3600s, 3600s + 2ms) stays open.
 }
 
 TEST(EdgeCaseTest, WindowOperatorIdleGapFiresAllPendingWindows) {

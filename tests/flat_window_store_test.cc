@@ -147,14 +147,53 @@ TEST(FlatWindowStoreTest, RingGrowsPastInitialCapacity) {
 }
 
 TEST(FlatWindowStoreTest, SparseStartsFarApart) {
-  FlatWindowStore store(100);
+  // Live starts an hour of 1 ms slides apart, several of them sharing a
+  // ring cell (quotients differing by a power of two): lookups, ordered
+  // scans and purges must all stay exact without sizing the ring to the
+  // gap, and the store must return to cell-by-cell scans once the gap
+  // closes.
+  FlatWindowStore store(/*slide=*/1000);
   bool created = false;
-  store.GetOrCreate(0, 1, &created);
-  store.GetOrCreate(1000000, 1, &created);  // Span 10001 buckets.
-  EXPECT_NE(store.Find(0, 1), nullptr);
-  EXPECT_NE(store.Find(1000000, 1), nullptr);
-  EXPECT_EQ(store.Find(500000, 1), nullptr);
-  EXPECT_EQ(store.live_buckets(), 2u);
+  const TimestampUs hour = Seconds(3600);
+  const std::vector<TimestampUs> starts = {
+      hour + 1000, 0, hour, 64 * 1000, 1000, hour + 32 * 1000, -64 * 1000};
+  for (size_t i = 0; i < starts.size(); ++i) {
+    Slot* s = store.GetOrCreate(starts[i], /*key=*/1, &created);
+    ASSERT_TRUE(created);
+    s->state.n = static_cast<int64_t>(i);
+  }
+  EXPECT_EQ(store.live_buckets(), starts.size());
+  for (size_t i = 0; i < starts.size(); ++i) {
+    Slot* s = store.Find(starts[i], 1);
+    ASSERT_NE(s, nullptr) << starts[i];
+    EXPECT_EQ(s->state.n, static_cast<int64_t>(i));
+  }
+  EXPECT_EQ(store.Find(hour - 1000, 1), nullptr);
+  EXPECT_EQ(store.Find(128 * 1000, 1), nullptr);
+
+  // Ascending order across the gap; purge everything before it.
+  std::vector<TimestampUs> seen;
+  store.Scan([&](FlatWindowStore::Bucket& b) {
+    seen.push_back(b.start());
+    return b.start() < hour ? Visit::kPurge : Visit::kKeep;
+  });
+  EXPECT_EQ(seen, (std::vector<TimestampUs>{-64 * 1000, 0, 1000, 64 * 1000,
+                                            hour, hour + 1000,
+                                            hour + 32 * 1000}));
+  EXPECT_EQ(store.live_buckets(), 3u);
+  EXPECT_EQ(store.Find(0, 1), nullptr);
+  ASSERT_NE(store.Find(hour + 32 * 1000, 1), nullptr);
+
+  // Gap closed: new buckets fill in and scans stay ordered.
+  store.GetOrCreate(hour + 2000, 1, &created);
+  EXPECT_TRUE(created);
+  seen.clear();
+  store.Scan([&](FlatWindowStore::Bucket& b) {
+    seen.push_back(b.start());
+    return Visit::kKeep;
+  });
+  EXPECT_EQ(seen, (std::vector<TimestampUs>{hour, hour + 1000, hour + 2000,
+                                            hour + 32 * 1000}));
 }
 
 TEST(FlatWindowStoreTest, EpochBumpsOnInsertAndPurge) {

@@ -183,7 +183,6 @@ TEST(FrameCodec, SnapshotStatsRoundTrip) {
   stats.result_checksum = 0xdeadbeefcafef00dULL;
   stats.mean_buffering_latency_us = 1234.5;
   stats.final_slack_us = 30000;
-  stats.shard_migrations = 6;
   stats.segments_stolen = 11;
 
   std::string payload;
@@ -211,19 +210,41 @@ TEST(FrameCodec, SnapshotStatsRoundTrip) {
 TEST(FrameCodec, SnapshotFromReportCarriesSchedulerCounters) {
   RunReport report;
   report.events_processed = 50;
-  report.shard_migrations = 3;
   report.segments_stolen = 9;
   const SnapshotStats stats =
       SnapshotFromReport(report, /*ingested=*/50, /*finished=*/true);
-  EXPECT_EQ(stats.shard_migrations, 3);
   EXPECT_EQ(stats.segments_stolen, 9);
 
   std::string payload;
   EncodeSnapshotStats(stats, &payload);
   SnapshotStats decoded;
   ASSERT_TRUE(DecodeSnapshotStats(payload, &decoded).ok());
-  EXPECT_EQ(decoded.shard_migrations, 3);
   EXPECT_EQ(decoded.segments_stolen, 9);
+}
+
+TEST(FrameCodec, RejectsV3SnapshotWithMigrationCounter) {
+  // A v3 peer wrote a shard-migration counter between final_slack_us and
+  // segments_stolen. Rebuild that layout from a v4 payload: the decoder
+  // must refuse it by version, not misread the extra field.
+  SnapshotStats stats;
+  stats.status_message = "ok";
+  stats.final_slack_us = 30000;
+  stats.segments_stolen = 4;
+  std::string v4;
+  EncodeSnapshotStats(stats, &v4);
+  ASSERT_EQ(static_cast<uint8_t>(v4[0]), 4);
+  // version, finished, status code, message length + bytes, ten i64
+  // counters, checksum, mean latency, final slack.
+  const size_t migrations_at = 1 + 1 + 4 + 4 + stats.status_message.size() +
+                               10 * 8 + 8 + 8 + 8;
+  std::string v3 = v4;
+  v3[0] = 3;
+  v3.insert(migrations_at, std::string(8, '\0'));
+  SnapshotStats decoded;
+  const Status status = DecodeSnapshotStats(v3, &decoded);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("snapshot version 3"), std::string::npos)
+      << status.ToString();
 }
 
 TEST(FrameCodec, AccountingIdentity) {

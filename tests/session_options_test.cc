@@ -77,8 +77,8 @@ TEST(SessionOptions, ValidationMatrix) {
        true},
       {"vshards without threads", [](SessionOptions* o) { o->vshards = 4; },
        false},
-      {"rebalance without threads",
-       [](SessionOptions* o) { o->rebalance = true; }, false},
+      {"steal without threads", [](SessionOptions* o) { o->steal = true; },
+       false},
       {"pin-cores without threads",
        [](SessionOptions* o) { o->pin_cores = true; }, false},
       {"mpsc without threads", [](SessionOptions* o) { o->mpsc = 2; }, false},
@@ -103,12 +103,12 @@ TEST(SessionOptions, ValidationMatrix) {
          o->mpsc = 1;
        },
        false},
-      {"mpsc with rebalance",
+      {"mpsc with steal",
        [](SessionOptions* o) {
          o->threads = 2;
          o->per_key = true;
          o->mpsc = 2;
-         o->rebalance = true;
+         o->steal = true;
        },
        false},
       {"mpsc alone",
@@ -256,13 +256,14 @@ TEST(SessionOptions, SpeculativeAndEngineFlags) {
     EXPECT_TRUE(decoded.value().speculative);
     EXPECT_EQ(decoded.value().window_engine, "amend");
   }
-  // --speculative with the legacy engine is rejected, not ignored.
+  // The retired legacy engine is rejected with a hint, never ignored.
   {
     SessionOptions options;
     options.Speculative().Engine("legacy");
     const Status status = options.Validate();
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(status.message().find("amend"), std::string::npos)
+    EXPECT_NE(status.message().find("did you mean --window-engine=hot"),
+              std::string::npos)
         << status.ToString();
   }
   // --speculative replaces the buffered strategies.
@@ -277,8 +278,11 @@ TEST(SessionOptions, SpeculativeAndEngineFlags) {
     options.Engine("btree");
     EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument);
   }
-  // The non-speculative engines all build.
-  for (const char* engine : {"hot", "amend", "legacy"}) {
+  // Both engines build, with and without speculation.
+  for (const char* engine : {"hot", "amend"}) {
+    SessionOptions speculative;
+    speculative.Speculative().Engine(engine);
+    EXPECT_TRUE(speculative.BuildQuery().ok()) << engine;
     SessionOptions options;
     options.Engine(engine);
     EXPECT_TRUE(options.BuildQuery().ok()) << engine;
@@ -322,50 +326,78 @@ TEST(SessionOptions, DescribeNamesTheConfiguration) {
 
 TEST(SessionOptions, BuildParallelOptionsMirrorsFields) {
   SessionOptions options;
-  options.PerKey().Threads(2).VirtualShards(6).Rebalance().Arena(false);
+  options.PerKey().Threads(2).VirtualShards(6).Steal().Arena(false);
   const ParallelOptions popts = options.BuildParallelOptions();
   EXPECT_FALSE(popts.use_arena);
   EXPECT_EQ(popts.virtual_shards, 6u);
-  EXPECT_TRUE(popts.rebalance);
+  EXPECT_TRUE(popts.steal);
   EXPECT_FALSE(popts.pin_cores);
 }
 
 TEST(SessionOptions, SchedulerFlagsParseRoundTripAndValidate) {
-  // Parse the three scheduler flags, round-trip them through the wire
-  // form, and check they land in ParallelOptions.
+  // Parse the scheduler flags, round-trip them through the wire form,
+  // and check they land in ParallelOptions.
   SessionOptions options;
   std::vector<std::string> leftover;
-  const std::vector<std::string> tokens = {
-      "--per-key", "--threads=2", "--steal", "--adaptive-batch",
-      "--numa-arena"};
+  const std::vector<std::string> tokens = {"--per-key", "--threads=2",
+                                           "--steal", "--adaptive-batch"};
   ASSERT_TRUE(SessionOptions::ParseTokens(tokens, &options, &leftover).ok());
   EXPECT_TRUE(leftover.empty());
   EXPECT_TRUE(options.steal);
   EXPECT_TRUE(options.adaptive_batch);
-  EXPECT_TRUE(options.numa_arena);
   ASSERT_TRUE(options.Validate().ok());
 
   auto decoded = SessionOptions::Deserialize(options.Serialize());
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_TRUE(decoded.value().steal);
   EXPECT_TRUE(decoded.value().adaptive_batch);
-  EXPECT_TRUE(decoded.value().numa_arena);
   EXPECT_EQ(decoded.value().Serialize(), options.Serialize());
 
   const ParallelOptions popts = options.BuildParallelOptions();
   EXPECT_TRUE(popts.steal);
   EXPECT_TRUE(popts.adaptive_batch);
-  EXPECT_TRUE(popts.numa_arena);
 
   const std::string text = options.Describe();
   EXPECT_NE(text.find("steal"), std::string::npos);
   EXPECT_NE(text.find("adaptive-batch"), std::string::npos);
-  EXPECT_NE(text.find("numa"), std::string::npos);
+}
+
+TEST(SessionOptions, RetiredFlagsAreRejectedWithHints) {
+  // Each retired flag fails loudly on both front ends — argv parsing and
+  // the wire — naming what replaced it, instead of being silently
+  // accepted or reported as merely unknown.
+  const struct {
+    const char* token;
+    const char* hint;
+  } kRetired[] = {
+      {"--rebalance", "did you mean --steal?"},
+      {"--numa-arena", "did you mean --arena=on?"},
+      {"--window-engine=legacy", "did you mean --window-engine=hot?"},
+  };
+  for (const auto& retired : kRetired) {
+    SCOPED_TRACE(retired.token);
+    SessionOptions options;
+    std::vector<std::string> leftover;
+    const std::vector<std::string> tokens = {"--per-key", "--threads=2",
+                                             retired.token};
+    const Status parsed =
+        SessionOptions::ParseTokens(tokens, &options, &leftover);
+    EXPECT_EQ(parsed.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.message().find(retired.hint), std::string::npos)
+        << parsed.ToString();
+    EXPECT_TRUE(leftover.empty());
+
+    const auto decoded = SessionOptions::Deserialize(retired.token);
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(decoded.status().message().find(retired.hint),
+              std::string::npos)
+        << decoded.status().ToString();
+  }
 }
 
 TEST(SessionOptions, SchedulerFlagsRequireThreadsAndSingleSource) {
   {
-    // No --threads: all three scheduler flags are parallel-only.
+    // No --threads: the scheduler flags are parallel-only.
     SessionOptions options;
     options.PerKey().Steal();
     const Status st = options.Validate();
@@ -376,11 +408,6 @@ TEST(SessionOptions, SchedulerFlagsRequireThreadsAndSingleSource) {
   {
     SessionOptions options;
     options.PerKey().AdaptiveBatch();
-    EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument);
-  }
-  {
-    SessionOptions options;
-    options.PerKey().NumaArena();
     EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument);
   }
   {
@@ -395,7 +422,7 @@ TEST(SessionOptions, SchedulerFlagsRequireThreadsAndSingleSource) {
   {
     // Valid combination passes.
     SessionOptions options;
-    options.PerKey().Threads(2).Steal().AdaptiveBatch().NumaArena();
+    options.PerKey().Threads(2).Steal().AdaptiveBatch();
     EXPECT_TRUE(options.Validate().ok());
   }
 }
@@ -403,7 +430,7 @@ TEST(SessionOptions, SchedulerFlagsRequireThreadsAndSingleSource) {
 TEST(SessionOptions, SchedulerFlagNearMissesSuggest) {
   EXPECT_EQ(SuggestFlag("--stea", {}), "--steal");
   EXPECT_EQ(SuggestFlag("--adaptve-batch", {}), "--adaptive-batch");
-  EXPECT_EQ(SuggestFlag("--numa-aren", {}), "--numa-arena");
+  EXPECT_EQ(SuggestFlag("--arna=on", {}), "--arena");
 }
 
 }  // namespace

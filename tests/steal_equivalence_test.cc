@@ -1,13 +1,12 @@
-// Work stealing, adaptive batch sizing, and NUMA-aware arenas must never
-// change results. The same placement-invariance that makes rebalancing
-// output-preserving (a virtual shard is a whole pipeline, so WHERE it runs
-// cannot affect WHAT it emits) covers demand-driven stealing — and batch
-// size only changes when work happens, never what each shard observes.
-// These tests pin the merged output byte-for-byte against static
-// placement across seeds, worker counts, and handler kinds (including
-// speculative emit-then-amend), force real steals with a sleep-bound sink
-// on a colocated-skew stream, and cover the option validation and NUMA
-// topology plumbing introduced with the scheduler.
+// Work stealing and adaptive batch sizing must never change results.
+// Placement-invariance (a virtual shard is a whole pipeline, so WHERE it
+// runs cannot affect WHAT it emits) makes demand-driven stealing
+// output-preserving — and batch size only changes when work happens,
+// never what each shard observes. These tests pin the merged output
+// byte-for-byte against static placement across seeds, worker counts, and
+// handler kinds (including speculative emit-then-amend), force real
+// steals with a sleep-bound sink on a colocated-skew stream, and cover
+// the scheduler's option validation.
 
 #include <atomic>
 #include <chrono>
@@ -18,7 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/cpu_affinity.h"
 #include "core/adaptive_batch.h"
 #include "core/parallel_runner.h"
 #include "quality/speculation.h"
@@ -112,7 +110,6 @@ TEST(StealEquivalenceTest, StealMatchesStaticAcrossSeedsWorkersAndHandlers) {
 
         ParallelOptions steal_opts = static_opts;
         steal_opts.steal = true;
-        steal_opts.steal_min_backlog = 64;
         ShardedKeyedRunner steal_runner(q, workers, steal_opts);
         VectorSource s2(w.arrival_order);
         const RunReport stolen = steal_runner.Run(&s2);
@@ -133,31 +130,6 @@ TEST(StealEquivalenceTest, StealMatchesStaticAcrossSeedsWorkersAndHandlers) {
       }
     }
   }
-}
-
-TEST(StealEquivalenceTest, StealComposesWithRebalance) {
-  const auto w = SkewedWorkload(7);
-
-  ParallelOptions static_opts;
-  static_opts.batch_size = 64;
-  static_opts.virtual_shards = 16;
-  ShardedKeyedRunner static_runner(FixedKeyedQuery(), 3, static_opts);
-  VectorSource s1(w.arrival_order);
-  const RunReport static_report = static_runner.Run(&s1);
-
-  ParallelOptions both_opts = static_opts;
-  both_opts.rebalance = true;
-  both_opts.rebalance_interval_batches = 8;
-  both_opts.rebalance_threshold = 1.1;
-  both_opts.steal = true;
-  both_opts.steal_min_backlog = 64;
-  ShardedKeyedRunner both_runner(FixedKeyedQuery(), 3, both_opts);
-  VectorSource s2(w.arrival_order);
-  const RunReport both = both_runner.Run(&s2);
-  ASSERT_TRUE(both.status.ok()) << both.status.ToString();
-
-  ExpectSameMergedOutcome(static_report, both);
-  EXPECT_EQ(both.shard_migrations, both_runner.migrations());
 }
 
 /// Sleeps in the sink, making shard service time dwarf routing time: the
@@ -196,8 +168,7 @@ TEST(StealEquivalenceTest, StarvedWorkersActuallySteal) {
   ParallelOptions opts;
   opts.batch_size = 64;
   opts.virtual_shards = kVShards;
-  opts.steal = true;
-  opts.steal_min_backlog = 128;
+  opts.steal = true;  // Trigger: 2 x 64 = 128 events of victim backlog.
   SlowSinkObserver slow;
 
   ShardedKeyedRunner steal_runner(FixedKeyedQuery(), kWorkers, opts);
@@ -289,101 +260,11 @@ TEST(AdaptiveBatcherTest, ControllerStaysWithinRailsAndTracksPressure) {
   EXPECT_LT(slow.batch(), 512u);
 }
 
-// --- NUMA arena pools -----------------------------------------------------
-
-TEST(StealEquivalenceTest, NumaArenaDoesNotChangeResults) {
-  const auto w = SkewedWorkload(23);
-
-  ParallelOptions plain_opts;
-  plain_opts.batch_size = 64;
-  plain_opts.virtual_shards = 16;
-  ShardedKeyedRunner plain_runner(FixedKeyedQuery(), 3, plain_opts);
-  VectorSource s1(w.arrival_order);
-  const RunReport plain = plain_runner.Run(&s1);
-
-  ParallelOptions numa_opts = plain_opts;
-  numa_opts.numa_arena = true;
-  ShardedKeyedRunner numa_runner(FixedKeyedQuery(), 3, numa_opts);
-  VectorSource s2(w.arrival_order);
-  const RunReport numa = numa_runner.Run(&s2);
-  ASSERT_TRUE(numa.status.ok()) << numa.status.ToString();
-
-  ExpectSameMergedOutcome(plain, numa);
-  EXPECT_NE(numa.runtime_config.find("numa=on"), std::string::npos);
-  // Every batch lands somewhere in the node accounting.
-  int64_t local = 0;
-  int64_t remote = 0;
-  int64_t batches = 0;
-  for (const WorkerLoad& load : numa_runner.worker_loads()) {
-    local += load.node_local_batches;
-    remote += load.node_remote_batches;
-    batches += load.batches_routed;
-  }
-  EXPECT_EQ(local + remote, batches);
-}
-
-TEST(NumaTopologyTest, SystemTopologyIsSane) {
-  const NumaTopology& topo = NumaTopology::System();
-  EXPECT_GE(topo.node_count(), 1);
-  const int node = topo.NodeOfCurrentThread();
-  EXPECT_GE(node, 0);
-  EXPECT_LT(node, topo.node_count());
-}
-
-TEST(NumaTopologyTest, FromCpuListsParsesRangesAndSingles) {
-  auto topo = NumaTopology::FromCpuLists({"0-3,8", "4-7,9-11"});
-  ASSERT_TRUE(topo.ok()) << topo.status().ToString();
-  EXPECT_EQ(topo.value().node_count(), 2);
-  EXPECT_EQ(topo.value().NodeOfCore(0), 0);
-  EXPECT_EQ(topo.value().NodeOfCore(3), 0);
-  EXPECT_EQ(topo.value().NodeOfCore(8), 0);
-  EXPECT_EQ(topo.value().NodeOfCore(4), 1);
-  EXPECT_EQ(topo.value().NodeOfCore(11), 1);
-  // Unknown and out-of-range cores fall back to node 0 — never an index
-  // fault on a machine with more cores than the parsed lists cover.
-  EXPECT_EQ(topo.value().NodeOfCore(64), 0);
-  EXPECT_EQ(topo.value().NodeOfCore(-1), 0);
-}
-
-TEST(NumaTopologyTest, FromCpuListsRejectsGarbage) {
-  EXPECT_FALSE(NumaTopology::FromCpuLists({"0-"}).ok());
-  EXPECT_FALSE(NumaTopology::FromCpuLists({"3-1"}).ok());
-  EXPECT_FALSE(NumaTopology::FromCpuLists({"x,2"}).ok());
-  // No lists at all degrades to the one-node fallback instead of failing.
-  auto none = NumaTopology::FromCpuLists({});
-  ASSERT_TRUE(none.ok());
-  EXPECT_EQ(none.value().node_count(), 1);
-}
-
 // --- Option validation ----------------------------------------------------
 
 TEST(ParallelOptionsValidateTest, RejectsBadNumericsWithHints) {
   ParallelOptions ok;
   EXPECT_TRUE(ok.Validate().ok());
-
-  ParallelOptions o1;
-  o1.rebalance_interval_batches = 0;
-  const Status s1 = o1.Validate();
-  EXPECT_FALSE(s1.ok());
-  EXPECT_NE(s1.message().find("did you mean 32?"), std::string::npos);
-
-  ParallelOptions o2;
-  o2.rebalance_threshold = 0.8;
-  const Status s2 = o2.Validate();
-  EXPECT_FALSE(s2.ok());
-  EXPECT_NE(s2.message().find("did you mean 1.25?"), std::string::npos);
-
-  ParallelOptions o3;
-  o3.rebalance_decay = 1.5;
-  const Status s3 = o3.Validate();
-  EXPECT_FALSE(s3.ok());
-  EXPECT_NE(s3.message().find("did you mean 0.5?"), std::string::npos);
-
-  ParallelOptions o4;
-  o4.steal_min_backlog = -1;
-  const Status s4 = o4.Validate();
-  EXPECT_FALSE(s4.ok());
-  EXPECT_NE(s4.message().find("did you mean 1024?"), std::string::npos);
 
   ParallelOptions o5;
   o5.batch_size = 0;
@@ -391,7 +272,10 @@ TEST(ParallelOptionsValidateTest, RejectsBadNumericsWithHints) {
 
   ParallelOptions o6;
   o6.max_batch = 16;  // < min_batch (64).
-  EXPECT_FALSE(o6.Validate().ok());
+  const Status s6 = o6.Validate();
+  EXPECT_FALSE(s6.ok());
+  EXPECT_NE(s6.message().find("max_batch must be >= min_batch"),
+            std::string::npos);
 
   ParallelOptions o7;
   o7.adaptive_batch = true;
@@ -405,9 +289,9 @@ TEST(ParallelOptionsValidateTest, RejectsBadNumericsWithHints) {
 
 TEST(ParallelOptionsValidateTest, RunnerConstructorChecksOptions) {
   ParallelOptions bad;
-  bad.rebalance_threshold = 0.5;
+  bad.queue_capacity = 0;
   EXPECT_DEATH(ShardedKeyedRunner(FixedKeyedQuery(), 2, bad),
-               "rebalance_threshold");
+               "queue_capacity must be positive");
 }
 
 }  // namespace

@@ -1,20 +1,10 @@
 #!/usr/bin/env python3
-"""Soft throughput-regression guard for the R-F18..R-F24 benchmarks.
+"""Soft throughput-regression guard for the R-F19..R-F25 benchmarks.
 
-Reads a freshly produced benchmark CSV (f18_hotpath.csv, f19_disorder.csv,
-f20_degradation.csv, f21_runtime.csv, f22_service.csv, f23_amend.csv or
-f24_scheduler.csv, auto-detected from the header) plus the committed
-baseline and applies per-suite checks:
-
-R-F18 (window-operator hot path):
-  1. Equivalence (hard): `checksum` and `emissions` must agree between the
-     legacy and hot engines for every (aggregate, shape, batch)
-     configuration. The benchmark doubles as an end-to-end equivalence
-     witness; a mismatch means the hot engine changed results, not speed.
-  2. Devirtualization win (hard): on sliding shapes (fold fanout > 1) the
-     hot engine must stay clearly faster than legacy measured in the SAME
-     run -- machine-independent, so safe on shared CI runners. The bound
-     is deliberately loose (hot <= 0.8 * legacy; real ratios 0.05-0.4).
+Reads a freshly produced benchmark CSV (f19_disorder.csv,
+f20_degradation.csv, f21_runtime.csv, f22_service.csv, f23_amend.csv,
+f24_scheduler.csv or f25_resilience.csv, auto-detected from the header)
+plus the committed baseline and applies per-suite checks:
 
 R-F19 (disorder-stage layout):
   1. Equivalence (hard): `checksum` must agree between the heap and ring
@@ -42,10 +32,9 @@ R-F20 (bounded-memory degradation):
 
 R-F21 (extreme-scale runtime):
   1. Equivalence (hard): within every compared group -- feed arena/malloc
-     per batch size, pipeline arena/malloc, mpsc p1/p2/p4, skew
-     static/rebalance per config -- `checksum` must be identical. All the
-     runtime switches (arena, MPSC feed, rebalancing) are performance
-     switches, never semantic ones.
+     per batch size, pipeline arena/malloc, mpsc p1/p2/p4 -- `checksum`
+     must be identical. The runtime switches (arena, MPSC feed) are
+     performance switches, never semantic ones.
   2. Arena win (hard): on the smallest-batch feed row the arena must be
      >= F21_ARENA_TARGET x the malloc path in the same run (per-batch
      allocation dominates there); larger batches must never invert beyond
@@ -53,11 +42,6 @@ R-F21 (extreme-scale runtime):
   3. MPSC scaling (hard): with 2 producers the throttled-feed run must be
      >= F21_MPSC_TARGET x the single-producer run in the same run; p4
      falling behind p2 is a soft warning (it is overhead-bound).
-  4. Rebalance win (hard): on the sink-latency skew config the static
-     placement must cost >= F21_SKEW_TARGET x the rebalanced run, and the
-     rebalanced row must report migrations > 0. On the pure-cpu config the
-     rebalancer's bookkeeping staying within F21_REBALANCE_TAX of static
-     is a soft warning check.
 
 R-F22 (service path: server + load generator over loopback):
   1. Determinism (hard): the combined per-tenant result checksum must be
@@ -86,19 +70,15 @@ R-F23 (amend engine + speculative emit-then-amend):
 
 R-F24 (pull-based scheduler):
   1. Equivalence (hard): within every section all modes -- steal
-     static/steal/steal+rebal, the fixed-batch sweep plus adaptive, numa
-     flat/numa -- must produce identical `checksum`s. The scheduler
-     switches are performance switches, never semantic ones.
+     static/steal, the fixed-batch sweep plus adaptive -- must produce
+     identical `checksum`s. The scheduler switches are performance
+     switches, never semantic ones.
   2. Steal win (hard): on the sink-latency colocated-skew config the
      static placement must cost >= F24_STEAL_TARGET x the stealing run in
-     the same run, the stealing run must report steals > 0, and the
-     steal+rebalance composition must hold the same bar.
+     the same run, and the stealing run must report steals > 0.
   3. Adaptive batch (hard): the PI controller's throughput must land
      within F24_ADAPTIVE_TAX of the best fixed batch size in the same
      run, without being told which size that is.
-  4. NUMA tax (soft): per-node arena pools exceeding F24_NUMA_TAX x the
-     flat arena's wall clock prints a warning (single-node hosts degrade
-     the set to one pool, so this is bookkeeping overhead only).
 
 R-F25 (resilience: chaos transport, idempotent replay, admission control):
   1. Exactly-once under faults (hard): the combined per-tenant result
@@ -120,7 +100,7 @@ R-F25 (resilience: chaos transport, idempotent replay, admission control):
      that bound and report throttled > 0: admission control genuinely
      stretched the run.
 
-All suites: baseline drift (soft) -- fast-engine ns/tuple (f21: keps)
+All suites: baseline drift (soft) -- ns/tuple (f21, f24: keps)
 beyond DRIFT_FACTOR x the committed baseline prints a GitHub warning
 annotation but does not fail the job; absolute timings are
 machine-dependent.
@@ -134,7 +114,6 @@ import argparse
 import csv
 import sys
 
-RELATIVE_BOUND = 0.8  # f18: hot must be <= this fraction of legacy (sliding).
 DRIFT_FACTOR = 1.5    # soft warning threshold vs. committed baseline.
 
 # f19: ring must be <= heap/1.5 on deep buffers, and batch ingestion should
@@ -149,13 +128,10 @@ OVERHEAD_BOUND = 1.02
 
 # f21: same-run relative targets (machine-independent). The arena target is
 # gated on the smallest feed batch (observed ~1.5x); the MPSC target on the
-# 2-producer row (observed ~1.9x); the skew target on the sink-latency
-# config (observed ~2x). No-inversion bounds leave noise headroom.
+# 2-producer row (observed ~1.9x). No-inversion bounds leave noise headroom.
 F21_ARENA_TARGET = 1.3
 F21_MPSC_TARGET = 1.3
-F21_SKEW_TARGET = 1.2
 F21_NO_INVERSION = 0.95   # arena >= 0.95x malloc on non-gated batches.
-F21_REBALANCE_TAX = 1.15  # soft: pure-cpu rebalance <= 1.15x static.
 
 # f22: 4 paced clients vs 1 over loopback — the sleeps overlap, so the
 # observed ratio is ~4x; 1.3x leaves room for loaded runners. Tail-latency
@@ -163,16 +139,12 @@ F21_REBALANCE_TAX = 1.15  # soft: pure-cpu rebalance <= 1.15x static.
 F22_SCALING_TARGET = 1.3
 F22_P99_DRIFT = 3.0
 
-# f24: same-run relative targets. The steal target mirrors the f21 skew
-# target — both schedulers attack the same colocated-hot-shard case, so
-# demand-driven stealing must match the rebalancer's bar (observed ~2.2x).
-# The adaptive controller must land within 10% of the best fixed batch
-# size without being told which one it is. The NUMA arena bookkeeping
-# staying near the flat arena is a soft check (single-node CI degrades it
-# to one pool).
+# f24: same-run relative targets. Stealing must cut the colocated-hot-shard
+# wall clock by 1.2x (observed ~1.7-2.1x). The adaptive controller must
+# land within 10% of the best fixed batch size without being told which
+# one it is.
 F24_STEAL_TARGET = 1.2
 F24_ADAPTIVE_TAX = 1.1
-F24_NUMA_TAX = 1.2  # soft: numa <= 1.2x flat wall on a single node.
 
 # f23: the speculative mode's first emission must halve the buffered
 # settle latency wherever disorder is material (>= 10% of tuples arrive
@@ -187,11 +159,6 @@ F23_STORE_TAX = 1.5
 # ((events/tenant - burst) / rate); the slack only absorbs timer
 # granularity, since the measured wall starts before the first send.
 F25_QUOTA_SLACK = 0.95
-
-# Kinds with inline AggregateState folds. Heavy kinds (median/quantile/
-# distinct) keep the polymorphic accumulator, so their hot-engine win is
-# only the flat store -- too small to enforce a ratio on.
-INLINE_AGGS = {"count", "sum", "mean", "min", "max", "variance", "stddev"}
 
 
 def load(path, key_cols):
@@ -217,59 +184,9 @@ def sniff_suite(path):
         return "f21"
     if "policy" in header:
         return "f20"
-    return "f19" if "section" in header else "f18"
-
-
-def check_f18(args):
-    key_cols = ("aggregate", "shape", "batch", "engine")
-    current = load(args.current, key_cols)
-    configs = sorted({k[:3] for k in current})
-    failures = []
-    warnings = []
-
-    for agg, shape, batch in configs:
-        legacy = current.get((agg, shape, batch, "legacy"))
-        hot = current.get((agg, shape, batch, "hot"))
-        if legacy is None or hot is None:
-            failures.append(
-                f"{agg}/{shape}/batch={batch}: missing engine row")
-            continue
-
-        # 1. Equivalence: same emissions, same checksum, bit for bit as
-        # printed (3 decimal places is far inside the bitwise guarantee the
-        # unit tests pin; the CSV check catches gross divergence).
-        for col in ("emissions", "checksum"):
-            if legacy[col] != hot[col]:
-                failures.append(
-                    f"{agg}/{shape}/batch={batch}: {col} mismatch "
-                    f"legacy={legacy[col]} hot={hot[col]}")
-
-        # 2. Relative speed on overlapping windows, same machine same run.
-        if shape.startswith("sliding") and agg in INLINE_AGGS:
-            l_ns = float(legacy["ns_per_tuple"])
-            h_ns = float(hot["ns_per_tuple"])
-            if h_ns > l_ns * RELATIVE_BOUND:
-                failures.append(
-                    f"{agg}/{shape}/batch={batch}: hot {h_ns:.2f} ns/tuple "
-                    f"vs legacy {l_ns:.2f} (bound {RELATIVE_BOUND}x)")
-
-    # 3. Soft drift vs. committed baseline.
-    if args.baseline:
-        baseline = load(args.baseline, key_cols)
-        for key, row in current.items():
-            if key[3] != "hot":
-                continue
-            base = baseline.get(key)
-            if base is None:
-                continue
-            cur_ns = float(row["ns_per_tuple"])
-            base_ns = float(base["ns_per_tuple"])
-            if cur_ns > base_ns * DRIFT_FACTOR:
-                warnings.append(
-                    f"{'/'.join(key[:3])}: hot {cur_ns:.2f} ns/tuple vs "
-                    f"baseline {base_ns:.2f} ({cur_ns / base_ns:.2f}x)")
-
-    return "f18", configs, failures, warnings
+    if "section" in header:
+        return "f19"
+    sys.exit(f"{path}: unrecognized benchmark CSV header {header}")
 
 
 def check_f19(args):
@@ -471,31 +388,7 @@ def check_f21(args):
                     f"mpsc/throttled-feed: p4 {float(p4['keps']):.1f} keps "
                     f"behind p2 {p2_keps:.1f}")
 
-    # 4. Rebalance: pays off under sink latency (hard), costs ~nothing on
-    # pure cpu (soft).
-    rows = pair("skew", "sink-latency", "static", "rebalance")
-    if rows is not None:
-        static_ms = float(rows[0]["wall_ms"])
-        rebal_ms = float(rows[1]["wall_ms"])
-        if static_ms < rebal_ms * F21_SKEW_TARGET:
-            failures.append(
-                f"skew/sink-latency: static {static_ms:.2f} ms vs rebalance "
-                f"{rebal_ms:.2f} ({static_ms / rebal_ms:.2f}x, target "
-                f"{F21_SKEW_TARGET}x)")
-        if int(rows[1]["migrations"]) <= 0:
-            failures.append(
-                "skew/sink-latency: rebalanced run performed no migrations")
-    rows = pair("skew", "pure-cpu", "static", "rebalance")
-    if rows is not None:
-        static_ms = float(rows[0]["wall_ms"])
-        rebal_ms = float(rows[1]["wall_ms"])
-        if rebal_ms > static_ms * F21_REBALANCE_TAX:
-            warnings.append(
-                f"skew/pure-cpu: rebalance {rebal_ms:.2f} ms vs static "
-                f"{static_ms:.2f} ({rebal_ms / static_ms:.2f}x, soft bound "
-                f"{F21_REBALANCE_TAX}x)")
-
-    # 5. Soft drift vs. committed baseline on throughput.
+    # 4. Soft drift vs. committed baseline on throughput.
     if args.baseline:
         baseline = load(args.baseline, key_cols)
         for key, row in current.items():
@@ -523,8 +416,8 @@ def check_f24(args):
         return {k[2]: current[k] for k in current if k[0] == section}
 
     # 1. Equivalence (hard): within every section all modes produced
-    # identical merged output — steal schedule, batch size, and arena
-    # placement are performance switches, never semantic ones.
+    # identical merged output — steal schedule and batch size are
+    # performance switches, never semantic ones.
     for section, _ in configs:
         modes = rows_in(section)
         checksums = {row["checksum"] for row in modes.values()}
@@ -535,14 +428,12 @@ def check_f24(args):
 
     # 2. Steal win (hard): under per-tuple sink latency the colocated
     # static placement must cost >= F24_STEAL_TARGET x the stealing run,
-    # the stealing run must actually steal, and composing with the
-    # rebalancer must hold the same bar.
+    # and the stealing run must actually steal.
     steal_rows = rows_in("steal")
     static = steal_rows.get("static")
     steal = steal_rows.get("steal")
-    both = steal_rows.get("steal+rebal")
-    if static is None or steal is None or both is None:
-        failures.append("steal: missing static/steal/steal+rebal row")
+    if static is None or steal is None:
+        failures.append("steal: missing static/steal row")
     else:
         static_ms = float(static["wall_ms"])
         steal_ms = float(steal["wall_ms"])
@@ -554,12 +445,6 @@ def check_f24(args):
         if int(steal["steals"]) <= 0:
             failures.append(
                 "steal/sink-latency: stealing run performed no steals")
-        both_ms = float(both["wall_ms"])
-        if static_ms < both_ms * F24_STEAL_TARGET:
-            failures.append(
-                f"steal/sink-latency: static {static_ms:.2f} ms vs "
-                f"steal+rebal {both_ms:.2f} ({static_ms / both_ms:.2f}x, "
-                f"target {F24_STEAL_TARGET}x)")
 
     # 3. Adaptive batch (hard): the controller must land within
     # F24_ADAPTIVE_TAX of the best fixed size in the same run, without
@@ -582,23 +467,7 @@ def check_f24(args):
                 f"({best_keps / adaptive_keps:.2f}x, bound "
                 f"{F24_ADAPTIVE_TAX}x)")
 
-    # 4. NUMA arena tax (soft): on a single-node host the per-node pools
-    # degrade to one, so the bookkeeping must stay near the flat arena.
-    numa_rows = rows_in("numa")
-    flat = numa_rows.get("flat")
-    numa = numa_rows.get("numa")
-    if flat is None or numa is None:
-        failures.append("numa: missing flat/numa row")
-    else:
-        flat_ms = float(flat["wall_ms"])
-        numa_ms = float(numa["wall_ms"])
-        if numa_ms > flat_ms * F24_NUMA_TAX:
-            warnings.append(
-                f"numa/zipf-keyed: numa {numa_ms:.2f} ms vs flat "
-                f"{flat_ms:.2f} ({numa_ms / flat_ms:.2f}x, soft bound "
-                f"{F24_NUMA_TAX}x)")
-
-    # 5. Soft drift vs. committed baseline on throughput.
+    # 4. Soft drift vs. committed baseline on throughput.
     if args.baseline:
         baseline = load(args.baseline, key_cols)
         for key, row in current.items():
@@ -852,10 +721,8 @@ def main():
         suite, configs, failures, warnings = check_f21(args)
     elif suite == "f20":
         suite, configs, failures, warnings = check_f20(args)
-    elif suite == "f19":
-        suite, configs, failures, warnings = check_f19(args)
     else:
-        suite, configs, failures, warnings = check_f18(args)
+        suite, configs, failures, warnings = check_f19(args)
 
     for w in warnings:
         print(f"::warning title=bench_{suite} drift::{w}")
