@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
@@ -95,18 +96,26 @@ TEST(AggregateTest, DistinctCount) {
   EXPECT_EQ(agg->count(), 8);
 }
 
+// What an empty window's Value() must be. An int-sized enum rather than a
+// bool: EmptyCase then has no padding bytes, and gtest (which names each case
+// by dumping its bytes) would otherwise put stack garbage into the test name.
+enum class EmptyValue : int32_t { kNumber, kNaN };
+
 struct EmptyCase {
   AggKind kind;
-  bool value_is_nan;
+  EmptyValue expect;
   double value_if_not_nan;
 };
+static_assert(sizeof(EmptyCase) ==
+                  sizeof(AggKind) + sizeof(EmptyValue) + sizeof(double),
+              "EmptyCase must have no padding");
 
 class EmptyAggregateTest : public ::testing::TestWithParam<EmptyCase> {};
 
 TEST_P(EmptyAggregateTest, EmptyWindowValue) {
   auto agg = Make(GetParam().kind);
   EXPECT_EQ(agg->count(), 0);
-  if (GetParam().value_is_nan) {
+  if (GetParam().expect == EmptyValue::kNaN) {
     EXPECT_TRUE(std::isnan(agg->Value()));
   } else {
     EXPECT_DOUBLE_EQ(agg->Value(), GetParam().value_if_not_nan);
@@ -115,14 +124,15 @@ TEST_P(EmptyAggregateTest, EmptyWindowValue) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllKinds, EmptyAggregateTest,
-    ::testing::Values(EmptyCase{AggKind::kCount, false, 0.0},
-                      EmptyCase{AggKind::kSum, false, 0.0},
-                      EmptyCase{AggKind::kMean, true, 0.0},
-                      EmptyCase{AggKind::kMin, true, 0.0},
-                      EmptyCase{AggKind::kMax, true, 0.0},
-                      EmptyCase{AggKind::kVariance, true, 0.0},
-                      EmptyCase{AggKind::kMedian, true, 0.0},
-                      EmptyCase{AggKind::kDistinctCount, false, 0.0}));
+    ::testing::Values(EmptyCase{AggKind::kCount, EmptyValue::kNumber, 0.0},
+                      EmptyCase{AggKind::kSum, EmptyValue::kNumber, 0.0},
+                      EmptyCase{AggKind::kMean, EmptyValue::kNaN, 0.0},
+                      EmptyCase{AggKind::kMin, EmptyValue::kNaN, 0.0},
+                      EmptyCase{AggKind::kMax, EmptyValue::kNaN, 0.0},
+                      EmptyCase{AggKind::kVariance, EmptyValue::kNaN, 0.0},
+                      EmptyCase{AggKind::kMedian, EmptyValue::kNaN, 0.0},
+                      EmptyCase{AggKind::kDistinctCount, EmptyValue::kNumber,
+                                0.0}));
 
 class MergeAggregateTest : public ::testing::TestWithParam<AggKind> {};
 

@@ -6,6 +6,7 @@
 
 #include <map>
 #include <memory>
+#include <ostream>
 
 #include "core/executor.h"
 #include "quality/oracle.h"
@@ -22,6 +23,10 @@ struct PipelineCase {
   const char* name;
   DisorderHandlerSpec spec;
 };
+
+// gtest names a case by printing it; without this it dumps the raw bytes,
+// and the pointers in them make the test name change from run to run.
+void PrintTo(const PipelineCase& c, std::ostream* os) { *os << c.name; }
 
 std::vector<PipelineCase> AllHandlers() {
   AqKSlack::Options aq;

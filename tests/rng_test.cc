@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "common/stats.h"
@@ -106,6 +107,10 @@ struct SamplerCase {
   std::unique_ptr<DelaySampler> (*make)();
   double mean_tolerance_frac;
 };
+
+// gtest names a case by printing it; without this it dumps the raw bytes,
+// and the pointers in them make the test name change from run to run.
+void PrintTo(const SamplerCase& c, std::ostream* os) { *os << c.name; }
 
 std::unique_ptr<DelaySampler> MakeConst() {
   return std::make_unique<ConstantDelay>(500.0);
