@@ -156,6 +156,10 @@ class MinMaxAggregator : public Aggregator {
   int64_t count_ = 0;
 };
 
+/// Exact quantile over every folded value. values_[0, sorted_) is kept
+/// ascending and Add/Merge append to an unsorted tail; Value() sorts only
+/// the tail and merges it in place, so a revision after k new values costs
+/// O(k log k + n) instead of a copy and a full sort.
 class QuantileAggregator : public Aggregator {
  public:
   explicit QuantileAggregator(double q) : q_(q) {}
@@ -167,7 +171,11 @@ class QuantileAggregator : public Aggregator {
   }
   double Value() const override {
     if (values_.empty()) return kNan;
-    return ExactQuantile(values_, q_);
+    const auto tail = values_.begin() + static_cast<ptrdiff_t>(sorted_);
+    std::sort(tail, values_.end());
+    std::inplace_merge(values_.begin(), tail, values_.end());
+    sorted_ = values_.size();
+    return InterpolateSorted(values_, q_);
   }
   int64_t count() const override {
     return static_cast<int64_t>(values_.size());
@@ -181,7 +189,10 @@ class QuantileAggregator : public Aggregator {
 
  private:
   double q_;
-  std::vector<double> values_;
+  // Value() sorts behind the const interface; every accumulator has a
+  // single owner, so no reader races the in-place sort.
+  mutable std::vector<double> values_;
+  mutable size_t sorted_ = 0;
 };
 
 class DistinctCountAggregator : public Aggregator {

@@ -253,29 +253,41 @@ DistributionSummary Summarize(const std::vector<double>& values) {
   s.stddev = m.stddev();
   s.min = sorted.front();
   s.max = sorted.back();
-  auto at = [&sorted](double q) {
-    const double pos = q * static_cast<double>(sorted.size() - 1);
-    const auto i = static_cast<size_t>(pos);
-    const double frac = pos - static_cast<double>(i);
-    if (i + 1 >= sorted.size()) return sorted.back();
-    return sorted[i] * (1.0 - frac) + sorted[i + 1] * frac;
-  };
-  s.p50 = at(0.50);
-  s.p90 = at(0.90);
-  s.p95 = at(0.95);
-  s.p99 = at(0.99);
+  s.p50 = InterpolateSorted(sorted, 0.50);
+  s.p90 = InterpolateSorted(sorted, 0.90);
+  s.p95 = InterpolateSorted(sorted, 0.95);
+  s.p99 = InterpolateSorted(sorted, 0.99);
   return s;
 }
 
 double ExactQuantile(std::vector<double> values, double q) {
-  if (values.empty()) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
   std::sort(values.begin(), values.end());
-  const double pos = q * static_cast<double>(values.size() - 1);
+  return InterpolateSorted(values, std::clamp(q, 0.0, 1.0));
+}
+
+namespace {
+
+/// sorted[j], except that inside the run of zeros the sign is the one the
+/// order "every -0 before every +0" puts at j.
+double CanonicalAt(std::span<const double> sorted, size_t j) {
+  if (sorted[j] != 0.0) return sorted[j];
+  const auto [lo, hi] = std::equal_range(sorted.begin(), sorted.end(), 0.0);
+  const auto negative = std::count_if(
+      lo, hi, [](double z) { return std::signbit(z); });
+  return static_cast<ptrdiff_t>(j) - (lo - sorted.begin()) < negative ? -0.0
+                                                                      : 0.0;
+}
+
+}  // namespace
+
+double InterpolateSorted(std::span<const double> sorted, double q) {
+  if (sorted.empty()) return 0.0;
+  const double pos = q * static_cast<double>(sorted.size() - 1);
   const auto i = static_cast<size_t>(pos);
   const double frac = pos - static_cast<double>(i);
-  if (i + 1 >= values.size()) return values.back();
-  return values[i] * (1.0 - frac) + values[i + 1] * frac;
+  if (i + 1 >= sorted.size()) return CanonicalAt(sorted, sorted.size() - 1);
+  return CanonicalAt(sorted, i) * (1.0 - frac) +
+         CanonicalAt(sorted, i + 1) * frac;
 }
 
 }  // namespace streamq

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -158,6 +159,13 @@ DistributionSummary Summarize(const std::vector<double>& values);
 
 /// Exact quantile of a sample vector (sorts a copy). q in [0, 1].
 double ExactQuantile(std::vector<double> values, double q);
+
+/// Linearly interpolated q-quantile of an ascending range, q in [0, 1] (the
+/// formula ExactQuantile, Summarize and the quantile aggregate share).
+/// A sort leaves -0 and +0 in no particular order; they are read as if
+/// every -0 came first, so the result depends on the values alone, not on
+/// how the range was sorted. Returns 0 for an empty range.
+double InterpolateSorted(std::span<const double> sorted, double q);
 
 }  // namespace streamq
 

@@ -24,6 +24,15 @@ std::unique_ptr<AmendWindowStore::Bucket> AmendWindowStore::MakeBucket(
   return b;
 }
 
+std::vector<std::unique_ptr<AmendWindowStore::Bucket>>::iterator
+AmendWindowStore::LowerBound(Leaf& leaf, TimestampUs start) {
+  return std::lower_bound(
+      leaf.buckets.begin(), leaf.buckets.end(), start,
+      [](const std::unique_ptr<Bucket>& b, TimestampUs s) {
+        return b->start() < s;
+      });
+}
+
 AmendWindowStore::AmendWindowStore(DurationUs slide) : slide_(slide) {
   STREAMQ_CHECK_GT(slide, 0);
 }
@@ -102,11 +111,7 @@ AmendWindowStore::Bucket* AmendWindowStore::GetOrCreateBucket(
   finger_leaf_ = li;
 
   Leaf* leaf = leaves_[li].get();
-  auto pos = std::lower_bound(
-      leaf->buckets.begin(), leaf->buckets.end(), start,
-      [](const std::unique_ptr<Bucket>& b, TimestampUs s) {
-        return b->start() < s;
-      });
+  auto pos = LowerBound(*leaf, start);
   if (pos != leaf->buckets.end() && (*pos)->start() == start) {
     return pos->get();
   }
@@ -117,11 +122,7 @@ AmendWindowStore::Bucket* AmendWindowStore::GetOrCreateBucket(
       finger_leaf_ = li;
     }
     leaf = leaves_[li].get();
-    pos = std::lower_bound(
-        leaf->buckets.begin(), leaf->buckets.end(), start,
-        [](const std::unique_ptr<Bucket>& b, TimestampUs s) {
-          return b->start() < s;
-        });
+    pos = LowerBound(*leaf, start);
   }
   pos = leaf->buckets.insert(pos, MakeBucket(start));
   if (pos == leaf->buckets.begin()) leaf_min_[li] = start;
@@ -150,11 +151,7 @@ AmendWindowStore::Slot* AmendWindowStore::Find(TimestampUs start,
   if (bucket_count_ == 0) return nullptr;
   const size_t li = FindLeafIndex(start);
   Leaf& leaf = *leaves_[li];
-  auto pos = std::lower_bound(
-      leaf.buckets.begin(), leaf.buckets.end(), start,
-      [](const std::unique_ptr<Bucket>& b, TimestampUs s) {
-        return b->start() < s;
-      });
+  auto pos = LowerBound(leaf, start);
   if (pos == leaf.buckets.end() || (*pos)->start() != start) return nullptr;
   return (*pos)->Find(key);
 }

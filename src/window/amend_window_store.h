@@ -62,18 +62,24 @@ class AmendWindowStore {
   /// Lookup without creation; nullptr if absent.
   Slot* Find(TimestampUs start, int64_t key);
 
-  /// Visits live buckets in ascending window-start order. The visitor
-  /// returns a Visit action; kPurge removals are batched per leaf (bulk
+  /// Visits live buckets with start >= `from` (kMinTimestamp: all of
+  /// them) in ascending window-start order; a bound inside the stored
+  /// range costs one root and one leaf binary search. The visitor returns
+  /// a Visit action; kPurge removals are batched per leaf (bulk
   /// eviction), kStop ends the scan after the current bucket.
   template <typename Fn>
-  void Scan(Fn&& fn) {
+  void Scan(TimestampUs from, Fn&& fn) {
     if (bucket_count_ == 0) return;
     bool stopped = false;
     bool structure_changed = false;
-    for (auto& leaf_ptr : leaves_) {
-      Leaf& leaf = *leaf_ptr;
+    const size_t first = from <= leaf_min_.front() ? 0 : FindLeafIndex(from);
+    for (size_t li = first; li < leaves_.size(); ++li) {
+      Leaf& leaf = *leaves_[li];
       bool purged_any = false;
-      for (std::unique_ptr<Bucket>& b : leaf.buckets) {
+      auto it = leaf.buckets.begin();
+      if (li == first && from > leaf_min_[li]) it = LowerBound(leaf, from);
+      for (; it != leaf.buckets.end(); ++it) {
+        std::unique_ptr<Bucket>& b = *it;
         const Visit action = fn(*b);
         if (action == Visit::kStop) {
           stopped = true;
@@ -112,6 +118,9 @@ class AmendWindowStore {
   };
 
   static std::unique_ptr<Bucket> MakeBucket(TimestampUs start);
+  /// First bucket of `leaf` with start >= `start`.
+  static std::vector<std::unique_ptr<Bucket>>::iterator LowerBound(
+      Leaf& leaf, TimestampUs start);
 
   Bucket* GetOrCreateBucket(TimestampUs start);
   /// Index of the leaf whose start range covers `start` (the last leaf

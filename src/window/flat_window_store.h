@@ -31,10 +31,10 @@ namespace streamq {
 ///    never erased individually — a bucket dies as a whole when its window
 ///    retires — so dense indices are stable for a bucket's lifetime.
 ///  * Firing and purging need an ordered (start, key) scan: Scan() walks
-///    buckets in ascending start order (cell by cell while the ring covers
-///    the span, through a sorted list of live starts otherwise), and
-///    SortedByKey() lazily materializes a key-sorted view of a bucket's
-///    slots (cached until the next insertion).
+///    buckets in ascending start order from a start bound (cell by cell
+///    while the ring covers the span, through a sorted list of live starts
+///    otherwise), and SortedByKey() lazily materializes a key-sorted view
+///    of a bucket's slots (cached until the next insertion).
 ///
 /// Lookup is O(1) amortized per tuple; the ordered scan work is
 /// proportional to live buckets, as before.
@@ -103,11 +103,12 @@ class FlatWindowStore {
   /// Lookup without creation; nullptr if absent.
   Slot* Find(TimestampUs start, int64_t key);
 
-  /// Visits live buckets in ascending window-start order. The visitor
-  /// returns a Visit action; purged buckets are removed mid-scan (their
-  /// slots die with them).
+  /// Visits live buckets with start >= `from` (kMinTimestamp: all of
+  /// them) in ascending window-start order. The visitor returns a Visit
+  /// action; purged buckets are removed mid-scan (their slots die with
+  /// them).
   template <typename Fn>
-  void Scan(Fn&& fn) {
+  void Scan(TimestampUs from, Fn&& fn) {
     if (live_buckets_ == 0) return;
     auto visit = [&](int64_t q) {
       Bucket* b = BucketAt(q);
@@ -116,13 +117,22 @@ class FlatWindowStore {
       if (action == Visit::kPurge) RemoveBucket(q);
       return action != Visit::kStop;
     };
+    // First quotient whose start is >= from (no division for a bound at
+    // or before the first live start). Truncation already rounds negative
+    // quotients up; a positive remainder needs one more.
+    int64_t q_from = q_min_;
+    if (from > q_min_ * slide_) {
+      q_from = from / slide_ + (from % slide_ > 0 ? 1 : 0);
+    }
     if (CoversSpan()) {
-      for (int64_t q = q_min_; q <= q_max_ && visit(q); ++q) {
+      for (int64_t q = q_from; q <= q_max_ && visit(q); ++q) {
       }
       TrimFront();
     } else {
       SortLiveQuotients();
-      for (size_t i = 0; i < sorted_q_.size() && visit(sorted_q_[i]); ++i) {
+      for (auto it = std::lower_bound(sorted_q_.begin(), sorted_q_.end(),
+                                      q_from);
+           it != sorted_q_.end() && visit(*it); ++it) {
       }
       TrimToSorted();
     }

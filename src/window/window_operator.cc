@@ -91,6 +91,10 @@ WindowedAggregation::Slot* WindowedAggregation::GetOrCreateSlot(
   Slot* s = store->GetOrCreate(window_start, key, &created);
   if (created) {
     if (!inline_kind_) s->acc = MakeAggregator(agg_spec_);
+    // A keyed OnEvent may land behind the merged watermark: the new slot
+    // is unfired, so pull the fire frontier below its window.
+    const TimestampUs end = window_start + options_.window.size;
+    if (end <= fired_through_) fired_through_ = end - 1;
     stats_.max_live_windows = std::max(stats_.max_live_windows,
                                        static_cast<int64_t>(store->size()));
   }
@@ -247,6 +251,13 @@ void WindowedAggregation::EmitSlot(TimestampUs window_start, Slot& slot,
   }
 }
 
+TimestampUs WindowedAggregation::FirstUnfiredStart() const {
+  // Windows ending after the frontier start after fired_through_ - size.
+  const DurationUs size = options_.window.size;
+  return fired_through_ < kMinTimestamp + size ? kMinTimestamp
+                                               : fired_through_ - size + 1;
+}
+
 template <class Store>
 void WindowedAggregation::HotOnWatermark(TimestampUs watermark,
                                          TimestampUs stream_time) {
@@ -256,7 +267,8 @@ void WindowedAggregation::HotOnWatermark(TimestampUs watermark,
   // in (start, key) order. `live` tracks the post-erase store size each
   // purge notification reports.
   size_t live = store->size();
-  store->Scan([&](typename Store::Bucket& b) {
+  bool behind_frontier = false;
+  auto visit = [&](typename Store::Bucket& b) {
     const TimestampUs end = b.start() + options_.window.size;
     const bool can_fire = end <= watermark;
     const TimestampUs retire_at =
@@ -266,6 +278,12 @@ void WindowedAggregation::HotOnWatermark(TimestampUs watermark,
     const bool purge = retire_at <= watermark || watermark == kMaxTimestamp;
     if (!can_fire && !purge) {
       // end > watermark and nothing retires: monotone in start, stop.
+      return Store::Visit::kStop;
+    }
+    if (!purge && end <= fired_through_) {
+      // Purging is monotone in start too, so the purge prefix is done and
+      // every bucket up to the frontier has fired: nothing to do there.
+      behind_frontier = true;
       return Store::Visit::kStop;
     }
     for (uint32_t idx : b.SortedByKey()) {
@@ -287,7 +305,12 @@ void WindowedAggregation::HotOnWatermark(TimestampUs watermark,
       }
     }
     return purge ? Store::Visit::kPurge : Store::Visit::kKeep;
-  });
+  };
+  // With allowed lateness 0 every fired bucket retires, the frontier check
+  // never trips, and this is the only pass.
+  store->Scan(kMinTimestamp, visit);
+  if (behind_frontier) store->Scan(FirstUnfiredStart(), visit);
+  fired_through_ = watermark;
 }
 
 template <class Store>
@@ -295,7 +318,7 @@ void WindowedAggregation::HotOnKeyedWatermark(int64_t key,
                                               TimestampUs watermark,
                                               TimestampUs stream_time) {
   Store* store = GetStore<Store>();
-  store->Scan([&](typename Store::Bucket& b) {
+  store->Scan(FirstUnfiredStart(), [&](typename Store::Bucket& b) {
     const TimestampUs end = b.start() + options_.window.size;
     if (end > watermark) return Store::Visit::kStop;
     Slot* s = b.Find(key);
@@ -309,7 +332,7 @@ void WindowedAggregation::HotOnKeyedWatermark(int64_t key,
 template <class Store>
 void WindowedAggregation::HotOnLateEvent(const Event& e) {
   Store* store = GetStore<Store>();
-  for (const WindowBounds& w : AssignWindows(options_.window, e.event_time)) {
+  ForEachWindow(options_.window, e.event_time, [&](const WindowBounds& w) {
     Slot* s = store->Find(w.start, e.key);
     if (s == nullptr) {
       const bool window_open = w.end > last_watermark_;
@@ -327,11 +350,11 @@ void WindowedAggregation::HotOnLateEvent(const Event& e) {
             s->fired = true;
           }
         }
-        continue;
+        return;
       }
       ++stats_.late_dropped;
       if (observer_ != nullptr) observer_->OnWindowLateDropped(e);
-      continue;
+      return;
     }
     FoldValueDyn(*s, e.value);
     ++stats_.late_applied;
@@ -342,7 +365,7 @@ void WindowedAggregation::HotOnLateEvent(const Event& e) {
         s->dirty_since_fire = true;
       }
     }
-  }
+  });
 }
 
 // ---------------------------------------------------------------------------

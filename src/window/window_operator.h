@@ -205,6 +205,8 @@ class WindowedAggregation : public EventSink {
   template <class Store>
   void BindEngine();
 
+  /// Smallest window start whose end is past the fire frontier.
+  TimestampUs FirstUnfiredStart() const;
   template <class Store>
   void HotOnWatermark(TimestampUs watermark, TimestampUs stream_time);
   template <class Store>
@@ -217,6 +219,11 @@ class WindowedAggregation : public EventSink {
   WindowResultSink* sink_;
   AggregateSpec agg_spec_;
   TimestampUs last_watermark_ = kMinTimestamp;
+  /// Fire frontier: every slot of a bucket whose window end is <=
+  /// fired_through_ has fired. Raised to the watermark after each firing
+  /// scan, lowered when a slot is created behind it; firing scans start
+  /// past it instead of rewalking fired windows kept for allowed lateness.
+  TimestampUs fired_through_ = kMinTimestamp;
   Stats stats_;
   PipelineObserver* observer_ = nullptr;
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -279,6 +280,99 @@ TEST(AggregateReferenceTest, MatchesBatchComputationOnRandomData) {
   EXPECT_DOUBLE_EQ(mn->Value(), *std::min_element(values.begin(), values.end()));
   EXPECT_DOUBLE_EQ(mx->Value(), *std::max_element(values.begin(), values.end()));
   EXPECT_DOUBLE_EQ(med->Value(), ExactQuantile(values, 0.5));
+}
+
+// The quantile aggregate keeps a sorted prefix plus an unsorted tail and
+// sorts only the tail on each read. Random interleavings of Add, Merge and
+// Value must give, bit for bit, what ExactQuantile gives on a copy of
+// every value folded in so far.
+TEST(QuantileStateTest, MatchesExactQuantileOnCopyBitwise) {
+  Rng rng(20261017);
+  // Duplicates (a small integer pool), negatives, both zeros, and spread
+  // values. The pool is centred on zero, so the median often falls inside
+  // a run of mixed -0 and +0.
+  auto draw = [&rng] {
+    switch (rng.NextInt(0, 3)) {
+      case 0:
+        return -0.0;
+      case 1:
+        return 0.0;
+      case 2:
+        return static_cast<double>(rng.NextInt(-20, 20));
+      default:
+        return rng.NextUniform(-1e3, 1e3);
+    }
+  };
+  auto expect_matches = [](const Aggregator& agg,
+                           const std::vector<double>& shadow, double q) {
+    const double want = ExactQuantile(shadow, q);
+    const double got = agg.Value();
+    ASSERT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+        << "n=" << shadow.size() << " q=" << q << ": " << got << " vs "
+        << want;
+    ASSERT_EQ(agg.count(), static_cast<int64_t>(shadow.size()));
+  };
+  for (double q : {0.01, 0.5, 0.9, 0.99}) {
+    for (int trial = 0; trial < 30; ++trial) {
+      SCOPED_TRACE(testing::Message() << "q=" << q << " trial=" << trial);
+      const AggKind kind = q == 0.5 ? AggKind::kMedian : AggKind::kQuantile;
+      const auto target = static_cast<size_t>(
+          trial == 0 ? 1 : rng.NextInt(1, 5000));
+      auto agg = Make(kind, q);
+      std::vector<double> shadow;
+      while (shadow.size() < target) {
+        const int64_t op = rng.NextInt(0, 9);
+        if (op < 6) {
+          // A run of adds, then a read.
+          const int64_t k = rng.NextInt(1, 64);
+          for (int64_t i = 0; i < k && shadow.size() < target; ++i) {
+            shadow.push_back(draw());
+            agg->Add(shadow.back());
+          }
+          expect_matches(*agg, shadow, q);
+        } else if (op < 9) {
+          // Merge in a partner that is itself partly sorted: a read after
+          // its first adds sorted those, the rest are its tail.
+          auto partner = Make(kind, q);
+          std::vector<double> partner_values;
+          const int64_t sorted_part = rng.NextInt(1, 200);
+          const int64_t tail_part = rng.NextInt(0, 200);
+          for (int64_t i = 0; i < sorted_part + tail_part; ++i) {
+            partner_values.push_back(draw());
+            partner->Add(partner_values.back());
+            if (i + 1 == sorted_part) {
+              expect_matches(*partner, partner_values, q);
+            }
+          }
+          agg->Merge(*partner);
+          shadow.insert(shadow.end(), partner_values.begin(),
+                        partner_values.end());
+          expect_matches(*agg, shadow, q);
+        } else if (!shadow.empty()) {
+          // Two reads with no add in between: the second finds no tail.
+          expect_matches(*agg, shadow, q);
+          expect_matches(*agg, shadow, q);
+        }
+        if (HasFatalFailure()) return;
+      }
+      expect_matches(*agg, shadow, q);
+    }
+  }
+}
+
+// Reads see -0 before +0 whatever order a sort left them in.
+TEST(QuantileStateTest, ZerosReadInCanonicalOrder) {
+  auto agg = Make(AggKind::kMedian);
+  // A stable sort keeps +0 in the middle; read canonically the middle two
+  // are -0 and -0, and -0 * 1 + -0 * 0 is -0.
+  for (double v : {-0.0, -0.0, 0.0, -0.0, -0.0}) agg->Add(v);
+  EXPECT_TRUE(std::signbit(agg->Value()));
+  EXPECT_TRUE(std::signbit(ExactQuantile({-0.0, -0.0, 0.0, -0.0, -0.0}, 0.5)));
+  agg->Add(0.0);
+  agg->Add(1.0);
+  // -0 -0 -0 -0 +0 +0 1: the middle pair is (-0, +0), which sums to +0.
+  EXPECT_FALSE(std::signbit(agg->Value()));
+  EXPECT_EQ(agg->Value(), 0.0);
 }
 
 }  // namespace

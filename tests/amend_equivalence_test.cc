@@ -198,6 +198,58 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+// With 100 s of allowed lateness every fired window is kept until the end
+// of the stream, so firing scans start at the fire frontier instead of
+// walking the kept windows. Both engines must still match the reference bit
+// for bit, per-event and batched.
+const std::vector<AggKind> kFrontierKinds = {AggKind::kSum, AggKind::kMedian,
+                                             AggKind::kQuantile};
+
+class FireFrontierEquivalenceTest : public ::testing::TestWithParam<Param> {};
+
+TEST_P(FireFrontierEquivalenceTest, KeptWindowsMatchReferenceBitwise) {
+  const auto [kind_index, shape_index] = GetParam();
+  const AggKind kind = kFrontierKinds[static_cast<size_t>(kind_index)];
+  const Shape& shape = Shapes()[static_cast<size_t>(shape_index)];
+  SpeculativeHandler::Options sp;
+  sp.target_quality = 0.95;
+  AqKSlack::Options aq;
+  aq.target_quality = 0.95;
+  for (const DisorderHandlerSpec& handler :
+       {DisorderHandlerSpec::Speculative(sp), DisorderHandlerSpec::Aq(aq),
+        DisorderHandlerSpec::Fixed(Millis(30)).PerKey()}) {
+    SCOPED_TRACE(handler.Describe());
+    const ContinuousQuery hot_q = MakeQuery(kind, shape.spec, handler,
+                                            Engine::kHot, Seconds(100));
+    const ContinuousQuery amend_q = MakeQuery(kind, shape.spec, handler,
+                                              Engine::kAmend, Seconds(100));
+    const RunReport reference =
+        reference::RunReference(hot_q, TestStream(), /*batched=*/false);
+    EXPECT_GT(reference.window_stats.revisions, 0);
+    ExpectBitIdentical(reference, reference::RunReference(
+                                      hot_q, TestStream(), /*batched=*/true));
+    for (const ContinuousQuery* q : {&hot_q, &amend_q}) {
+      ExpectBitIdentical(reference, RunQuery(*q, /*batched=*/false));
+      ExpectBitIdentical(reference, RunQuery(*q, /*batched=*/true));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KindsShapes, FireFrontierEquivalenceTest,
+    ::testing::Combine(::testing::Range(0, 3), ::testing::Range(0, 4)),
+    [](const ::testing::TestParamInfo<Param>& info) {
+      AggregateSpec spec;
+      spec.kind = kFrontierKinds[static_cast<size_t>(std::get<0>(info.param))];
+      std::string name = spec.Describe();
+      name.erase(std::remove_if(name.begin(), name.end(),
+                                [](char c) { return !std::isalnum(c); }),
+                 name.end());
+      name += "_";
+      name += Shapes()[static_cast<size_t>(std::get<1>(info.param))].name;
+      return name;
+    });
+
 // The speculative contract: with enough allowed lateness for every tuple
 // to land, the *final revision* per window from an emit-then-amend run
 // equals what a fully buffered run produces — byte for byte — for the
@@ -269,7 +321,7 @@ TEST(AmendWindowStoreTest, OutOfOrderInsertScanAndEvict) {
 
   // Scan must visit in ascending start order.
   std::vector<TimestampUs> seen;
-  store.Scan([&](AmendWindowStore::Bucket& b) {
+  store.Scan(kMinTimestamp, [&](AmendWindowStore::Bucket& b) {
     seen.push_back(b.start());
     return AmendWindowStore::Visit::kKeep;
   });
@@ -285,7 +337,7 @@ TEST(AmendWindowStoreTest, OutOfOrderInsertScanAndEvict) {
 
   // Bulk evict everything below 50ms; the rest stays scannable in order.
   const uint64_t epoch_before = store.epoch();
-  store.Scan([&](AmendWindowStore::Bucket& b) {
+  store.Scan(kMinTimestamp, [&](AmendWindowStore::Bucket& b) {
     return b.start() < Millis(50) ? AmendWindowStore::Visit::kPurge
                                   : AmendWindowStore::Visit::kKeep;
   });
@@ -293,7 +345,7 @@ TEST(AmendWindowStoreTest, OutOfOrderInsertScanAndEvict) {
   EXPECT_EQ(store.size(), 15u);
   EXPECT_GT(store.epoch(), epoch_before);
   seen.clear();
-  store.Scan([&](AmendWindowStore::Bucket& b) {
+  store.Scan(kMinTimestamp, [&](AmendWindowStore::Bucket& b) {
     seen.push_back(b.start());
     return AmendWindowStore::Visit::kKeep;
   });
@@ -301,7 +353,7 @@ TEST(AmendWindowStoreTest, OutOfOrderInsertScanAndEvict) {
                                             Millis(80), Millis(90)}));
   // Early-out stops the scan.
   int visited = 0;
-  store.Scan([&](AmendWindowStore::Bucket&) {
+  store.Scan(kMinTimestamp, [&](AmendWindowStore::Bucket&) {
     ++visited;
     return AmendWindowStore::Visit::kStop;
   });
@@ -326,12 +378,60 @@ TEST(AmendWindowStoreTest, SplitsPreserveOrderAndFind) {
     EXPECT_NE(store.Find(Millis(s), 7), nullptr) << s;
   }
   std::vector<TimestampUs> seen;
-  store.Scan([&](AmendWindowStore::Bucket& b) {
+  store.Scan(kMinTimestamp, [&](AmendWindowStore::Bucket& b) {
     seen.push_back(b.start());
     return AmendWindowStore::Visit::kKeep;
   });
   ASSERT_EQ(seen.size(), starts.size());
   EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
+}
+
+// Scan(from, ...) starts with a root and a leaf binary search: it must
+// visit exactly the live starts >= from for bounds on a leaf's first or
+// last bucket, between leaves, inside a leaf, and outside the stored range
+// — before and after bulk evictions reshape the leaves.
+TEST(AmendWindowStoreTest, ScanFromBoundAcrossLeafBoundaries) {
+  AmendWindowStore store(Millis(1));
+  std::vector<TimestampUs> starts;
+  // 200 starts (several leaves), in-order and out-of-order inserts mixed so
+  // both the back finger and mid-tree splits shape the leaves.
+  for (int64_t i = 0; i < 200; ++i) {
+    starts.push_back(Millis(i % 3 == 0 ? 400 - 2 * i : 2 * i + 1));
+  }
+  for (TimestampUs s : starts) {
+    bool created = false;
+    store.GetOrCreate(s, /*key=*/1, &created);
+  }
+  auto expect_exact = [&store](std::vector<TimestampUs> live) {
+    std::sort(live.begin(), live.end());
+    live.erase(std::unique(live.begin(), live.end()), live.end());
+    ASSERT_EQ(store.live_buckets(), live.size());
+    std::vector<TimestampUs> bounds = {kMinTimestamp, kMaxTimestamp};
+    for (TimestampUs s : live) bounds.insert(bounds.end(), {s - 1, s, s + 1});
+    for (TimestampUs from : bounds) {
+      std::vector<TimestampUs> want;
+      for (TimestampUs s : live) {
+        if (s >= from) want.push_back(s);
+      }
+      std::vector<TimestampUs> seen;
+      store.Scan(from, [&](AmendWindowStore::Bucket& b) {
+        seen.push_back(b.start());
+        return AmendWindowStore::Visit::kKeep;
+      });
+      ASSERT_EQ(seen, want) << "from " << from;
+    }
+  };
+  expect_exact(starts);
+
+  // Bounded bulk eviction of a middle range spanning several leaves.
+  store.Scan(Millis(101), [](AmendWindowStore::Bucket& b) {
+    return b.start() < Millis(250) ? AmendWindowStore::Visit::kPurge
+                                   : AmendWindowStore::Visit::kStop;
+  });
+  std::erase_if(starts, [](TimestampUs s) {
+    return s >= Millis(101) && s < Millis(250);
+  });
+  expect_exact(starts);
 }
 
 // The retired legacy engine is a configuration error with a hint, not a

@@ -2,6 +2,7 @@
 // whole-bucket purging, ring growth, and the epoch contract that guards
 // cached Slot pointers (the operator's fold-plan memo).
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -61,7 +62,7 @@ TEST(FlatWindowStoreTest, ScanVisitsBucketsInAscendingStartOrder) {
     store.GetOrCreate(start, 1, &created);
   }
   std::vector<TimestampUs> seen;
-  store.Scan([&](FlatWindowStore::Bucket& b) {
+  store.Scan(kMinTimestamp, [&](FlatWindowStore::Bucket& b) {
     seen.push_back(b.start());
     return Visit::kKeep;
   });
@@ -73,7 +74,7 @@ TEST(FlatWindowStoreTest, SortedByKeyOrdersSlots) {
   FlatWindowStore store(100);
   bool created = false;
   for (int64_t k : {9, -3, 5, 0, 12, 7}) store.GetOrCreate(0, k, &created);
-  store.Scan([&](FlatWindowStore::Bucket& b) {
+  store.Scan(kMinTimestamp, [&](FlatWindowStore::Bucket& b) {
     std::vector<int64_t> keys;
     for (uint32_t idx : b.SortedByKey()) keys.push_back(b.slot(idx).key);
     EXPECT_EQ(keys, (std::vector<int64_t>{-3, 0, 5, 7, 9, 12}));
@@ -81,7 +82,7 @@ TEST(FlatWindowStoreTest, SortedByKeyOrdersSlots) {
   });
   // Insertion invalidates the cached order; it must rebuild correctly.
   store.GetOrCreate(0, 3, &created);
-  store.Scan([&](FlatWindowStore::Bucket& b) {
+  store.Scan(kMinTimestamp, [&](FlatWindowStore::Bucket& b) {
     std::vector<int64_t> keys;
     for (uint32_t idx : b.SortedByKey()) keys.push_back(b.slot(idx).key);
     EXPECT_EQ(keys, (std::vector<int64_t>{-3, 0, 3, 5, 7, 9, 12}));
@@ -100,7 +101,7 @@ TEST(FlatWindowStoreTest, PurgeRemovesWholeBucketAndStopsEarly) {
 
   // Purge everything below 200, stop at 200 (monotone early-out).
   std::vector<TimestampUs> visited;
-  store.Scan([&](FlatWindowStore::Bucket& b) {
+  store.Scan(kMinTimestamp, [&](FlatWindowStore::Bucket& b) {
     visited.push_back(b.start());
     if (b.start() < 200) return Visit::kPurge;
     return Visit::kStop;
@@ -115,7 +116,7 @@ TEST(FlatWindowStoreTest, PurgeRemovesWholeBucketAndStopsEarly) {
 
   // After the purge the scan starts at the first live bucket.
   visited.clear();
-  store.Scan([&](FlatWindowStore::Bucket& b) {
+  store.Scan(kMinTimestamp, [&](FlatWindowStore::Bucket& b) {
     visited.push_back(b.start());
     return Visit::kKeep;
   });
@@ -138,7 +139,7 @@ TEST(FlatWindowStoreTest, RingGrowsPastInitialCapacity) {
     EXPECT_EQ(s->state.n, i);
   }
   std::vector<TimestampUs> seen;
-  store.Scan([&](FlatWindowStore::Bucket& b) {
+  store.Scan(kMinTimestamp, [&](FlatWindowStore::Bucket& b) {
     seen.push_back(b.start());
     return Visit::kKeep;
   });
@@ -173,7 +174,7 @@ TEST(FlatWindowStoreTest, SparseStartsFarApart) {
 
   // Ascending order across the gap; purge everything before it.
   std::vector<TimestampUs> seen;
-  store.Scan([&](FlatWindowStore::Bucket& b) {
+  store.Scan(kMinTimestamp, [&](FlatWindowStore::Bucket& b) {
     seen.push_back(b.start());
     return b.start() < hour ? Visit::kPurge : Visit::kKeep;
   });
@@ -188,12 +189,75 @@ TEST(FlatWindowStoreTest, SparseStartsFarApart) {
   store.GetOrCreate(hour + 2000, 1, &created);
   EXPECT_TRUE(created);
   seen.clear();
-  store.Scan([&](FlatWindowStore::Bucket& b) {
+  store.Scan(kMinTimestamp, [&](FlatWindowStore::Bucket& b) {
     seen.push_back(b.start());
     return Visit::kKeep;
   });
   EXPECT_EQ(seen, (std::vector<TimestampUs>{hour, hour + 1000, hour + 2000,
                                             hour + 32 * 1000}));
+}
+
+// Scan(from, ...) visits exactly the live starts >= from, in order, for
+// every bound: on, between and outside the live starts.
+void ExpectBoundedScansExact(FlatWindowStore& store,
+                             std::vector<TimestampUs> starts) {
+  std::sort(starts.begin(), starts.end());
+  std::vector<TimestampUs> bounds = {kMinTimestamp, kMaxTimestamp};
+  for (TimestampUs s : starts) {
+    bounds.insert(bounds.end(), {s - 1, s, s + 1});
+  }
+  for (TimestampUs from : bounds) {
+    std::vector<TimestampUs> want;
+    for (TimestampUs s : starts) {
+      if (s >= from) want.push_back(s);
+    }
+    std::vector<TimestampUs> seen;
+    store.Scan(from, [&](FlatWindowStore::Bucket& b) {
+      seen.push_back(b.start());
+      return Visit::kKeep;
+    });
+    EXPECT_EQ(seen, want) << "from " << from;
+  }
+}
+
+TEST(FlatWindowStoreTest, ScanFromBoundDenseRing) {
+  FlatWindowStore store(/*slide=*/100);
+  bool created = false;
+  std::vector<TimestampUs> starts;
+  for (TimestampUs start = -500; start <= 2000; start += 100) {
+    if (start % 300 == 0) continue;  // Some empty cells.
+    store.GetOrCreate(start, /*key=*/1, &created);
+    starts.push_back(start);
+  }
+  ExpectBoundedScansExact(store, starts);
+
+  // A bounded scan that purges from the middle leaves the rest intact.
+  store.Scan(450, [&](FlatWindowStore::Bucket& b) {
+    return b.start() < 1000 ? Visit::kPurge : Visit::kStop;
+  });
+  std::erase_if(starts, [](TimestampUs s) { return s >= 450 && s < 1000; });
+  EXPECT_EQ(store.live_buckets(), starts.size());
+  ExpectBoundedScansExact(store, starts);
+}
+
+TEST(FlatWindowStoreTest, ScanFromBoundChainedSparse) {
+  // An hour gap at 1 ms slides: the ring does not cover the span, and
+  // quotients a power of two apart share a cell.
+  FlatWindowStore store(/*slide=*/1000);
+  bool created = false;
+  const TimestampUs hour = Seconds(3600);
+  std::vector<TimestampUs> starts = {-64 * 1000, 0,          1000,
+                                     64 * 1000,  hour,       hour + 1000,
+                                     hour + 64 * 1000};
+  for (TimestampUs start : starts) store.GetOrCreate(start, 1, &created);
+  ExpectBoundedScansExact(store, starts);
+
+  store.Scan(1, [&](FlatWindowStore::Bucket& b) {
+    return b.start() < hour ? Visit::kPurge : Visit::kStop;
+  });
+  std::erase_if(starts, [hour](TimestampUs s) { return s >= 1 && s < hour; });
+  EXPECT_EQ(store.live_buckets(), starts.size());
+  ExpectBoundedScansExact(store, starts);
 }
 
 TEST(FlatWindowStoreTest, EpochBumpsOnInsertAndPurge) {
@@ -213,7 +277,8 @@ TEST(FlatWindowStoreTest, EpochBumpsOnInsertAndPurge) {
   const uint64_t e2 = store.epoch();
   EXPECT_GT(e2, e1);
 
-  store.Scan([](FlatWindowStore::Bucket&) { return Visit::kPurge; });
+  store.Scan(kMinTimestamp,
+             [](FlatWindowStore::Bucket&) { return Visit::kPurge; });
   EXPECT_GT(store.epoch(), e2);  // Purge bumps.
   EXPECT_EQ(store.size(), 0u);
 

@@ -236,6 +236,56 @@ TEST(WindowOperatorTest, SpeculativePipelineConvergesToOracle) {
   EXPECT_GT(op.stats().revisions, 0);
 }
 
+// Allowed lateness keeps fired windows, and firing scans start past them at
+// the fire frontier. A keyed OnEvent may still land behind the merged
+// watermark (its own key's watermark lags): the slot it creates must fire on
+// the next watermark, not wait for the terminal purge.
+TEST(WindowOperatorTest, KeyedEventBehindMergedWatermarkFiresNextWatermark) {
+  for (auto engine : {WindowedAggregation::Engine::kHot,
+                      WindowedAggregation::Engine::kAmend}) {
+    for (bool per_key : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << "engine " << static_cast<int>(engine) << " per_key "
+                   << per_key);
+      WindowedAggregation::Options o =
+          Opt(100, AggKind::kSum, /*lateness=*/Seconds(100));
+      o.engine = engine;
+      o.per_key_watermarks = per_key;
+      CollectingResultSink results;
+      WindowedAggregation op(o, &results);
+      op.OnEvent(E(1, 10, 10, /*key=*/1));
+      op.OnEvent(E(2, 150, 150, /*key=*/1));
+      op.OnWatermark(200, 200);  // Fires [0,100) and [100,200); both kept.
+      op.OnWatermark(250, 250);  // Both kept windows are behind the frontier.
+      ASSERT_EQ(results.results.size(), 2u);
+      EXPECT_EQ(op.live_windows(), 2u);
+
+      // Key 2's first tuple, behind the merged watermark.
+      op.OnEvent(E(7, 50, 260, /*key=*/2));
+      if (per_key) {
+        op.OnKeyedWatermark(2, 120, 270);
+      } else {
+        op.OnWatermark(300, 270);
+      }
+      ASSERT_EQ(results.results.size(), 3u);
+      const WindowResult& r = results.results.back();
+      EXPECT_EQ(r.bounds, (WindowBounds{0, 100}));
+      EXPECT_EQ(r.key, 2);
+      EXPECT_DOUBLE_EQ(r.value, 7.0);
+      EXPECT_FALSE(r.is_revision);
+      EXPECT_EQ(r.emit_stream_time, 270);
+
+      // Nothing fires twice, and the kept windows still take revisions.
+      op.OnWatermark(400, 400);
+      EXPECT_EQ(results.results.size(), 3u);
+      op.OnLateEvent(E(9, 60, 410, /*key=*/2));
+      ASSERT_EQ(results.results.size(), 4u);
+      EXPECT_TRUE(results.results.back().is_revision);
+      EXPECT_DOUBLE_EQ(results.results.back().value, 16.0);
+    }
+  }
+}
+
 TEST(WindowOperatorTest, StatsTrackLiveWindows) {
   CollectingResultSink results;
   WindowedAggregation op(Opt(100, AggKind::kCount), &results);

@@ -67,6 +67,11 @@ R-F23 (amend engine + speculative emit-then-amend):
   3. Store overhead (soft): amend-buffered exceeding F23_STORE_TAX x
      hot-buffered ns/tuple on the in-order path prints a warning -- the
      B-tree's amend capability should be close to free when unused.
+  4. Revision cost (hard): on median rows, amend-speculative ns/tuple
+     must be <= F23_MEDIAN_COST x hot-buffered ns/tuple in the SAME run.
+     A revision re-reads an incrementally sorted quantile state and
+     firing skips the fired windows kept for allowed lateness, so
+     amending costs about what changed, not what is kept.
 
 R-F24 (pull-based scheduler):
   1. Equivalence (hard): within every section all modes -- steal
@@ -154,6 +159,9 @@ F24_ADAPTIVE_TAX = 1.1
 F23_LATENCY_BOUND = 0.5
 F23_LATE_GATE = 0.10
 F23_STORE_TAX = 1.5
+# A median run with per-tuple revisions may cost at most 3x the buffered
+# run (observed ~1.3-1.5x; a full re-sort per revision measured 7-24x).
+F23_MEDIAN_COST = 3.0
 
 # f25: the wall-clock floor a correct token bucket imposes is exact
 # ((events/tenant - burst) / rate); the slack only absorbs timer
@@ -674,8 +682,17 @@ def check_f23(args):
                     f"vs buffered settle p50 {settle:.0f} "
                     f"({first / settle:.2f}x, bound {F23_LATENCY_BOUND}x)")
 
-        # 3. Amend-store tax on the in-order path (soft; noisy).
         h_ns = float(hot["ns_per_tuple"])
+
+        # 4. Median revisions cost about what changed.
+        s_ns = float(spec["ns_per_tuple"])
+        if kind == "median" and s_ns > h_ns * F23_MEDIAN_COST:
+            failures.append(
+                f"{workload}/{kind}: amend-speculative {s_ns:.2f} ns/tuple "
+                f"vs hot-buffered {h_ns:.2f} ({s_ns / h_ns:.2f}x, bound "
+                f"{F23_MEDIAN_COST}x)")
+
+        # 3. Amend-store tax on the in-order path (soft; noisy).
         a_ns = float(amend["ns_per_tuple"])
         if a_ns > h_ns * F23_STORE_TAX:
             warnings.append(
