@@ -15,8 +15,9 @@
 ///     its keep (>= 1.3x, hard); larger batches must never invert.
 ///
 ///   * section=pipeline — the whole ShardedKeyedRunner on a Zipf-keyed
-///     stream, arena on vs off. End-to-end the window operator dominates,
-///     so this is a no-inversion guard, not a speedup claim.
+///     stream (pooled batches, arena-backed reorder buffers): one
+///     end-to-end row whose checksum and throughput are tracked against
+///     the committed baseline.
 ///
 ///   * section=mpsc — ingestion scaling when the stream is physically many
 ///     feeds: key-disjoint throttled sources (each sleeps between batches,
@@ -72,10 +73,10 @@ std::vector<Event> SkewedStream(int64_t n, double zipf_s, uint64_t seed) {
   return GenerateWorkload(cfg).arrival_order;
 }
 
-ContinuousQuery KeyedQuery(bool arena) {
+ContinuousQuery KeyedQuery() {
   ContinuousQuery q;
   q.name = "f21";
-  q.handler = DisorderHandlerSpec::Fixed(Millis(50)).PerKey().WithArena(arena);
+  q.handler = DisorderHandlerSpec::Fixed(Millis(50)).PerKey().WithArena();
   q.window.window = WindowSpec::Tumbling(Millis(50));
   q.window.aggregate.kind = AggKind::kSum;
   q.window.per_key_watermarks = true;
@@ -206,8 +207,8 @@ struct KeyedOutcome {
 };
 
 KeyedOutcome RunKeyed(const std::vector<Event>& events, size_t workers,
-                      const ParallelOptions& options, bool arena_handler) {
-  ShardedKeyedRunner runner(KeyedQuery(arena_handler), workers, options);
+                      const ParallelOptions& options) {
+  ShardedKeyedRunner runner(KeyedQuery(), workers, options);
   VectorSource source(events);
   const RunReport report = runner.Run(&source);
   KeyedOutcome out;
@@ -224,38 +225,25 @@ KeyedOutcome RunKeyed(const std::vector<Event>& events, size_t workers,
 
 void PipelineSection(TableWriter* table) {
   const std::vector<Event> events = SkewedStream(400000, 1.2, 2015);
-  ParallelOptions base;
-  base.batch_size = 64;
-  base.virtual_shards = 12;
+  ParallelOptions options;
+  options.batch_size = 64;
+  options.virtual_shards = 12;
 
   constexpr int kReps = 3;
-  KeyedOutcome best_arena, best_malloc;
+  KeyedOutcome best;
   for (int rep = 0; rep < kReps; ++rep) {
-    ParallelOptions arena_opts = base;
-    arena_opts.use_arena = true;
-    const KeyedOutcome a = RunKeyed(events, 3, arena_opts, true);
-    ParallelOptions malloc_opts = base;
-    malloc_opts.use_arena = false;
-    const KeyedOutcome m = RunKeyed(events, 3, malloc_opts, false);
-    if (rep == 0 || a.wall_ms < best_arena.wall_ms) best_arena = a;
-    if (rep == 0 || m.wall_ms < best_malloc.wall_ms) best_malloc = m;
+    const KeyedOutcome out = RunKeyed(events, 3, options);
+    if (rep == 0 || out.wall_ms < best.wall_ms) best = out;
   }
-  struct Labeled {
-    const char* mode;
-    KeyedOutcome out;
-  };
-  for (const Labeled& l :
-       {Labeled{"arena", best_arena}, Labeled{"malloc", best_malloc}}) {
-    Row row{.section = "pipeline", .config = "zipf-keyed", .mode = l.mode};
-    row.workers = 3;
-    row.vshards = 12;
-    row.producers = 1;
-    row.events = static_cast<int64_t>(events.size());
-    row.wall_ms = l.out.wall_ms;
-    row.max_share = l.out.max_share;
-    row.checksum = l.out.checksum;
-    EmitRow(table, row);
-  }
+  Row row{.section = "pipeline", .config = "zipf-keyed", .mode = "arena"};
+  row.workers = 3;
+  row.vshards = 12;
+  row.producers = 1;
+  row.events = static_cast<int64_t>(events.size());
+  row.wall_ms = best.wall_ms;
+  row.max_share = best.max_share;
+  row.checksum = best.checksum;
+  EmitRow(table, row);
 }
 
 // --------------------------------------------------------------- section=mpsc
@@ -330,7 +318,7 @@ void MpscSection(TableWriter* table) {
 
       ParallelOptions options;
       options.batch_size = 256;
-      ShardedKeyedRunner runner(KeyedQuery(true), kWorkers, options);
+      ShardedKeyedRunner runner(KeyedQuery(), kWorkers, options);
       const RunReport report = runner.RunMultiSource(ptrs);
       if (rep == 0 || report.wall_seconds * 1000.0 < best_wall) {
         best_wall = report.wall_seconds * 1000.0;

@@ -10,10 +10,9 @@
 /// load generator — see core/session_options.h for the full list):
 ///   --window=<ms> --slide=<ms> --agg=<name> --strategy=<s> --quality=<q>
 ///   --latency-budget=<ms> --k=<ms> --per-key --lateness=<ms>
-///   --threads=<n> --vshards=<v> --mpsc=<p> --pin-cores --steal
-///   --adaptive-batch --arena=<on|off> --buffer-cap=<n> --shed=<policy>
-///   --max-slack=<ms> --validate=<mode> --window-engine=<hot|amend>
-///   --speculative
+///   --threads=<n> --vshards=<v> --steal --adaptive-batch
+///   --buffer-cap=<n> --shed=<policy> --max-slack=<ms> --validate=<mode>
+///   --window-engine=<hot|amend> --speculative
 ///
 /// CLI-only options:
 ///   --audit                score results against the exact oracle
@@ -268,11 +267,6 @@ int main(int argc, char** argv) {
   const Status valid = options.Validate();
   if (!valid.ok()) {
     std::fprintf(stderr, "%s\n", valid.ToString().c_str());
-    return 2;
-  }
-  if (options.mpsc > 0 && FaultsEnabled(flags.fault)) {
-    std::fprintf(stderr,
-                 "fault injection wraps a single source; drop --mpsc\n");
     return 2;
   }
 

@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "common/arena.h"
-#include "common/cpu_affinity.h"
 #include "common/logging.h"
 #include "common/time.h"
 #include "core/adaptive_batch.h"
@@ -26,19 +25,43 @@ namespace {
 using EventBatch = EventArena::Batch;
 using EventSlab = EventArena::Slab;
 
-/// Run-scoped arena pool for everything crossing the queues: feed scratch,
-/// shard sub-batches, and the batch nodes themselves. use_arena=false keeps
-/// the same code path but disables pooling, so every batch is one heap
-/// allocation freed by whichever thread drops it last — the reference
-/// malloc path.
-EventArena MakeRunArena(const ParallelOptions& options) {
-  EventArena::Options a;
-  a.slab_capacity = options.batch_size;
-  const bool pool = options.use_arena;
-  a.max_free_slabs = pool ? 1024 : 0;
-  a.max_free_batches = pool ? 1024 : 0;
-  return EventArena(a);
-}
+/// What crosses a worker's queue. kBatch carries events for one executor —
+/// a query on the independent runner, a virtual shard on the keyed one.
+/// The markers drive the steal/termination protocol: kRelease publishes
+/// "every batch this worker will ever see for this shard has been fed"
+/// (the handoff safe point), kFinish flushes one executor, kStop ends the
+/// worker. A default-constructed item is kStop.
+enum class FeedKind : uint8_t { kStop, kBatch, kRelease, kFinish };
+
+struct FeedItem {
+  EventBatch batch;
+  uint32_t shard = 0;
+  FeedKind kind = FeedKind::kStop;
+};
+
+/// One worker thread, its input queue, and the counters the feed side and
+/// the worker share. Cache-line aligned so neighbouring workers' counters
+/// do not false-share.
+template <typename Queue>
+struct alignas(64) WorkerSlot {
+  std::unique_ptr<Queue> queue;
+  std::thread thread;
+  /// Cleared once, by the producer that abandons the worker.
+  std::atomic<bool> feeding{true};
+  std::atomic<bool> exited{false};
+  /// Pull signal for work stealing: the worker raises it when its queue
+  /// runs dry, right before blocking, and clears it on the next item. The
+  /// driver reads it relaxed — a heuristic, not a synchronization edge.
+  std::atomic<uint32_t> hungry{0};
+  std::atomic<int64_t> processed{0};
+  std::atomic<int64_t> routed_events{0};
+  std::atomic<int64_t> routed_batches{0};
+  std::atomic<int64_t> stalls{0};
+  Status worker_status;  // Written by the worker thread.
+  Status driver_status;  // Written once, by the abandoning producer.
+  int64_t stolen = 0;    // Steal accounting; written by the one producer
+  int64_t donated = 0;   // that may steal, read after the run.
+};
 
 AdaptiveBatcher::Options BatcherOptions(const ParallelOptions& options) {
   AdaptiveBatcher::Options b;
@@ -48,167 +71,207 @@ AdaptiveBatcher::Options BatcherOptions(const ParallelOptions& options) {
   return b;
 }
 
-/// Mean worker-queue occupancy as a fraction of capacity — the adaptive
-/// batch controller's depth input.
+/// One run of either runner: a table of executors, the worker threads that
+/// drive them, and the feed side — delivery with bounded patience, the one
+/// source pump, and the terminal flush. `placement` maps each executor to
+/// the worker that owns it: the identity on the independent runner,
+/// round-robin over virtual shards on the keyed one, where stealing (the
+/// single-producer feed only) is its one writer. The runners differ only
+/// in the router they hand Pump and in how they assemble the report.
 template <typename Queue>
-double MeanDepthFraction(const std::vector<std::unique_ptr<Queue>>& queues) {
-  double sum = 0.0;
-  for (const auto& q : queues) {
-    sum += static_cast<double>(q->size()) /
-           static_cast<double>(q->capacity());
-  }
-  return queues.empty() ? 0.0 : sum / static_cast<double>(queues.size());
-}
-
-void MaybePin(const ParallelOptions& options, int core) {
-  // Placement is a hint: a refused mask (cgroup cpuset, unsupported OS)
-  // must never fail the run.
-  if (options.pin_cores) (void)PinCurrentThreadToCore(core);
-}
-
-const char* DescribePin(const ParallelOptions& options) {
-  if (!options.pin_cores) return "off";
-  return CpuPinningSupported() ? "on" : "unsupported";
-}
-
-/// Driver-side delivery of one item with bounded patience. Fast path: one
-/// lock-free TryPush. On a full ring: one backpressure-stall notification,
-/// then deadline pushes with exponentially growing timeouts. Returns false
-/// when the worker was abandoned — either it closed the queue itself
-/// (failure; its own status explains why) or it stayed wedged past every
-/// deadline, in which case `*fail_status` gets ResourceExhausted and the
-/// queue is closed so the worker sees early end-of-stream.
-template <typename Queue, typename Item>
-bool FeedQueue(Queue* q, Item item, size_t worker,
-               const ParallelOptions& options, PipelineObserver* observer,
-               std::atomic<int64_t>* stall_counter, Status* fail_status) {
-  if (q->TryPush(std::move(item))) return true;
-  if (q->closed()) return false;
-  stall_counter->fetch_add(1, std::memory_order_relaxed);
-  if (observer != nullptr) observer->OnBackpressureStall(worker);
-  DurationUs timeout = options.feed_timeout_us;
-  for (int attempt = 0; attempt < options.feed_max_attempts; ++attempt) {
-    // TryPushFor only consumes `item` on success, so retry keeps it.
-    if (q->TryPushFor(std::move(item), timeout)) return true;
-    if (q->closed()) return false;
-    timeout *= 2;
-  }
-  *fail_status = Status::ResourceExhausted(
-      "worker " + std::to_string(worker) +
-      " stuck: queue full past feed timeout");
-  q->Close();
-  return false;
-}
-
-/// First abandoner records the driver status and drops the worker from the
-/// feed set; with several producers the CAS makes exactly one of them win,
-/// so `*driver_status` is written once, race-free.
-void AbandonWorker(std::atomic<bool>* feeding_flag,
-                   std::atomic<size_t>* feeding_count, Status* driver_status,
-                   Status fail) {
-  bool expected = true;
-  if (feeding_flag->compare_exchange_strong(expected, false)) {
-    if (!fail.ok()) *driver_status = std::move(fail);
-    feeding_count->fetch_sub(1, std::memory_order_relaxed);
-  }
-}
-
-/// End-of-stream sentinel (empty batch / kStop item), unless the worker is
-/// already gone.
-template <typename Queue>
-void SendEos(Queue* q) {
-  if (!q->closed()) q->Push({});
-}
-
-/// Report status priority: a worker fault explains more than the driver's
-/// view of it, which explains more than the executor's own (strict
-/// validation) status.
-void ApplyRunStatus(RunReport* report, const Status& worker_status,
-                    const Status& driver_status) {
-  if (!worker_status.ok()) {
-    report->status = worker_status;
-  } else if (!driver_status.ok()) {
-    report->status = driver_status;
-  }
-}
-
-// --- Independent (multi-query) runner ------------------------------------
-
-/// Worker loop: drain the queue into the executor, then flush. Exceptions
-/// are contained on the worker thread — the queue is closed (so producers
-/// stop feeding), drained (so a blocked producer gets room and the shared
-/// batches are released), and the failure lands in `*status` for the
-/// merged report instead of std::terminate.
-template <typename Queue>
-void RunWorker(QueryExecutor* exec, Queue* q, Status* status) {
-  try {
-    EventBatch batch;
-    while (q->Pop(&batch)) {
-      if (!batch) break;  // End-of-stream sentinel.
-      exec->FeedBatch(*batch);
-      batch.reset();
+struct RunState {
+  RunState(std::vector<std::unique_ptr<QueryExecutor>> table,
+           size_t worker_count, const ParallelOptions& opts,
+           PipelineObserver* obs)
+      : options(opts),
+        observer(obs),
+        executors(std::move(table)),
+        num_workers(worker_count),
+        workers(std::make_unique<WorkerSlot<Queue>[]>(worker_count)),
+        released(std::make_unique<std::atomic<uint32_t>[]>(executors.size())),
+        placement(executors.size()),
+        arena(EventArena::Options{.slab_capacity = opts.batch_size}),
+        feeding_count(num_workers),
+        final_batch(opts.batch_size) {
+    for (size_t e = 0; e < executors.size(); ++e) {
+      if (observer != nullptr) executors[e]->SetObserver(observer);
+      placement[e] = static_cast<uint32_t>(e % num_workers);
     }
-    exec->Finish();
-  } catch (const std::exception& ex) {
-    *status = Status::Internal(std::string("worker failed: ") + ex.what());
-  } catch (...) {
-    *status = Status::Internal("worker failed: non-standard exception");
-  }
-  if (!status->ok()) {
-    q->Close();
-    EventBatch drain;
-    while (q->TryPop(&drain)) drain.reset();
-  }
-}
-
-template <typename Queue>
-std::vector<RunReport> RunIndependent(const std::vector<ContinuousQuery>& queries,
-                                      std::span<EventSource* const> sources,
-                                      const ParallelOptions& options,
-                                      PipelineObserver* observer) {
-  const size_t n = queries.size();
-  const size_t num_producers = sources.size();
-
-  std::vector<std::unique_ptr<QueryExecutor>> executors;
-  std::vector<std::unique_ptr<Queue>> queues;
-  executors.reserve(n);
-  queues.reserve(n);
-  for (const ContinuousQuery& q : queries) {
-    executors.push_back(std::make_unique<QueryExecutor>(q));
-    if (observer != nullptr) executors.back()->SetObserver(observer);
-    queues.push_back(std::make_unique<Queue>(options.queue_capacity));
+    start = WallClockMicros();
+    for (size_t w = 0; w < num_workers; ++w) {
+      workers[w].queue = std::make_unique<Queue>(options.queue_capacity);
+      workers[w].thread = std::thread([this, w] { RunShardWorker(w); });
+    }
   }
 
-  EventArena arena = MakeRunArena(options);
-  const TimestampUs start = WallClockMicros();
+  RunState(const RunState&) = delete;
+  RunState& operator=(const RunState&) = delete;
 
-  std::vector<Status> worker_status(n);
-  std::vector<Status> driver_status(n);
-  auto feeding = std::make_unique<std::atomic<bool>[]>(n);
-  auto stalls = std::make_unique<std::atomic<int64_t>[]>(n);
-  for (size_t i = 0; i < n; ++i) {
-    feeding[i].store(true, std::memory_order_relaxed);
-    stalls[i].store(0, std::memory_order_relaxed);
-  }
-  std::atomic<size_t> feeding_count{n};
-  std::atomic<int64_t> events_pulled{0};
-  std::atomic<size_t> final_batch{options.batch_size};
-
-  std::vector<std::thread> workers;
-  workers.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    workers.emplace_back([&, i] {
-      MaybePin(options, static_cast<int>(i));
-      RunWorker(executors[i].get(), queues[i].get(), &worker_status[i]);
-    });
+  /// Stop() joins the workers on the normal path. If the feed side throws
+  /// instead, close every queue so the workers drain and exit, then join.
+  ~RunState() {
+    for (size_t w = 0; w < num_workers; ++w) {
+      if (!workers[w].thread.joinable()) continue;
+      workers[w].queue->Close();
+      workers[w].thread.join();
+    }
   }
 
-  // Producer: pull arrival-ordered batches and publish each to every worker
-  // still accepting input. A failed or stuck worker is abandoned (see
-  // FeedQueue), never waited on forever. The scratch slab swap-cycles with
-  // the arena's batch nodes, so the steady state allocates nothing.
-  auto produce = [&](EventSource* source, size_t producer) {
-    MaybePin(options, static_cast<int>(n + producer));
+  /// Worker loop. The executor table is shared, but an executor is only
+  /// ever touched by its current owner: its batches arrive on exactly one
+  /// queue at a time, and ownership moves only through the kRelease
+  /// handshake, which sequences old-owner writes before new-owner reads.
+  /// `owned` tracks the executors this worker is responsible for, so an
+  /// abandoned worker still flushes its partial results. Exceptions are
+  /// contained here: the queue is closed (so producers stop feeding),
+  /// drained (so a blocked producer gets room and the shared batches are
+  /// released), and the failure lands in worker_status for the report
+  /// instead of std::terminate.
+  void RunShardWorker(size_t w) {
+    WorkerSlot<Queue>& self = workers[w];
+    Queue* q = self.queue.get();
+    std::vector<uint8_t> owned(executors.size(), 0);
+    try {
+      FeedItem item;
+      bool stop = false;
+      while (!stop) {
+        if (!q->TryPop(&item)) {
+          // Queue dry: advertise hunger so a stealing driver can route a
+          // backlogged shard here, then block for the next item.
+          self.hungry.store(1, std::memory_order_relaxed);
+          const bool got = q->Pop(&item);
+          self.hungry.store(0, std::memory_order_relaxed);
+          if (!got) break;
+        }
+        switch (item.kind) {
+          case FeedKind::kBatch:
+            owned[item.shard] = 1;
+            executors[item.shard]->FeedBatch(*item.batch);
+            self.processed.fetch_add(
+                static_cast<int64_t>(item.batch->size()),
+                std::memory_order_relaxed);
+            item.batch.reset();
+            break;
+          case FeedKind::kRelease:
+            // Everything before this marker in the queue has been fed;
+            // publish the handoff (release pairs with the driver's acquire).
+            owned[item.shard] = 0;
+            released[item.shard].store(1, std::memory_order_release);
+            break;
+          case FeedKind::kFinish:
+            owned[item.shard] = 0;
+            executors[item.shard]->Finish();
+            break;
+          case FeedKind::kStop:
+            stop = true;
+            break;
+        }
+      }
+      // A clean kStop arrives after kFinish markers cleared every owned
+      // executor, making this a no-op. An abandoned worker (queue closed by
+      // the driver) lands here after processing its backlog: finish what it
+      // still owns so the partial results surface.
+      for (size_t e = 0; e < owned.size(); ++e) {
+        if (owned[e] != 0) executors[e]->Finish();
+      }
+    } catch (const std::exception& ex) {
+      self.worker_status =
+          Status::Internal(std::string("worker failed: ") + ex.what());
+    } catch (...) {
+      self.worker_status =
+          Status::Internal("worker failed: non-standard exception");
+    }
+    if (!self.worker_status.ok()) {
+      q->Close();
+      FeedItem drain;
+      while (q->TryPop(&drain)) {
+        // Honor handoff markers even in the failure drain: this worker will
+        // never touch the shard again, and the driver may be waiting.
+        if (drain.kind == FeedKind::kRelease) {
+          released[drain.shard].store(1, std::memory_order_release);
+        }
+        drain.batch.reset();
+      }
+    }
+    self.exited.store(true, std::memory_order_release);
+  }
+
+  /// Delivers one item to worker `w` with bounded patience. Fast path: one
+  /// lock-free TryPush. On a full ring: one backpressure-stall
+  /// notification, then deadline pushes with exponentially growing
+  /// timeouts. Returns false when the worker is no longer fed — it was
+  /// abandoned earlier, it closed its queue itself (failure; its own status
+  /// explains why), or it stayed wedged past every deadline, in which case
+  /// it is abandoned with ResourceExhausted and its queue is closed so it
+  /// sees early end-of-stream.
+  bool Deliver(size_t w, FeedItem item) {
+    WorkerSlot<Queue>& slot = workers[w];
+    if (!slot.feeding.load(std::memory_order_relaxed)) return false;
+    Queue* q = slot.queue.get();
+    if (q->TryPush(std::move(item))) return true;
+    Status fail;
+    if (!q->closed()) {
+      slot.stalls.fetch_add(1, std::memory_order_relaxed);
+      if (observer != nullptr) observer->OnBackpressureStall(w);
+      DurationUs timeout = options.feed_timeout_us;
+      for (int attempt = 0; attempt < options.feed_max_attempts; ++attempt) {
+        // TryPushFor only consumes `item` on success, so retry keeps it.
+        if (q->TryPushFor(std::move(item), timeout)) return true;
+        if (q->closed()) break;
+        timeout *= 2;
+      }
+      if (!q->closed()) {
+        fail = Status::ResourceExhausted(
+            "worker " + std::to_string(w) +
+            " stuck: queue full past feed timeout");
+        q->Close();
+      }
+    }
+    // First abandoner records the driver status and drops the worker from
+    // the feed set; with several producers the CAS makes exactly one of
+    // them win, so driver_status is written once, race-free.
+    bool expected = true;
+    if (slot.feeding.compare_exchange_strong(expected, false)) {
+      if (!fail.ok()) slot.driver_status = std::move(fail);
+      feeding_count.fetch_sub(1, std::memory_order_relaxed);
+    }
+    return false;
+  }
+
+  /// Deliver for a batch of events bound for `executor`, with the routing
+  /// accounting and queue-depth instrumentation.
+  bool DeliverBatch(size_t w, uint32_t executor, EventBatch batch) {
+    const auto count = static_cast<int64_t>(batch->size());
+    if (!Deliver(w, FeedItem{std::move(batch), executor, FeedKind::kBatch})) {
+      return false;
+    }
+    WorkerSlot<Queue>& slot = workers[w];
+    slot.routed_events.fetch_add(count, std::memory_order_relaxed);
+    slot.routed_batches.fetch_add(1, std::memory_order_relaxed);
+    if (observer != nullptr) observer->OnQueueDepth(w, slot.queue->size());
+    return true;
+  }
+
+  /// Mean worker-queue occupancy as a fraction of capacity — the adaptive
+  /// batch controller's depth input.
+  double MeanDepthFraction() const {
+    double sum = 0.0;
+    for (size_t w = 0; w < num_workers; ++w) {
+      const Queue& q = *workers[w].queue;
+      sum += static_cast<double>(q.size()) / static_cast<double>(q.capacity());
+    }
+    return sum / static_cast<double>(num_workers);
+  }
+
+  /// The one source pump: pulls batches until the source runs dry or no
+  /// worker is left to feed, and hands each to `router`. The scratch chunk
+  /// swap-cycles with the arena's batch nodes, so the steady state
+  /// allocates nothing. With adaptive_batch on, each batch's routing time
+  /// and the queue depths steer the feed batch size; with it off, the pump
+  /// reads no clock. The router's AfterBatch sees the size in effect for
+  /// the next pull.
+  template <typename Router>
+  void Pump(EventSource* source, size_t producer, Router* router) {
     AdaptiveBatcher batcher(BatcherOptions(options));
     size_t feed_batch = options.batch_size;
     EventSlab chunk = arena.Acquire();
@@ -216,24 +279,12 @@ std::vector<RunReport> RunIndependent(const std::vector<ContinuousQuery>& querie
            source->NextBatch(&chunk, feed_batch) > 0) {
       const TimestampUs route_start =
           options.adaptive_batch ? WallClockMicros() : 0;
-      const int64_t pulled = static_cast<int64_t>(chunk.size());
+      const auto pulled = static_cast<int64_t>(chunk.size());
       events_pulled.fetch_add(pulled, std::memory_order_relaxed);
       if (observer != nullptr) observer->OnSourceBatch(pulled);
-      EventBatch batch = arena.Share(&chunk);
-      for (size_t i = 0; i < n; ++i) {
-        if (!feeding[i].load(std::memory_order_relaxed)) continue;
-        EventBatch copy = batch;
-        Status fail;
-        if (!FeedQueue(queues[i].get(), std::move(copy), i, options, observer,
-                       &stalls[i], &fail)) {
-          AbandonWorker(&feeding[i], &feeding_count, &driver_status[i],
-                        std::move(fail));
-          continue;
-        }
-        if (observer != nullptr) observer->OnQueueDepth(i, queues[i]->size());
-      }
+      router->Route(&chunk);
       if (options.adaptive_batch &&
-          batcher.Observe(MeanDepthFraction(queues),
+          batcher.Observe(MeanDepthFraction(),
                           static_cast<double>(WallClockMicros() -
                                               route_start))) {
         feed_batch = batcher.batch();
@@ -241,43 +292,134 @@ std::vector<RunReport> RunIndependent(const std::vector<ContinuousQuery>& querie
           observer->OnBatchSizeAdapted(producer, feed_batch);
         }
       }
+      router->AfterBatch(feed_batch);
     }
     arena.Recycle(std::move(chunk));
     final_batch.store(feed_batch, std::memory_order_relaxed);
-  };
+  }
 
-  if (num_producers == 1) {
-    produce(sources[0], 0);  // Single source: drive from the caller thread.
-  } else {
+  /// Runs `pump(source, producer)` for every source: on the caller thread
+  /// for a single source, else on one producer thread per source.
+  template <typename PumpFn>
+  void ForEachSource(std::span<EventSource* const> sources, PumpFn pump) {
+    if (sources.size() == 1) {
+      pump(sources[0], 0);
+      return;
+    }
     std::vector<std::thread> producers;
-    producers.reserve(num_producers);
-    for (size_t p = 0; p < num_producers; ++p) {
-      producers.emplace_back([&, p] { produce(sources[p], p); });
+    producers.reserve(sources.size());
+    for (size_t p = 0; p < sources.size(); ++p) {
+      producers.emplace_back([&pump, &sources, p] { pump(sources[p], p); });
     }
     for (std::thread& t : producers) t.join();
   }
 
-  for (auto& q : queues) SendEos(q.get());
-  for (std::thread& t : workers) t.join();
+  /// Terminal flush: a kFinish for every executor on its current owner's
+  /// queue (owners flush in parallel), then one kStop per worker still
+  /// reading its queue; joins the workers and returns the run's wall time.
+  double Stop() {
+    for (size_t e = 0; e < executors.size(); ++e) {
+      (void)Deliver(placement[e], FeedItem{EventBatch(),
+                                           static_cast<uint32_t>(e),
+                                           FeedKind::kFinish});
+    }
+    for (size_t w = 0; w < num_workers; ++w) {
+      if (!workers[w].queue->closed()) workers[w].queue->Push(FeedItem{});
+    }
+    for (size_t w = 0; w < num_workers; ++w) workers[w].thread.join();
+    return ToSeconds(WallClockMicros() - start);
+  }
 
-  const double wall_seconds = ToSeconds(WallClockMicros() - start);
+  /// Executor `e`'s report. Status priority: its owner's fault explains
+  /// more than the driver's view of it (abandonment), which explains more
+  /// than the executor's own (strict validation) status.
+  RunReport Report(size_t e) const {
+    RunReport r = executors[e]->Report();
+    const WorkerSlot<Queue>& owner = workers[placement[e]];
+    if (!owner.worker_status.ok()) {
+      r.status = owner.worker_status;
+    } else if (!owner.driver_status.ok()) {
+      r.status = owner.driver_status;
+    }
+    return r;
+  }
+
+  WorkerLoad Load(size_t w) const {
+    const WorkerSlot<Queue>& slot = workers[w];
+    WorkerLoad load;
+    load.events_routed = slot.routed_events.load(std::memory_order_relaxed);
+    load.batches_routed = slot.routed_batches.load(std::memory_order_relaxed);
+    load.events_processed = slot.processed.load(std::memory_order_relaxed);
+    load.stalls = slot.stalls.load(std::memory_order_relaxed);
+    load.segments_stolen = slot.stolen;
+    load.segments_donated = slot.donated;
+    return load;
+  }
+
+  const ParallelOptions& options;
+  PipelineObserver* const observer;
+  const std::vector<std::unique_ptr<QueryExecutor>> executors;
+  const size_t num_workers;
+  const std::unique_ptr<WorkerSlot<Queue>[]> workers;
+  /// Per executor: set by its old owner once a kRelease handoff is done.
+  const std::unique_ptr<std::atomic<uint32_t>[]> released;
+  std::vector<uint32_t> placement;
+  EventArena arena;
+  TimestampUs start = 0;
+  std::atomic<size_t> feeding_count;
+  std::atomic<int64_t> events_pulled{0};
+  std::atomic<size_t> final_batch;
+};
+
+// --- Independent (multi-query) runner ------------------------------------
+
+/// Every worker sees the whole stream: one shared, immutable copy of each
+/// batch, fed to the worker's one query.
+template <typename Queue>
+struct BroadcastRouter {
+  void Route(EventSlab* chunk) {
+    const EventBatch batch = run->arena.Share(chunk);
+    for (size_t i = 0; i < run->num_workers; ++i) {
+      (void)run->DeliverBatch(i, static_cast<uint32_t>(i), batch);
+    }
+  }
+  void AfterBatch(size_t /*feed_batch*/) {}
+
+  RunState<Queue>* run;
+};
+
+template <typename Queue>
+std::vector<RunReport> RunIndependent(const std::vector<ContinuousQuery>& queries,
+                                      std::span<EventSource* const> sources,
+                                      const ParallelOptions& options,
+                                      PipelineObserver* observer) {
+  const size_t n = queries.size();
+  std::vector<std::unique_ptr<QueryExecutor>> executors;
+  executors.reserve(n);
+  for (const ContinuousQuery& q : queries) {
+    executors.push_back(std::make_unique<QueryExecutor>(q));
+  }
+  RunState<Queue> run(std::move(executors), n, options, observer);
+  run.ForEachSource(sources, [&run](EventSource* source, size_t producer) {
+    BroadcastRouter<Queue> router{&run};
+    run.Pump(source, producer, &router);
+  });
+  const double wall_seconds = run.Stop();
   if (observer != nullptr) {
-    observer->OnRunCompleted(events_pulled.load(std::memory_order_relaxed),
+    observer->OnRunCompleted(run.events_pulled.load(std::memory_order_relaxed),
                              wall_seconds);
   }
 
-  char cfg[224];
+  char cfg[160];
   std::snprintf(cfg, sizeof(cfg),
-                "workers=%zu producers=%zu feed=%s arena=%s pin=%s "
-                "batch_final=%zu",
-                n, num_producers, num_producers > 1 ? "mpsc" : "spsc",
-                options.use_arena ? "on" : "off", DescribePin(options),
-                final_batch.load(std::memory_order_relaxed));
+                "workers=%zu producers=%zu feed=%s batch_final=%zu", n,
+                sources.size(), sources.size() > 1 ? "mpsc" : "spsc",
+                run.final_batch.load(std::memory_order_relaxed));
 
   std::vector<RunReport> reports;
   reports.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    RunReport r = executors[i]->Report();
+    RunReport r = run.Report(i);
     // Workers do not time themselves; charge the shared parallel wall time.
     r.wall_seconds = wall_seconds;
     r.throughput_eps =
@@ -285,7 +427,6 @@ std::vector<RunReport> RunIndependent(const std::vector<ContinuousQuery>& querie
             ? static_cast<double>(r.events_processed) / wall_seconds
             : 0.0;
     r.runtime_config = cfg;
-    ApplyRunStatus(&r, worker_status[i], driver_status[i]);
     reports.push_back(std::move(r));
   }
   return reports;
@@ -293,98 +434,186 @@ std::vector<RunReport> RunIndependent(const std::vector<ContinuousQuery>& querie
 
 // --- Sharded keyed runner -------------------------------------------------
 
-/// What crosses a keyed worker's queue. kBatch carries events for one
-/// virtual shard; the markers drive the steal/termination protocol:
-/// kRelease publishes "every batch this worker will ever see for this
-/// shard has been fed" (the handoff safe point), kFinish flushes one
-/// shard's executor, kStop ends the worker. A default-constructed item is
-/// kStop, so SendEos works unchanged.
-enum class FeedKind : uint8_t { kStop, kBatch, kRelease, kFinish };
-
-struct FeedItem {
-  EventBatch batch;
-  uint32_t shard = 0;
-  FeedKind kind = FeedKind::kStop;
-};
-
-/// Keyed worker loop. `executors` is the full virtual-shard table (shared,
-/// but a shard is only ever touched by its current owner: batches for it
-/// arrive on exactly one queue at a time, and ownership moves only through
-/// the kRelease handshake, which sequences old-owner writes
-/// before new-owner reads). `owned` tracks which shards this worker is
-/// currently responsible for, so an abandoned worker can still flush its
-/// partial results like the legacy runner did. `hungry` is the pull signal
-/// for work stealing: the worker raises it when its queue runs dry, right
-/// before blocking, and clears it on the next item — the driver reads it
-/// (relaxed; it is a heuristic, not a synchronization edge) to pick steal
-/// beneficiaries.
+/// Splits each chunk by key hash into per-shard slabs and delivers every
+/// touched shard's slab to the worker that owns the shard. Each producer
+/// has its own router. On the single-producer feed the router also runs
+/// work stealing: it moves a shard between workers through the in-band
+/// kRelease handoff, buffering the shard's batches while the handoff is in
+/// flight.
 template <typename Queue>
-void RunShardWorker(Queue* q, QueryExecutor* const* executors,
-                    size_t num_virtual, std::atomic<uint32_t>* released,
-                    Status* status, std::atomic<int64_t>* processed,
-                    std::atomic<bool>* exited, std::atomic<uint32_t>* hungry) {
-  std::vector<uint8_t> owned(num_virtual, 0);
-  try {
-    FeedItem item;
-    bool stop = false;
-    while (!stop) {
-      if (!q->TryPop(&item)) {
-        // Queue dry: advertise hunger so a stealing driver can route a
-        // backlogged shard here, then block for the next item.
-        hungry->store(1, std::memory_order_relaxed);
-        const bool got = q->Pop(&item);
-        hungry->store(0, std::memory_order_relaxed);
-        if (!got) break;
-      }
-      switch (item.kind) {
-        case FeedKind::kBatch:
-          owned[item.shard] = 1;
-          executors[item.shard]->FeedBatch(*item.batch);
-          processed->fetch_add(static_cast<int64_t>(item.batch->size()),
-                               std::memory_order_relaxed);
-          item.batch.reset();
-          break;
-        case FeedKind::kRelease:
-          // Everything before this marker in the queue has been fed;
-          // publish the handoff (release pairs with the driver's acquire).
-          owned[item.shard] = 0;
-          released[item.shard].store(1, std::memory_order_release);
-          break;
-        case FeedKind::kFinish:
-          owned[item.shard] = 0;
-          executors[item.shard]->Finish();
-          break;
-        case FeedKind::kStop:
-          stop = true;
-          break;
-      }
-    }
-    // A clean kStop arrives after kFinish markers cleared every owned
-    // shard, making this a no-op. An abandoned worker (queue closed by the
-    // driver) lands here after processing its backlog: finish what it
-    // still owns so the partial results surface, as the legacy runner did.
-    for (size_t v = 0; v < num_virtual; ++v) {
-      if (owned[v] != 0) executors[v]->Finish();
-    }
-  } catch (const std::exception& ex) {
-    *status = Status::Internal(std::string("worker failed: ") + ex.what());
-  } catch (...) {
-    *status = Status::Internal("worker failed: non-standard exception");
+class ShardRouter {
+ public:
+  explicit ShardRouter(RunState<Queue>* run)
+      : run_(run),
+        slabs_(run->executors.size()),
+        shard_routed_(run->executors.size(), 0) {
+    touched_.reserve(std::min<size_t>(slabs_.size(), 256));
   }
-  if (!status->ok()) {
-    q->Close();
-    FeedItem drain;
-    while (q->TryPop(&drain)) {
-      // Honor handoff markers even in the failure drain: this worker will
-      // never touch the shard again, and the driver may be waiting.
-      if (drain.kind == FeedKind::kRelease) {
-        released[drain.shard].store(1, std::memory_order_release);
+
+  void Route(EventSlab* chunk) {
+    const size_t num_shards = slabs_.size();
+    for (const Event& e : *chunk) {
+      const auto v = static_cast<uint32_t>(
+          ShardedKeyedRunner::ShardOf(e.key, num_shards));
+      EventSlab& slab = slabs_[v];
+      if (slab.empty()) touched_.push_back(v);
+      slab.push_back(e);
+    }
+    chunk->clear();
+    for (const uint32_t v : touched_) {
+      shard_routed_[v] += static_cast<int64_t>(slabs_[v].size());
+      EventBatch batch = run_->arena.Share(&slabs_[v]);
+      if (handing_off_ && v == handoff_shard_) {
+        // In flight between workers: buffer until the old owner
+        // acknowledges the release marker.
+        handoff_pending_.push_back(std::move(batch));
+        continue;
       }
-      drain.batch.reset();
+      Deliver(v, std::move(batch));
+    }
+    touched_.clear();
+  }
+
+  void AfterBatch(size_t feed_batch) {
+    if (handing_off_ &&
+        run_->released[handoff_shard_].load(std::memory_order_acquire) != 0) {
+      CompleteHandoff();
+    }
+    if (run_->options.steal && !handing_off_) MaybeSteal(feed_batch);
+  }
+
+  /// Returns the shard slabs to the arena and settles an in-flight handoff
+  /// before the terminal flush: waits for the old owner's acknowledgement
+  /// (or its exit — a dead owner can never touch the shard again, which is
+  /// just as safe).
+  void Finish() {
+    for (EventSlab& slab : slabs_) {
+      if (slab.capacity() > 0) run_->arena.Recycle(std::move(slab));
+    }
+    if (!handing_off_) return;
+    BackoffUntil([this] {
+      return run_->released[handoff_shard_].load(
+                 std::memory_order_acquire) != 0 ||
+             run_->workers[handoff_from_].exited.load(
+                 std::memory_order_acquire);
+    });
+    CompleteHandoff();
+  }
+
+ private:
+  void Deliver(uint32_t v, EventBatch batch) {
+    const size_t w = run_->placement[v];
+    const auto count = static_cast<int64_t>(batch->size());
+    if (run_->DeliverBatch(w, v, std::move(batch)) &&
+        run_->observer != nullptr) {
+      run_->observer->OnShardBatch(w, count);
     }
   }
-  exited->store(true, std::memory_order_release);
-}
+
+  /// The old owner acknowledged the handoff (or died): flush the batches
+  /// buffered while the shard was in flight to its new worker, in routed
+  /// order. placement[handoff_shard_] already points at the target.
+  void CompleteHandoff() {
+    for (EventBatch& b : handoff_pending_) Deliver(handoff_shard_, std::move(b));
+    handoff_pending_.clear();
+    handing_off_ = false;
+  }
+
+  /// Safe-point handoff: re-arm the release flag *before* the marker is
+  /// visible, then hand the in-band kRelease marker to the current owner.
+  /// From the marker on, batches for the shard are buffered until the
+  /// owner acknowledges, so at most one handoff is in flight.
+  bool StartHandoff(uint32_t shard, size_t from, size_t to) {
+    run_->released[shard].store(0, std::memory_order_relaxed);
+    if (!run_->Deliver(from, FeedItem{EventBatch(), shard,
+                                      FeedKind::kRelease})) {
+      return false;
+    }
+    handing_off_ = true;
+    handoff_shard_ = shard;
+    handoff_from_ = static_cast<uint32_t>(from);
+    run_->placement[shard] = static_cast<uint32_t>(to);
+    return true;
+  }
+
+  /// Demand-driven steal: a worker blocked on an empty queue (hungry)
+  /// pulls the hottest movable shard from the most-backlogged worker.
+  /// Triggers read worker progress (hunger flags, processed counters), so
+  /// *when* steals happen is timing-dependent; *what* they produce is not —
+  /// placement never affects the merged output (see class comment).
+  void MaybeSteal(size_t feed_batch) {
+    const size_t num_workers = run_->num_workers;
+    auto& workers = run_->workers;
+    // Thief: a starving worker that is still fed and genuinely drained.
+    size_t thief = num_workers;
+    for (size_t w = 0; w < num_workers; ++w) {
+      if (workers[w].hungry.load(std::memory_order_relaxed) != 0 &&
+          workers[w].feeding.load(std::memory_order_relaxed) &&
+          workers[w].queue->empty()) {
+        thief = w;
+        break;
+      }
+    }
+    if (thief == num_workers) return;
+    // Victim: the most backlogged worker (routed minus processed) with at
+    // least two feed batches pending and batches still queued; a drained
+    // victim has nothing worth pulling.
+    size_t victim = num_workers;
+    int64_t victim_backlog = 2 * static_cast<int64_t>(feed_batch) - 1;
+    for (size_t w = 0; w < num_workers; ++w) {
+      if (w == thief) continue;
+      if (!workers[w].feeding.load(std::memory_order_relaxed)) continue;
+      if (workers[w].queue->empty()) continue;
+      const int64_t backlog =
+          workers[w].routed_events.load(std::memory_order_relaxed) -
+          workers[w].processed.load(std::memory_order_relaxed);
+      if (backlog > victim_backlog) {
+        victim = w;
+        victim_backlog = backlog;
+      }
+    }
+    if (victim == num_workers) return;
+    // Segment: the hottest shard on the victim that moves at most half its
+    // load. Taking more would flip the imbalance onto the thief and bounce
+    // the shard straight back (and with one shard holding all the heat,
+    // there is nothing stealable — correct: moving it only relabels the
+    // bottleneck).
+    const std::vector<uint32_t>& placement = run_->placement;
+    int64_t victim_total = 0;
+    for (size_t v = 0; v < placement.size(); ++v) {
+      if (placement[v] == victim) victim_total += shard_routed_[v];
+    }
+    int64_t best = -1;
+    for (size_t v = 0; v < placement.size(); ++v) {
+      if (placement[v] != victim) continue;
+      const int64_t load = shard_routed_[v];
+      if (load <= 0 || 2 * load > victim_total) continue;
+      if (best < 0 || load > shard_routed_[static_cast<size_t>(best)]) {
+        best = static_cast<int64_t>(v);
+      }
+    }
+    if (best < 0) return;
+    if (StartHandoff(static_cast<uint32_t>(best), victim, thief)) {
+      ++workers[thief].stolen;
+      ++workers[victim].donated;
+      if (run_->observer != nullptr) {
+        run_->observer->OnSegmentSteal(victim, thief,
+                                       static_cast<size_t>(best));
+      }
+    }
+  }
+
+  RunState<Queue>* const run_;
+  std::vector<EventSlab> slabs_;
+  std::vector<uint32_t> touched_;
+  /// Events routed to each shard so far: the load estimate stealing ranks
+  /// shards by.
+  std::vector<int64_t> shard_routed_;
+  bool handing_off_ = false;
+  uint32_t handoff_shard_ = 0;
+  uint32_t handoff_from_ = 0;
+  std::vector<EventBatch> handoff_pending_;
+};
 
 struct KeyedOutcome {
   RunReport merged;
@@ -402,385 +631,45 @@ KeyedOutcome RunSharded(const ContinuousQuery& query, size_t num_workers,
   const size_t V =
       options.virtual_shards == 0 ? W : options.virtual_shards;
   STREAMQ_CHECK_GE(V, W) << "virtual_shards must cover every worker";
-  const size_t num_producers = sources.size();
+  STREAMQ_CHECK(!options.steal || sources.size() == 1)
+      << "steal requires a single-source run";
 
   std::vector<std::unique_ptr<QueryExecutor>> executors;
   executors.reserve(V);
-  std::vector<QueryExecutor*> exec_ptrs(V);
   for (size_t v = 0; v < V; ++v) {
     executors.push_back(std::make_unique<QueryExecutor>(query));
-    if (observer != nullptr) executors.back()->SetObserver(observer);
-    exec_ptrs[v] = executors.back().get();
   }
-  std::vector<std::unique_ptr<Queue>> queues;
-  queues.reserve(W);
+  RunState<Queue> run(std::move(executors), W, options, observer);
+  run.ForEachSource(sources, [&run](EventSource* source, size_t producer) {
+    ShardRouter<Queue> router(&run);
+    run.Pump(source, producer, &router);
+    router.Finish();
+  });
+  const double wall_seconds = run.Stop();
+
+  KeyedOutcome out;
+  out.loads.resize(W);
   for (size_t w = 0; w < W; ++w) {
-    queues.push_back(std::make_unique<Queue>(options.queue_capacity));
+    out.loads[w] = run.Load(w);
+    out.steals += out.loads[w].segments_stolen;
   }
+  out.final_batch = run.final_batch.load(std::memory_order_relaxed);
 
-  auto released = std::make_unique<std::atomic<uint32_t>[]>(V);
-  for (size_t v = 0; v < V; ++v) released[v].store(0, std::memory_order_relaxed);
-  auto feeding = std::make_unique<std::atomic<bool>[]>(W);
-  auto exited = std::make_unique<std::atomic<bool>[]>(W);
-  auto processed = std::make_unique<std::atomic<int64_t>[]>(W);
-  auto routed_events = std::make_unique<std::atomic<int64_t>[]>(W);
-  auto routed_batches = std::make_unique<std::atomic<int64_t>[]>(W);
-  auto stalls = std::make_unique<std::atomic<int64_t>[]>(W);
-  for (size_t w = 0; w < W; ++w) {
-    feeding[w].store(true, std::memory_order_relaxed);
-    exited[w].store(false, std::memory_order_relaxed);
-    processed[w].store(0, std::memory_order_relaxed);
-    routed_events[w].store(0, std::memory_order_relaxed);
-    routed_batches[w].store(0, std::memory_order_relaxed);
-    stalls[w].store(0, std::memory_order_relaxed);
-  }
-  std::atomic<size_t> feeding_count{W};
-  std::vector<Status> worker_status(W);
-  std::vector<Status> driver_status(W);
-
-  /// shard -> worker. Starts round-robin (identity when V == W, matching
-  /// the legacy static routing bit for bit); stealing is the only writer,
-  /// and only in the single-producer path.
-  std::vector<uint32_t> placement(V);
-  for (size_t v = 0; v < V; ++v) placement[v] = static_cast<uint32_t>(v % W);
-
-  auto hungry = std::make_unique<std::atomic<uint32_t>[]>(W);
-  for (size_t w = 0; w < W; ++w) hungry[w].store(0, std::memory_order_relaxed);
-
-  EventArena arena = MakeRunArena(options);
-  const TimestampUs start = WallClockMicros();
-
-  std::vector<std::thread> workers;
-  workers.reserve(W);
-  for (size_t w = 0; w < W; ++w) {
-    workers.emplace_back([&, w] {
-      MaybePin(options, static_cast<int>(w));
-      RunShardWorker(queues[w].get(), exec_ptrs.data(), V, released.get(),
-                     &worker_status[w], &processed[w], &exited[w],
-                     &hungry[w]);
-    });
-  }
-
-  int64_t steals = 0;
-  std::vector<int64_t> stolen_by(W, 0);
-  std::vector<int64_t> donated_by(W, 0);
-  std::atomic<size_t> final_batch{options.batch_size};
-
-  if (num_producers == 1) {
-    // --- Single-producer drive; stealing lives here ----------------------
-    EventSource* source = sources[0];
-    std::vector<EventSlab> shard_slabs(V);
-    std::vector<uint32_t> touched;
-    touched.reserve(std::min<size_t>(V, 256));
-    // Events routed to each shard so far: the load estimate stealing ranks
-    // shards by.
-    std::vector<int64_t> shard_routed(V, 0);
-    AdaptiveBatcher batcher(BatcherOptions(options));
-    size_t feed_batch = options.batch_size;
-
-    bool handing_off = false;
-    uint32_t handoff_shard = 0;
-    uint32_t handoff_from = 0;
-    std::vector<EventBatch> handoff_pending;
-
-    auto deliver = [&](uint32_t v, EventBatch batch) {
-      const size_t w = placement[v];
-      if (!feeding[w].load(std::memory_order_relaxed)) return;  // Degraded.
-      const int64_t count = static_cast<int64_t>(batch->size());
-      FeedItem item;
-      item.batch = std::move(batch);
-      item.shard = v;
-      item.kind = FeedKind::kBatch;
-      Status fail;
-      if (!FeedQueue(queues[w].get(), std::move(item), w, options, observer,
-                     &stalls[w], &fail)) {
-        AbandonWorker(&feeding[w], &feeding_count, &driver_status[w],
-                      std::move(fail));
-        return;
-      }
-      routed_events[w].fetch_add(count, std::memory_order_relaxed);
-      routed_batches[w].fetch_add(1, std::memory_order_relaxed);
-      if (observer != nullptr) {
-        observer->OnShardBatch(w, count);
-        observer->OnQueueDepth(w, queues[w]->size());
-      }
-    };
-
-    // The old owner acknowledged the handoff (or died): flush the batches
-    // buffered while the shard was in flight to its new worker, in routed
-    // order. placement[handoff_shard] already points at the target.
-    auto complete_handoff = [&] {
-      for (EventBatch& b : handoff_pending) {
-        deliver(handoff_shard, std::move(b));
-      }
-      handoff_pending.clear();
-      handing_off = false;
-    };
-
-    // Safe-point handoff: re-arm the release flag *before* the marker is
-    // visible, then hand the in-band kRelease marker to the current owner.
-    // From the marker on, batches for the shard are buffered
-    // (handoff_pending) until the owner acknowledges, so at most one
-    // handoff is in flight.
-    auto start_handoff = [&](uint32_t shard, size_t from, size_t to) -> bool {
-      released[shard].store(0, std::memory_order_relaxed);
-      FeedItem marker;
-      marker.shard = shard;
-      marker.kind = FeedKind::kRelease;
-      Status fail;
-      if (!FeedQueue(queues[from].get(), std::move(marker), from, options,
-                     observer, &stalls[from], &fail)) {
-        AbandonWorker(&feeding[from], &feeding_count, &driver_status[from],
-                      std::move(fail));
-        return false;
-      }
-      handing_off = true;
-      handoff_shard = shard;
-      handoff_from = static_cast<uint32_t>(from);
-      placement[shard] = static_cast<uint32_t>(to);
-      return true;
-    };
-
-    // Demand-driven steal: a worker blocked on an empty queue (hungry)
-    // pulls the hottest movable shard from the most-backlogged worker.
-    // Triggers read worker progress (hunger flags, processed counters), so
-    // *when* steals happen is timing-dependent; *what* they produce is not
-    // — placement never affects the merged output (see class comment).
-    auto maybe_steal = [&] {
-      // Thief: a starving worker that is still fed and genuinely drained.
-      size_t thief = W;
-      for (size_t w = 0; w < W; ++w) {
-        if (hungry[w].load(std::memory_order_relaxed) != 0 &&
-            feeding[w].load(std::memory_order_relaxed) &&
-            queues[w]->empty()) {
-          thief = w;
-          break;
-        }
-      }
-      if (thief == W) return;
-      // Victim: the most backlogged worker (routed minus processed) with
-      // at least two feed batches pending and batches still queued; a
-      // drained victim has nothing worth pulling.
-      size_t victim = W;
-      int64_t victim_backlog = 2 * static_cast<int64_t>(feed_batch) - 1;
-      for (size_t w = 0; w < W; ++w) {
-        if (w == thief) continue;
-        if (!feeding[w].load(std::memory_order_relaxed)) continue;
-        if (queues[w]->empty()) continue;
-        const int64_t backlog =
-            routed_events[w].load(std::memory_order_relaxed) -
-            processed[w].load(std::memory_order_relaxed);
-        if (backlog > victim_backlog) {
-          victim = w;
-          victim_backlog = backlog;
-        }
-      }
-      if (victim == W) return;
-      // Segment: the hottest shard on the victim that moves at most half
-      // its load. Taking more would flip the imbalance onto the thief and
-      // bounce the shard straight back (and with one shard holding all
-      // the heat, there is nothing stealable — correct: moving it only
-      // relabels the bottleneck).
-      int64_t victim_total = 0;
-      for (size_t v = 0; v < V; ++v) {
-        if (placement[v] == victim) victim_total += shard_routed[v];
-      }
-      int64_t best = -1;
-      for (size_t v = 0; v < V; ++v) {
-        if (placement[v] != victim) continue;
-        const int64_t load = shard_routed[v];
-        if (load <= 0 || 2 * load > victim_total) continue;
-        if (best < 0 || load > shard_routed[static_cast<size_t>(best)]) {
-          best = static_cast<int64_t>(v);
-        }
-      }
-      if (best < 0) return;
-      if (start_handoff(static_cast<uint32_t>(best), victim, thief)) {
-        ++steals;
-        ++stolen_by[thief];
-        ++donated_by[victim];
-        if (observer != nullptr) {
-          observer->OnSegmentSteal(victim, thief,
-                                   static_cast<size_t>(best));
-        }
-      }
-    };
-
-    EventSlab chunk = arena.Acquire();
-    while (feeding_count.load(std::memory_order_relaxed) > 0 &&
-           source->NextBatch(&chunk, feed_batch) > 0) {
-      const TimestampUs route_start =
-          options.adaptive_batch ? WallClockMicros() : 0;
-      if (observer != nullptr) {
-        observer->OnSourceBatch(static_cast<int64_t>(chunk.size()));
-      }
-      for (const Event& e : chunk) {
-        const auto v = static_cast<uint32_t>(
-            ShardedKeyedRunner::ShardOf(e.key, V));
-        EventSlab& slab = shard_slabs[v];
-        if (slab.empty()) touched.push_back(v);
-        slab.push_back(e);
-      }
-      chunk.clear();
-      for (const uint32_t v : touched) {
-        shard_routed[v] += static_cast<int64_t>(shard_slabs[v].size());
-        if (handing_off && v == handoff_shard) {
-          // In flight between workers: buffer until the old owner
-          // acknowledges the release marker.
-          handoff_pending.push_back(arena.Share(&shard_slabs[v]));
-          continue;
-        }
-        deliver(v, arena.Share(&shard_slabs[v]));
-      }
-      touched.clear();
-      if (options.adaptive_batch &&
-          batcher.Observe(MeanDepthFraction(queues),
-                          static_cast<double>(WallClockMicros() -
-                                              route_start))) {
-        feed_batch = batcher.batch();
-        if (observer != nullptr) observer->OnBatchSizeAdapted(0, feed_batch);
-      }
-      if (handing_off &&
-          released[handoff_shard].load(std::memory_order_acquire) != 0) {
-        complete_handoff();
-      }
-      if (options.steal && !handing_off) maybe_steal();
-    }
-    arena.Recycle(std::move(chunk));
-    for (EventSlab& slab : shard_slabs) {
-      if (slab.capacity() > 0) arena.Recycle(std::move(slab));
-    }
-    final_batch.store(feed_batch, std::memory_order_relaxed);
-
-    // Settle an in-flight handoff before the terminal flush: wait for
-    // the old owner's acknowledgement (or its exit — a dead owner can
-    // never touch the shard again, which is just as safe).
-    if (handing_off) {
-      BackoffUntil([&] {
-        return released[handoff_shard].load(std::memory_order_acquire) != 0 ||
-               exited[handoff_from].load(std::memory_order_acquire);
-      });
-      complete_handoff();
-    }
-  } else {
-    // --- Multi-producer drive: static placement over MPSC queues ---------
-    STREAMQ_CHECK(!options.steal) << "steal requires a single-source run";
-    std::vector<std::thread> producers;
-    producers.reserve(num_producers);
-    for (size_t p = 0; p < num_producers; ++p) {
-      producers.emplace_back([&, p] {
-        MaybePin(options, static_cast<int>(W + p));
-        EventSource* source = sources[p];
-        std::vector<EventSlab> shard_slabs(V);
-        std::vector<uint32_t> touched;
-        touched.reserve(std::min<size_t>(V, 256));
-        AdaptiveBatcher batcher(BatcherOptions(options));
-        size_t feed_batch = options.batch_size;
-        EventSlab chunk = arena.Acquire();
-        while (feeding_count.load(std::memory_order_relaxed) > 0 &&
-               source->NextBatch(&chunk, feed_batch) > 0) {
-          const TimestampUs route_start =
-              options.adaptive_batch ? WallClockMicros() : 0;
-          if (observer != nullptr) {
-            observer->OnSourceBatch(static_cast<int64_t>(chunk.size()));
-          }
-          for (const Event& e : chunk) {
-            const auto v = static_cast<uint32_t>(
-                ShardedKeyedRunner::ShardOf(e.key, V));
-            EventSlab& slab = shard_slabs[v];
-            if (slab.empty()) touched.push_back(v);
-            slab.push_back(e);
-          }
-          chunk.clear();
-          for (const uint32_t v : touched) {
-            const size_t w = placement[v];  // Static; never written here.
-            if (!feeding[w].load(std::memory_order_relaxed)) {
-              shard_slabs[v].clear();
-              continue;
-            }
-            const int64_t count =
-                static_cast<int64_t>(shard_slabs[v].size());
-            FeedItem item;
-            item.batch = arena.Share(&shard_slabs[v]);
-            item.shard = v;
-            item.kind = FeedKind::kBatch;
-            Status fail;
-            if (!FeedQueue(queues[w].get(), std::move(item), w, options,
-                           observer, &stalls[w], &fail)) {
-              AbandonWorker(&feeding[w], &feeding_count, &driver_status[w],
-                            std::move(fail));
-              continue;
-            }
-            routed_events[w].fetch_add(count, std::memory_order_relaxed);
-            routed_batches[w].fetch_add(1, std::memory_order_relaxed);
-            if (observer != nullptr) {
-              observer->OnShardBatch(w, count);
-              observer->OnQueueDepth(w, queues[w]->size());
-            }
-          }
-          touched.clear();
-          if (options.adaptive_batch &&
-              batcher.Observe(MeanDepthFraction(queues),
-                              static_cast<double>(WallClockMicros() -
-                                                  route_start))) {
-            feed_batch = batcher.batch();
-            if (observer != nullptr) {
-              observer->OnBatchSizeAdapted(p, feed_batch);
-            }
-          }
-        }
-        arena.Recycle(std::move(chunk));
-        for (EventSlab& slab : shard_slabs) {
-          if (slab.capacity() > 0) arena.Recycle(std::move(slab));
-        }
-        final_batch.store(feed_batch, std::memory_order_relaxed);
-      });
-    }
-    for (std::thread& t : producers) t.join();
-  }
-
-  // Terminal flush: every shard gets a kFinish on its current owner's
-  // queue (owners flush in parallel), then the stop sentinels.
-  for (size_t v = 0; v < V; ++v) {
-    const size_t w = placement[v];
-    if (!feeding[w].load(std::memory_order_relaxed)) continue;
-    FeedItem fin;
-    fin.shard = static_cast<uint32_t>(v);
-    fin.kind = FeedKind::kFinish;
-    Status fail;
-    if (!FeedQueue(queues[w].get(), std::move(fin), w, options, observer,
-                   &stalls[w], &fail)) {
-      AbandonWorker(&feeding[w], &feeding_count, &driver_status[w],
-                    std::move(fail));
-    }
-  }
-  for (auto& q : queues) SendEos(q.get());
-  for (std::thread& t : workers) t.join();
-
-  const double wall_seconds = ToSeconds(WallClockMicros() - start);
-
-  char cfg[320];
-  std::snprintf(
-      cfg, sizeof(cfg),
-      "workers=%zu vshards=%zu producers=%zu feed=%s arena=%s pin=%s "
-      "steal=%s steals=%lld batch_final=%zu",
-      W, V, num_producers, num_producers > 1 ? "mpsc" : "spsc",
-      options.use_arena ? "on" : "off", DescribePin(options),
-      options.steal ? "on" : "off", static_cast<long long>(steals),
-      final_batch.load(std::memory_order_relaxed));
+  char cfg[224];
+  std::snprintf(cfg, sizeof(cfg),
+                "workers=%zu vshards=%zu producers=%zu feed=%s steal=%s "
+                "steals=%lld batch_final=%zu",
+                W, V, sources.size(), sources.size() > 1 ? "mpsc" : "spsc",
+                options.steal ? "on" : "off",
+                static_cast<long long>(out.steals), out.final_batch);
 
   // Merge shard reports into one.
-  KeyedOutcome out;
-  out.steals = steals;
-  out.final_batch = final_batch.load(std::memory_order_relaxed);
   RunReport& merged = out.merged;
   merged.query_name = query.name;
   merged.wall_seconds = wall_seconds;
   merged.runtime_config = cfg;
   for (size_t v = 0; v < V; ++v) {
-    RunReport r = executors[v]->Report();
-    const size_t w = placement[v];
-    ApplyRunStatus(&r, worker_status[w], driver_status[w]);
+    RunReport r = run.Report(v);
     if (merged.status.ok() && !r.status.ok()) merged.status = r.status;
     merged.events_processed += r.events_processed;
     merged.events_rejected += r.events_rejected;
@@ -811,7 +700,7 @@ KeyedOutcome RunSharded(const ContinuousQuery& query, size_t num_workers,
                           std::make_move_iterator(r.results.begin()),
                           std::make_move_iterator(r.results.end()));
   }
-  merged.segments_stolen = steals;
+  merged.segments_stolen = out.steals;
   merged.throughput_eps =
       wall_seconds > 0.0
           ? static_cast<double>(merged.events_processed) / wall_seconds
@@ -825,18 +714,6 @@ KeyedOutcome RunSharded(const ContinuousQuery& query, size_t num_workers,
     observer->OnRunCompleted(merged.events_processed, wall_seconds);
   }
 
-  out.loads.resize(W);
-  for (size_t w = 0; w < W; ++w) {
-    out.loads[w].events_routed =
-        routed_events[w].load(std::memory_order_relaxed);
-    out.loads[w].batches_routed =
-        routed_batches[w].load(std::memory_order_relaxed);
-    out.loads[w].events_processed =
-        processed[w].load(std::memory_order_relaxed);
-    out.loads[w].stalls = stalls[w].load(std::memory_order_relaxed);
-    out.loads[w].segments_stolen = stolen_by[w];
-    out.loads[w].segments_donated = donated_by[w];
-  }
   return out;
 }
 
@@ -877,11 +754,8 @@ void ParallelMultiQueryRunner::AddQuery(const ContinuousQuery& query) {
 }
 
 std::vector<RunReport> ParallelMultiQueryRunner::Run(EventSource* source) {
-  STREAMQ_CHECK(!queries_.empty()) << "no queries added";
-  STREAMQ_CHECK_OK(options_.Validate());
   EventSource* one[1] = {source};
-  return RunIndependent<SpscQueue<EventBatch>>(
-      queries_, std::span<EventSource* const>(one, 1), options_, observer_);
+  return RunMultiSource(one);
 }
 
 std::vector<RunReport> ParallelMultiQueryRunner::RunMultiSource(
@@ -890,11 +764,11 @@ std::vector<RunReport> ParallelMultiQueryRunner::RunMultiSource(
   STREAMQ_CHECK(!sources.empty()) << "no sources";
   STREAMQ_CHECK_OK(options_.Validate());
   if (sources.size() == 1) {
-    return RunIndependent<SpscQueue<EventBatch>>(queries_, sources, options_,
-                                                 observer_);
-  }
-  return RunIndependent<MpscQueue<EventBatch>>(queries_, sources, options_,
+    return RunIndependent<SpscQueue<FeedItem>>(queries_, sources, options_,
                                                observer_);
+  }
+  return RunIndependent<MpscQueue<FeedItem>>(queries_, sources, options_,
+                                             observer_);
 }
 
 ShardedKeyedRunner::ShardedKeyedRunner(const ContinuousQuery& query,
@@ -927,20 +801,12 @@ size_t ShardedKeyedRunner::ShardOf(int64_t key, size_t num_shards) {
 
 RunReport ShardedKeyedRunner::Run(EventSource* source) {
   EventSource* one[1] = {source};
-  KeyedOutcome out = RunSharded<SpscQueue<FeedItem>>(
-      query_, num_workers_, std::span<EventSource* const>(one, 1), options_,
-      observer_);
-  loads_ = std::move(out.loads);
-  steals_ = out.steals;
-  final_batch_ = out.final_batch;
-  return std::move(out.merged);
+  return RunMultiSource(one);
 }
 
 RunReport ShardedKeyedRunner::RunMultiSource(
     std::span<EventSource* const> sources) {
   STREAMQ_CHECK(!sources.empty()) << "no sources";
-  STREAMQ_CHECK(!options_.steal || sources.size() == 1)
-      << "steal requires a single-source run";
   KeyedOutcome out =
       sources.size() == 1
           ? RunSharded<SpscQueue<FeedItem>>(query_, num_workers_, sources,

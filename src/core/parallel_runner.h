@@ -38,21 +38,6 @@ struct ParallelOptions {
   /// waits ~7.75 s total per worker.
   int feed_max_attempts = 5;
 
-  /// Allocation mode for batches crossing the queues. On (default): slab
-  /// arena with whole-batch recycling — the steady state allocates nothing;
-  /// feed scratch, queue batches and (via the handler spec) reorder-buffer
-  /// buckets all cycle through pooled storage. Off: one heap allocation
-  /// per batch, freed by whichever thread drops the last reference — the
-  /// reference malloc path the f21 benchmark compares against. Pure
-  /// allocation-path switch: results are identical either way.
-  bool use_arena = true;
-
-  /// Pin worker thread i to logical core i (mod core count), and producer
-  /// threads to the cores after the workers. Best-effort placement hint:
-  /// failures and unsupported platforms are recorded in runtime_config,
-  /// never fatal.
-  bool pin_cores = false;
-
   /// ShardedKeyedRunner only: number of virtual shards multiplexed over
   /// the worker threads (0 = one per worker, the static legacy topology,
   /// bit-for-bit identical routing to earlier releases). With more virtual

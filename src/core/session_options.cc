@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "agg/aggregate.h"
 
@@ -178,18 +180,6 @@ SessionOptions& SessionOptions::VirtualShards(int64_t n) {
   vshards = n;
   return *this;
 }
-SessionOptions& SessionOptions::PinCores(bool on) {
-  pin_cores = on;
-  return *this;
-}
-SessionOptions& SessionOptions::MpscProducers(int64_t n) {
-  mpsc = n;
-  return *this;
-}
-SessionOptions& SessionOptions::Arena(bool on) {
-  arena = on;
-  return *this;
-}
 SessionOptions& SessionOptions::Steal(bool on) {
   steal = on;
   return *this;
@@ -216,6 +206,19 @@ SessionOptions& SessionOptions::ValidateIngest(std::string mode) {
 
 Status SessionOptions::Validate() const {
   if (name.empty()) return Status::InvalidArgument("empty session name");
+  // Bound every duration first, so no rule below and no Millis() in
+  // BuildQuery ever sees a value that overflows microseconds.
+  const std::pair<const char*, int64_t> millis_fields[] = {
+      {"--window", window_ms},         {"--slide", slide_ms},
+      {"--lateness", lateness_ms},     {"--k", k_ms},
+      {"--latency-budget", latency_budget_ms},
+      {"--max-slack", max_slack_ms}};
+  for (const auto& [flag, value] : millis_fields) {
+    if (value > kMaxMillis) {
+      return Status::InvalidArgument(std::string(flag) + " must be <= " +
+                                     std::to_string(kMaxMillis) + " ms");
+    }
+  }
   if (window_ms <= 0) {
     return Status::InvalidArgument("--window must be > 0 ms");
   }
@@ -257,11 +260,18 @@ Status SessionOptions::Validate() const {
     return Status::InvalidArgument("--lateness must be >= 0 ms");
   }
   if (threads < 0) return Status::InvalidArgument("--threads must be >= 0");
+  if (threads > kMaxThreads) {
+    return Status::InvalidArgument("--threads must be <= " +
+                                   std::to_string(kMaxThreads));
+  }
+  if (vshards > kMaxVirtualShards) {
+    return Status::InvalidArgument("--vshards must be <= " +
+                                   std::to_string(kMaxVirtualShards));
+  }
   if (threads == 0) {
-    if (vshards != 0 || pin_cores || mpsc != 0 || steal || adaptive_batch) {
+    if (vshards != 0 || steal || adaptive_batch) {
       return Status::InvalidArgument(
-          "--vshards/--pin-cores/--mpsc/--steal/--adaptive-batch require "
-          "--threads=<n>");
+          "--vshards/--steal/--adaptive-batch require --threads=<n>");
     }
   } else {
     if (!per_key) {
@@ -271,15 +281,6 @@ Status SessionOptions::Validate() const {
     if (vshards != 0 && vshards < threads) {
       return Status::InvalidArgument(
           "--vshards must be 0 or >= --threads");
-    }
-    if (mpsc != 0) {
-      if (mpsc < 2) {
-        return Status::InvalidArgument("--mpsc needs >= 2 producers");
-      }
-      if (steal) {
-        return Status::InvalidArgument(
-            "--steal requires a single-source run; drop --mpsc");
-      }
     }
     STREAMQ_RETURN_NOT_OK(BuildParallelOptions().Validate());
   }
@@ -347,8 +348,9 @@ Result<ContinuousQuery> SessionOptions::BuildQuery() const {
   builder.ValidateIngest(mode);
 
   ContinuousQuery query = builder.Build();
-  if (threads > 0 && arena) {
-    // Arena mode also backs the reorder buffers with recycled bucket slabs.
+  if (threads > 0) {
+    // Threaded runs pool their batches; back the reorder buffers with
+    // recycled bucket slabs too.
     query.handler = query.handler.WithArena();
   }
   return query;
@@ -356,8 +358,6 @@ Result<ContinuousQuery> SessionOptions::BuildQuery() const {
 
 ParallelOptions SessionOptions::BuildParallelOptions() const {
   ParallelOptions popts;
-  popts.use_arena = arena;
-  popts.pin_cores = pin_cores;
   popts.virtual_shards = static_cast<size_t>(vshards);
   popts.steal = steal;
   popts.adaptive_batch = adaptive_batch;
@@ -398,9 +398,6 @@ std::vector<std::string> SessionOptions::ToTokens() const {
   }
   if (threads != defaults.threads) emit("--threads", std::to_string(threads));
   if (vshards != defaults.vshards) emit("--vshards", std::to_string(vshards));
-  if (pin_cores) out.push_back("--pin-cores");
-  if (mpsc != defaults.mpsc) emit("--mpsc", std::to_string(mpsc));
-  if (arena != defaults.arena) emit("--arena", arena ? "on" : "off");
   if (steal) out.push_back("--steal");
   if (adaptive_batch) out.push_back("--adaptive-batch");
   if (buffer_cap != defaults.buffer_cap) {
@@ -462,7 +459,17 @@ constexpr RetiredFlag kRetiredFlags[] = {
     {"--rebalance",
      "work stealing is the one way to move a shard (did you mean --steal?)"},
     {"--numa-arena",
-     "threaded runs use one slab arena (did you mean --arena=on?)"},
+     "threaded runs always pool their batches in one slab arena; drop the "
+     "flag"},
+    {"--arena",
+     "threaded runs always pool their batches in a slab arena; drop the "
+     "flag"},
+    {"--pin-cores",
+     "thread placement is left to the OS; confine the process with "
+     "taskset or a cpuset instead"},
+    {"--mpsc",
+     "sessions read one source; multi-producer ingestion is "
+     "ShardedKeyedRunner::RunMultiSource over key-disjoint sources"},
 };
 
 }  // namespace
@@ -537,20 +544,6 @@ Status SessionOptions::ParseTokens(std::span<const std::string> tokens,
       st = int_value(&out->threads);
     } else if (t.flag == "--vshards") {
       st = int_value(&out->vshards);
-    } else if (t.flag == "--pin-cores") {
-      out->pin_cores = true;
-    } else if (t.flag == "--mpsc") {
-      st = int_value(&out->mpsc);
-    } else if (t.flag == "--arena") {
-      STREAMQ_RETURN_NOT_OK(want_value());
-      if (t.value == "on") {
-        out->arena = true;
-      } else if (t.value == "off") {
-        out->arena = false;
-      } else {
-        return Status::InvalidArgument("bad --arena: " + t.value +
-                                       " (want on or off)");
-      }
     } else if (t.flag == "--steal") {
       out->steal = true;
     } else if (t.flag == "--adaptive-batch") {
@@ -592,9 +585,8 @@ const std::vector<std::string>& SessionOptions::KnownFlags() {
       "--strategy",  "--speculative", "--window-engine", "--quality",
       "--latency-budget", "--k",
       "--per-key",   "--lateness",  "--threads",        "--vshards",
-      "--pin-cores", "--mpsc",      "--arena",          "--steal",
-      "--adaptive-batch", "--buffer-cap", "--shed",     "--max-slack",
-      "--validate"};
+      "--steal",     "--adaptive-batch", "--buffer-cap", "--shed",
+      "--max-slack", "--validate"};
   return *flags;
 }
 
@@ -617,7 +609,6 @@ std::string SessionOptions::Describe() const {
   if (threads > 0) {
     out << ", " << threads << " thread" << (threads > 1 ? "s" : "");
     if (vshards > 0) out << " x " << vshards << " vshards";
-    if (mpsc > 0) out << ", " << mpsc << " producers";
     if (steal) out << ", steal";
     if (adaptive_batch) out << ", adaptive-batch";
   }

@@ -65,10 +65,7 @@ struct SessionOptions {
   /// requires per_key; everything below it requires threads > 0).
   int64_t threads = 0;
   int64_t vshards = 0;   // 0 = one per worker; else must be >= threads.
-  bool pin_cores = false;
-  int64_t mpsc = 0;      // 0 = single producer; else >= 2 producer threads.
-  bool arena = true;     // slab-arena batch memory on the threaded paths.
-  bool steal = false;    // demand-driven work stealing (single source only).
+  bool steal = false;    // demand-driven work stealing.
   bool adaptive_batch = false;  // adapt feed batch size at run time.
 
   /// Robustness / degradation.
@@ -92,9 +89,6 @@ struct SessionOptions {
   SessionOptions& AllowedLateness(int64_t ms);
   SessionOptions& Threads(int64_t n);
   SessionOptions& VirtualShards(int64_t n);
-  SessionOptions& PinCores(bool on = true);
-  SessionOptions& MpscProducers(int64_t n);
-  SessionOptions& Arena(bool on);
   SessionOptions& Steal(bool on = true);
   SessionOptions& AdaptiveBatch(bool on = true);
   SessionOptions& BufferCap(int64_t cap, std::string policy = "emit-early");
@@ -103,12 +97,18 @@ struct SessionOptions {
 
   /// Checks every field and every cross-field rule. A SessionOptions that
   /// passes Validate() is guaranteed to open (BuildQuery succeeds and the
-  /// runner constraints hold).
+  /// runner constraints hold). Every field is bounded, so options from an
+  /// untrusted RegisterQuery frame cannot overflow a duration or size an
+  /// allocation: millisecond fields are at most kMaxMillis, threads at most
+  /// kMaxThreads and vshards at most kMaxVirtualShards.
+  static constexpr int64_t kMaxMillis = 1'000'000'000'000;  // ~31.7 years.
+  static constexpr int64_t kMaxThreads = 256;
+  static constexpr int64_t kMaxVirtualShards = 4096;
   Status Validate() const;
 
   /// Builds the ContinuousQuery this options set describes (validates
-  /// first). The arena switch is applied to the handler spec on threaded
-  /// sessions, matching the runner's allocation mode.
+  /// first). Threaded sessions back the handler's reorder buffers with the
+  /// slab arena, like the runner's batches.
   Result<ContinuousQuery> BuildQuery() const;
 
   /// Runner knobs for threaded sessions (threads > 0).

@@ -129,38 +129,10 @@ RunReport StreamSession::Run(EventSource* source) {
   }
   ran_ = true;
   finished_ = true;
-  if (!threaded()) {
-    final_report_ = executor_->Run(source);
-  } else {
-    final_report_ = RunSharded(source);
-  }
+  final_report_ = threaded() ? runner_->Run(source) : executor_->Run(source);
   events_ingested_ =
       final_report_.events_processed + final_report_.events_rejected;
   return final_report_;
-}
-
-RunReport StreamSession::RunSharded(EventSource* source) {
-  if (options_.mpsc > 0) {
-    // Key-disjoint partitions: every key's events flow through exactly one
-    // producer, which keeps per-key first emissions interleaving-invariant
-    // (see ShardedKeyedRunner::RunMultiSource).
-    const size_t parts = static_cast<size_t>(options_.mpsc);
-    std::vector<std::vector<Event>> partitioned(parts);
-    Event e;
-    while (source->Next(&e)) {
-      partitioned[ShardedKeyedRunner::ShardOf(e.key, parts)].push_back(e);
-    }
-    std::vector<VectorSource> part_sources;
-    part_sources.reserve(parts);
-    for (std::vector<Event>& part : partitioned) {
-      part_sources.emplace_back(std::move(part));
-    }
-    std::vector<EventSource*> sources;
-    sources.reserve(parts);
-    for (VectorSource& s : part_sources) sources.push_back(&s);
-    return runner_->RunMultiSource(sources);
-  }
-  return runner_->Run(source);
 }
 
 void StreamSession::EnsureStarted() {

@@ -26,8 +26,7 @@ class BlockingQueueSource;
 ///
 ///  * Whole-stream: Run(source) executes a finite stream to completion and
 ///    returns the report. threads == 0 runs the sequential QueryExecutor;
-///    threads > 0 the ShardedKeyedRunner, with the stream partitioned into
-///    key-disjoint sub-sources when mpsc > 0 (RunMultiSource).
+///    threads > 0 the ShardedKeyedRunner.
 ///
 ///  * Incremental: Ingest()/Heartbeat() feed arrivals as they show up
 ///    (network frames, interleaved tenants), Snapshot() reads live
@@ -114,8 +113,6 @@ class StreamSession {
 
   /// Spawns the threaded-incremental driver on first use.
   void EnsureStarted();
-
-  RunReport RunSharded(EventSource* source);
 
   SessionOptions options_;
   ContinuousQuery query_;

@@ -8,8 +8,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -338,6 +343,251 @@ TEST(ShardedKeyedRunnerTest, RequiresPerKeyHandler) {
   q.handler = q.handler.PerKey(false);
   EXPECT_DEATH(ShardedKeyedRunner(q, 2),
                "requires a per-key disorder handler");
+}
+
+
+// ------------------------------------------------------------ stuck workers
+
+/// Drives the stuck-worker path deterministically. As an observer it holds
+/// the first worker whose window matches `is_stuck` inside OnWindowFired
+/// until the source runs dry, and counts every event each worker thread
+/// ingests (on a pass-through handler each one ends in exactly one of
+/// OnBufferingLatency or OnLateEvent). As the source it hands out the next
+/// batch only once every other worker has ingested everything routed to it
+/// so far, so only the held worker's queue can ever fill, however the
+/// threads are scheduled. The held worker is released when the stream ends,
+/// after the driver has abandoned it.
+class StuckWorkerHarness : public PipelineObserver, public EventSource {
+ public:
+  StuckWorkerHarness(std::vector<Event> events, int64_t fanout,
+                     std::function<bool(const WindowResult&)> is_stuck,
+                     std::function<bool(const Event&)> reaches_stuck)
+      : events_(std::move(events)),
+        fanout_(fanout),
+        is_stuck_(std::move(is_stuck)),
+        reaches_stuck_(std::move(reaches_stuck)) {}
+
+  void OnBufferingLatency(double latency_us) override {
+    (void)latency_us;
+    Count();
+  }
+  void OnLateEvent(const Event& e) override {
+    (void)e;
+    Count();
+  }
+
+  void OnWindowFired(const WindowResult& result) override {
+    if (!is_stuck_(result)) return;
+    std::unique_lock<std::mutex> lock(mu_);
+    if (held_) return;  // Hold once; later windows pass straight through.
+    held_ = true;
+    stuck_thread_ = std::this_thread::get_id();
+    // Bounded so a regression fails the test instead of hanging it.
+    cv_.wait_for(lock, std::chrono::seconds(30), [this] { return done_; });
+  }
+
+  bool Next(Event* out) override {
+    std::vector<Event> one;
+    if (NextBatch(&one, 1) == 0) return false;
+    *out = one.front();
+    return true;
+  }
+
+  size_t NextBatch(std::vector<Event>* out, size_t max_events) override {
+    WaitForHealthyWorkers();
+    if (pos_ == events_.size()) {
+      std::lock_guard<std::mutex> lock(mu_);
+      done_ = true;
+      cv_.notify_all();
+      return 0;
+    }
+    const size_t n = std::min(max_events, events_.size() - pos_);
+    for (size_t i = 0; i < n; ++i) {
+      const Event& e = events_[pos_ + i];
+      out->push_back(e);
+      routed_ += fanout_;
+      if (reaches_stuck_(e)) ++routed_to_stuck_;
+    }
+    pos_ += n;
+    return n;
+  }
+
+  void Reset() override {}
+
+  bool held() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return held_;
+  }
+
+ private:
+  void Count() {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++ingested_[std::this_thread::get_id()];
+  }
+
+  void WaitForHealthyWorkers() {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (std::chrono::steady_clock::now() < deadline) {
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        int64_t healthy = 0;
+        for (const auto& [thread, count] : ingested_) {
+          if (!held_ || thread != stuck_thread_) healthy += count;
+        }
+        if (healthy >= routed_ - (held_ ? routed_to_stuck_ : 0)) return;
+      }
+      std::this_thread::yield();
+    }
+  }
+
+  const std::vector<Event> events_;
+  const int64_t fanout_;
+  const std::function<bool(const WindowResult&)> is_stuck_;
+  const std::function<bool(const Event&)> reaches_stuck_;
+  size_t pos_ = 0;
+  int64_t routed_ = 0;           // Driver thread only.
+  int64_t routed_to_stuck_ = 0;  // Driver thread only.
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::map<std::thread::id, int64_t> ingested_;
+  std::thread::id stuck_thread_;
+  bool held_ = false;
+  bool done_ = false;
+};
+
+/// Patience settings under which a held worker is abandoned at once.
+ParallelOptions ImpatientOptions() {
+  ParallelOptions options;
+  options.batch_size = 64;
+  options.queue_capacity = 1;
+  options.feed_timeout_us = Millis(1);
+  options.feed_max_attempts = 1;
+  return options;
+}
+
+ContinuousQuery PassThroughQuery(const std::string& name, DurationUs window) {
+  ContinuousQuery q;
+  q.name = name;
+  q.handler = DisorderHandlerSpec::PassThrough();
+  q.window.window = WindowSpec::Tumbling(window);
+  q.window.aggregate.kind = AggKind::kSum;
+  return q;
+}
+
+RunReport RunSequential(const ContinuousQuery& q,
+                        const std::vector<Event>& events) {
+  QueryExecutor exec(q);
+  VectorSource source(events);
+  return exec.Run(&source);
+}
+
+TEST(ParallelMultiQueryRunnerTest, StuckWorkerIsAbandonedAndFlushed) {
+  const auto w = testutil::DisorderedWorkload(4000);
+  const auto n = static_cast<int64_t>(w.arrival_order.size());
+  // q0's 20 ms windows identify the worker to hold; the others use 50 ms.
+  const std::vector<ContinuousQuery> queries = {
+      PassThroughQuery("q0", Millis(20)), PassThroughQuery("q1", Millis(50)),
+      PassThroughQuery("q2", Millis(50))};
+  StuckWorkerHarness harness(
+      w.arrival_order, static_cast<int64_t>(queries.size()),
+      [](const WindowResult& r) {
+        return r.bounds.end - r.bounds.start == Millis(20);
+      },
+      [](const Event&) { return true; });
+
+  ParallelMultiQueryRunner runner(ImpatientOptions());
+  for (const ContinuousQuery& q : queries) runner.AddQuery(q);
+  runner.SetObserver(&harness);
+  const auto reports = runner.Run(&harness);  // Must return, not hang.
+  ASSERT_TRUE(harness.held());
+  ASSERT_EQ(reports.size(), 3u);
+
+  const RunReport& stuck = reports[0];
+  EXPECT_EQ(stuck.status.code(), StatusCode::kResourceExhausted)
+      << stuck.status.ToString();
+  EXPECT_NE(stuck.status.message().find("stuck"), std::string::npos);
+  ASSERT_GT(stuck.events_processed, 0);
+  EXPECT_LT(stuck.events_processed, n);
+  // The abandoned worker flushed the prefix it did process: its results
+  // are exactly a sequential run's over that arrival-order prefix.
+  const std::vector<Event> prefix(
+      w.arrival_order.begin(),
+      w.arrival_order.begin() + stuck.events_processed);
+  EXPECT_EQ(stuck.results, RunSequential(queries[0], prefix).results);
+  EXPECT_FALSE(stuck.results.empty());
+
+  for (size_t i = 1; i < queries.size(); ++i) {
+    SCOPED_TRACE(queries[i].name);
+    EXPECT_TRUE(reports[i].status.ok()) << reports[i].status.ToString();
+    EXPECT_EQ(reports[i].events_processed, n);
+    EXPECT_EQ(reports[i].results,
+              RunSequential(queries[i], w.arrival_order).results);
+  }
+}
+
+TEST(ShardedKeyedRunnerTest, StuckWorkerIsAbandonedAndFlushed) {
+  const auto w = BoundedDelayWorkload(4000);
+  constexpr size_t kWorkers = 3;
+  const int64_t stuck_key = w.arrival_order.front().key;
+  const size_t stuck_worker = ShardedKeyedRunner::ShardOf(stuck_key, kWorkers);
+  auto on_stuck = [&](const Event& e) {
+    return ShardedKeyedRunner::ShardOf(e.key, kWorkers) == stuck_worker;
+  };
+  ContinuousQuery q = PassThroughQuery("keyed", Millis(50));
+  q.handler = q.handler.PerKey();
+  q.window.per_key_watermarks = true;
+  StuckWorkerHarness harness(
+      w.arrival_order, /*fanout=*/1,
+      [stuck_key](const WindowResult& r) { return r.key == stuck_key; },
+      on_stuck);
+
+  ShardedKeyedRunner runner(q, kWorkers, ImpatientOptions());
+  runner.SetObserver(&harness);
+  const RunReport merged = runner.Run(&harness);  // Must return, not hang.
+  ASSERT_TRUE(harness.held());
+  EXPECT_EQ(merged.status.code(), StatusCode::kResourceExhausted)
+      << merged.status.ToString();
+
+  // Healthy shards ingest everything routed to them.
+  const auto& loads = runner.worker_loads();
+  ASSERT_EQ(loads.size(), kWorkers);
+  int64_t healthy_routed = 0;
+  for (const Event& e : w.arrival_order) healthy_routed += on_stuck(e) ? 0 : 1;
+  int64_t healthy_processed = 0;
+  for (size_t i = 0; i < kWorkers; ++i) {
+    if (i != stuck_worker) healthy_processed += loads[i].events_processed;
+  }
+  EXPECT_EQ(healthy_processed, healthy_routed);
+  const int64_t stuck_processed = loads[stuck_worker].events_processed;
+  ASSERT_GT(stuck_processed, 0);
+  ASSERT_LT(stuck_processed,
+            static_cast<int64_t>(w.arrival_order.size()) - healthy_routed);
+
+  // Reference: an unobstructed run over what the stuck run processed — all
+  // of the healthy shards' events plus the prefix of the stuck shard's
+  // subsequence that its worker got through. Each shard's executor sees
+  // only its own subsequence, so the abandoned shard's flushed partial
+  // results and the healthy shards' full results must all match exactly.
+  std::vector<Event> processed;
+  int64_t stuck_taken = 0;
+  for (const Event& e : w.arrival_order) {
+    if (on_stuck(e)) {
+      if (stuck_taken == stuck_processed) continue;
+      ++stuck_taken;
+    }
+    processed.push_back(e);
+  }
+  ShardedKeyedRunner reference_runner(q, kWorkers);
+  VectorSource source(processed);
+  const RunReport reference = reference_runner.Run(&source);
+  ASSERT_TRUE(reference.status.ok());
+  EXPECT_EQ(merged.events_processed, reference.events_processed);
+  EXPECT_EQ(merged.results, reference.results);
+  EXPECT_TRUE(std::any_of(
+      merged.results.begin(), merged.results.end(),
+      [&](const WindowResult& r) { return r.key == stuck_key; }));
 }
 
 }  // namespace

@@ -86,39 +86,6 @@ TEST(RuntimeEquivalenceTest, VirtualShardsMatchLegacyTopology) {
   ExpectSameMergedOutcome(legacy_report, mux_report);
 }
 
-TEST(RuntimeEquivalenceTest, ArenaModeIsAPureAllocationSwitch) {
-  const auto w = SkewedWorkload(10000);
-
-  ParallelOptions arena_opts = SkewOptions();
-  arena_opts.use_arena = true;
-  ShardedKeyedRunner arena_runner(KeyedQuery(), 3, arena_opts);
-  VectorSource s1(w.arrival_order);
-  const RunReport with_arena = arena_runner.Run(&s1);
-
-  ParallelOptions malloc_opts = SkewOptions();
-  malloc_opts.use_arena = false;
-  ShardedKeyedRunner malloc_runner(KeyedQuery(), 3, malloc_opts);
-  VectorSource s2(w.arrival_order);
-  const RunReport with_malloc = malloc_runner.Run(&s2);
-
-  ExpectSameMergedOutcome(with_arena, with_malloc);
-  EXPECT_NE(with_arena.runtime_config.find("arena=on"), std::string::npos);
-  EXPECT_NE(with_malloc.runtime_config.find("arena=off"), std::string::npos);
-}
-
-TEST(RuntimeEquivalenceTest, CorePinningIsBestEffortAndHarmless) {
-  const auto w = SkewedWorkload(6000);
-  ParallelOptions opts = SkewOptions();
-  opts.pin_cores = true;  // May be refused (cpuset); must never fail the run.
-  ShardedKeyedRunner runner(KeyedQuery(), 2, opts);
-  VectorSource source(w.arrival_order);
-  const RunReport report = runner.Run(&source);
-  ASSERT_TRUE(report.status.ok()) << report.status.ToString();
-  EXPECT_EQ(report.events_processed,
-            static_cast<int64_t>(w.arrival_order.size()));
-  EXPECT_NE(report.runtime_config.find("pin="), std::string::npos);
-}
-
 /// Strips emission order/time for cross-interleaving comparison.
 std::multiset<std::tuple<TimestampUs, int64_t, double, int64_t>>
 FirstEmissions(const std::vector<WindowResult>& results) {

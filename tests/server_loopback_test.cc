@@ -190,6 +190,51 @@ TEST_F(ServerLoopbackTest, PayloadErrorsAreRecoverablePerConnection) {
   ASSERT_TRUE(stats.ok());
 }
 
+TEST_F(ServerLoopbackTest, HostileRegisterPayloadsGetErrorReplies) {
+  // Each payload is one RegisterQuery frame whose numbers are out of any
+  // sane range: a vshards count that cannot be allocated, durations whose
+  // microsecond form overflows, more threads than a tenant may spawn.
+  // Every one must come back as an error reply naming the flag, with the
+  // server — and this very connection — still serving afterwards.
+  const struct {
+    const char* payload;
+    const char* flag;
+  } kHostile[] = {
+      {"--per-key --threads=1 --vshards=100000000000000", "--vshards"},
+      {"--window=9300000000000000", "--window"},
+      {"--slide=9300000000000000", "--slide"},
+      {"--lateness=9300000000000000", "--lateness"},
+      {"--strategy=fixed --k=9300000000000000", "--k"},
+      {"--strategy=lb --latency-budget=9300000000000000", "--latency-budget"},
+      {"--max-slack=9300000000000000", "--max-slack"},
+      {"--per-key --threads=100000", "--threads"},
+  };
+  auto client = Connect();
+  uint32_t tenant = 1;
+  for (const auto& hostile : kHostile) {
+    SCOPED_TRACE(hostile.payload);
+    auto reply = client->RoundTrip(
+        Frame{FrameType::kRegisterQuery, tenant++, hostile.payload});
+    ASSERT_FALSE(reply.ok());
+    EXPECT_EQ(reply.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(reply.status().message().find(hostile.flag), std::string::npos)
+        << reply.status().ToString();
+  }
+  EXPECT_EQ(server_.active_tenants(), 0u);
+
+  const std::vector<Event> events = TestStream(41, 5000);
+  SessionOptions options;
+  options.Name("good").Window(100).PerKey().Threads(2);
+  ASSERT_TRUE(client->RegisterQuery(tenant, options).ok());
+  IngestInBatches(client.get(), tenant, events);
+  auto final_stats = client->Unregister(tenant);
+  ASSERT_TRUE(final_stats.ok());
+  EXPECT_TRUE(final_stats.value().AccountingIdentityHolds());
+  EXPECT_EQ(final_stats.value().events_ingested,
+            static_cast<int64_t>(events.size()));
+  EXPECT_GT(final_stats.value().results, 0);
+}
+
 TEST_F(ServerLoopbackTest, FramingErrorsCloseTheConnection) {
   auto client = Connect();
   auto reply = client->SendRawAndAwaitReply("garbage garbage garbage!");

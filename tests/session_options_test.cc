@@ -1,3 +1,4 @@
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -79,9 +80,6 @@ TEST(SessionOptions, ValidationMatrix) {
        false},
       {"steal without threads", [](SessionOptions* o) { o->steal = true; },
        false},
-      {"pin-cores without threads",
-       [](SessionOptions* o) { o->pin_cores = true; }, false},
-      {"mpsc without threads", [](SessionOptions* o) { o->mpsc = 2; }, false},
       {"vshards below threads",
        [](SessionOptions* o) {
          o->threads = 4;
@@ -94,28 +92,6 @@ TEST(SessionOptions, ValidationMatrix) {
          o->threads = 2;
          o->per_key = true;
          o->vshards = 8;
-       },
-       true},
-      {"single mpsc producer",
-       [](SessionOptions* o) {
-         o->threads = 2;
-         o->per_key = true;
-         o->mpsc = 1;
-       },
-       false},
-      {"mpsc with steal",
-       [](SessionOptions* o) {
-         o->threads = 2;
-         o->per_key = true;
-         o->mpsc = 2;
-         o->steal = true;
-       },
-       false},
-      {"mpsc alone",
-       [](SessionOptions* o) {
-         o->threads = 2;
-         o->per_key = true;
-         o->mpsc = 2;
        },
        true},
       {"negative buffer cap", [](SessionOptions* o) { o->buffer_cap = -1; },
@@ -131,6 +107,66 @@ TEST(SessionOptions, ValidationMatrix) {
       {"strict validation", [](SessionOptions* o) { o->validate = "strict"; },
        true},
       {"empty name", [](SessionOptions* o) { o->name.clear(); }, false},
+      // Upper bounds: a hostile RegisterQuery frame must fail validation,
+      // not overflow Millis() or size an allocation.
+      {"window at the cap",
+       [](SessionOptions* o) { o->window_ms = SessionOptions::kMaxMillis; },
+       true},
+      {"window past the cap",
+       [](SessionOptions* o) { o->window_ms = 9300000000000000; }, false},
+      {"slide past the cap",
+       [](SessionOptions* o) {
+         o->slide_ms = SessionOptions::kMaxMillis + 1;
+       },
+       false},
+      {"lateness past the cap",
+       [](SessionOptions* o) {
+         o->lateness_ms = SessionOptions::kMaxMillis + 1;
+       },
+       false},
+      {"k past the cap",
+       [](SessionOptions* o) {
+         o->strategy = "fixed";
+         o->k_ms = SessionOptions::kMaxMillis + 1;
+       },
+       false},
+      {"latency budget past the cap",
+       [](SessionOptions* o) {
+         o->strategy = "lb";
+         o->latency_budget_ms = INT64_MAX;
+       },
+       false},
+      {"max slack past the cap",
+       [](SessionOptions* o) {
+         o->max_slack_ms = SessionOptions::kMaxMillis + 1;
+       },
+       false},
+      {"threads at the cap",
+       [](SessionOptions* o) {
+         o->per_key = true;
+         o->threads = SessionOptions::kMaxThreads;
+       },
+       true},
+      {"threads past the cap",
+       [](SessionOptions* o) {
+         o->per_key = true;
+         o->threads = SessionOptions::kMaxThreads + 1;
+       },
+       false},
+      {"vshards at the cap",
+       [](SessionOptions* o) {
+         o->per_key = true;
+         o->threads = 1;
+         o->vshards = SessionOptions::kMaxVirtualShards;
+       },
+       true},
+      {"vshards past the cap",
+       [](SessionOptions* o) {
+         o->per_key = true;
+         o->threads = 1;
+         o->vshards = 100000000000000;
+       },
+       false},
   };
   for (const Case& c : kCases) {
     SessionOptions options;
@@ -154,7 +190,6 @@ TEST(SessionOptions, SerializeRoundTripsNonDefaults) {
       .AllowedLateness(20)
       .Threads(4)
       .VirtualShards(8)
-      .Arena(false)
       .BufferCap(5000, "drop-newest")
       .MaxSlack(400)
       .ValidateIngest("drop");
@@ -173,7 +208,6 @@ TEST(SessionOptions, SerializeRoundTripsNonDefaults) {
   EXPECT_TRUE(decoded.value().per_key);
   EXPECT_EQ(decoded.value().threads, 4);
   EXPECT_EQ(decoded.value().vshards, 8);
-  EXPECT_FALSE(decoded.value().arena);
   EXPECT_EQ(decoded.value().buffer_cap, 5000);
   EXPECT_EQ(decoded.value().shed, "drop-newest");
   EXPECT_EQ(decoded.value().max_slack_ms, 400);
@@ -221,7 +255,7 @@ TEST(SessionOptions, ParseTokensRejectsMalformedValues) {
                 .code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(SessionOptions::ParseTokens(
-                std::vector<std::string>{"--arena=sometimes"}, &options,
+                std::vector<std::string>{"--lateness=soon"}, &options,
                 &leftover)
                 .code(),
             StatusCode::kInvalidArgument);
@@ -326,12 +360,10 @@ TEST(SessionOptions, DescribeNamesTheConfiguration) {
 
 TEST(SessionOptions, BuildParallelOptionsMirrorsFields) {
   SessionOptions options;
-  options.PerKey().Threads(2).VirtualShards(6).Steal().Arena(false);
+  options.PerKey().Threads(2).VirtualShards(6).Steal();
   const ParallelOptions popts = options.BuildParallelOptions();
-  EXPECT_FALSE(popts.use_arena);
   EXPECT_EQ(popts.virtual_shards, 6u);
   EXPECT_TRUE(popts.steal);
-  EXPECT_FALSE(popts.pin_cores);
 }
 
 TEST(SessionOptions, SchedulerFlagsParseRoundTripAndValidate) {
@@ -371,8 +403,11 @@ TEST(SessionOptions, RetiredFlagsAreRejectedWithHints) {
     const char* hint;
   } kRetired[] = {
       {"--rebalance", "did you mean --steal?"},
-      {"--numa-arena", "did you mean --arena=on?"},
+      {"--numa-arena", "always pool their batches"},
       {"--window-engine=legacy", "did you mean --window-engine=hot?"},
+      {"--arena=off", "always pool their batches"},
+      {"--pin-cores", "taskset"},
+      {"--mpsc=2", "RunMultiSource"},
   };
   for (const auto& retired : kRetired) {
     SCOPED_TRACE(retired.token);
@@ -411,15 +446,6 @@ TEST(SessionOptions, SchedulerFlagsRequireThreadsAndSingleSource) {
     EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument);
   }
   {
-    // Steal is driver-mediated, so a multi-producer MPSC feed cannot host
-    // it: the combination must be rejected up front, not at run time.
-    SessionOptions options;
-    options.PerKey().Threads(2).MpscProducers(2).Steal();
-    const Status st = options.Validate();
-    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(st.message().find("--mpsc"), std::string::npos);
-  }
-  {
     // Valid combination passes.
     SessionOptions options;
     options.PerKey().Threads(2).Steal().AdaptiveBatch();
@@ -430,7 +456,6 @@ TEST(SessionOptions, SchedulerFlagsRequireThreadsAndSingleSource) {
 TEST(SessionOptions, SchedulerFlagNearMissesSuggest) {
   EXPECT_EQ(SuggestFlag("--stea", {}), "--steal");
   EXPECT_EQ(SuggestFlag("--adaptve-batch", {}), "--adaptive-batch");
-  EXPECT_EQ(SuggestFlag("--arna=on", {}), "--arena");
 }
 
 }  // namespace

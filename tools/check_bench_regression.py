@@ -32,9 +32,10 @@ R-F20 (bounded-memory degradation):
 
 R-F21 (extreme-scale runtime):
   1. Equivalence (hard): within every compared group -- feed arena/malloc
-     per batch size, pipeline arena/malloc, mpsc p1/p2/p4 -- `checksum`
-     must be identical. The runtime switches (arena, MPSC feed) are
-     performance switches, never semantic ones.
+     per batch size, mpsc p1/p2/p4 -- `checksum` must be identical. The
+     arena pool and the MPSC feed are performance switches, never
+     semantic ones. The single pipeline row has nothing to pair with; its
+     throughput is baseline drift only.
   2. Arena win (hard): on the smallest-batch feed row the arena must be
      >= F21_ARENA_TARGET x the malloc path in the same run (per-batch
      allocation dominates there); larger batches must never invert beyond
@@ -362,17 +363,6 @@ def check_f21(args):
                 f"feed/{config}: arena {arena_keps:.1f} keps vs malloc "
                 f"{malloc_keps:.1f} ({arena_keps / malloc_keps:.2f}x, "
                 f"bound {bound}x)")
-
-    # Pipeline: end-to-end the window operator dominates, so equivalence
-    # plus no-inversion only.
-    rows = pair("pipeline", "zipf-keyed", "arena", "malloc")
-    if rows is not None:
-        arena_keps = float(rows[0]["keps"])
-        malloc_keps = float(rows[1]["keps"])
-        if arena_keps < malloc_keps * F21_NO_INVERSION:
-            failures.append(
-                f"pipeline/zipf-keyed: arena {arena_keps:.1f} keps vs malloc "
-                f"{malloc_keps:.1f} ({arena_keps / malloc_keps:.2f}x)")
 
     # 3. MPSC scaling: two producers' throttle sleeps overlap, so p2 must
     # clearly beat p1 in the same run; p4 is overhead-bound (soft).
