@@ -3,23 +3,22 @@
 ///
 /// Two sections in one table (CSV: bench_results/f19_disorder.csv):
 ///
-///   * section=buffer — raw ReorderBuffer per-tuple push+release cost at
-///     steady-state occupancies 10^2..10^6 (K-slack style: the release
-///     threshold trails the event-time frontier by K, so occupancy ≈
-///     K x arrival rate). The heap pays O(log n) per tuple; the bucket
-///     ring's cost is O(1) amortized and flat in n — the gap must widen
-///     with occupancy.
+///   * section=buffer — raw per-tuple push+release cost at steady-state
+///     occupancies 10^2..10^6 (K-slack style: the release threshold trails
+///     the event-time frontier by K, so occupancy ≈ K x arrival rate) of
+///     the library's ReorderBuffer (engine=ring) and the reference binary
+///     heap from tests/reference (engine=heap). The heap pays O(log n) per
+///     tuple; the bucket ring's cost is O(1) amortized and flat in n — the
+///     gap must widen with occupancy. The order-sensitive `checksum` over
+///     released tuples must agree between the two rows of a size — the
+///     equivalence evidence rides in the CSV next to the speedup.
 ///
 ///   * section=keyed — KeyedDisorderHandler over a 16-key stream: per-event
 ///     OnEvent vs run-segmented OnBatch (bursty and uniform-random key
 ///     order, shallow 30ms-slack and deep 60s-slack regimes), plus a 1-key
 ///     row pitting the keyed wrapper's batch path against the bare global
-///     handler (quantifies the wrapper's fixed accounting tax).
-///
-/// Every configuration runs on both engines; the order-sensitive `checksum`
-/// over released tuples must agree between the heap and ring rows of the
-/// same configuration — the equivalence evidence rides in the CSV next to
-/// the speedup, as in R-F18.
+///     handler (quantifies the wrapper's fixed accounting tax). Handlers
+///     always run on the ring, so these rows are engine=ring only.
 
 #include <algorithm>
 #include <chrono>
@@ -33,14 +32,11 @@
 #include "disorder/fixed_kslack.h"
 #include "disorder/handler_factory.h"
 #include "disorder/reorder_buffer.h"
+#include "tests/reference/reference_reorder_buffer.h"
 
 namespace streamq {
 namespace bench {
 namespace {
-
-using Engine = ReorderBuffer::Engine;
-
-const char* EngineName(Engine e) { return e == Engine::kHeap ? "heap" : "ring"; }
 
 /// Order-sensitive FNV-style fold: identical release sequences (and only
 /// identical sequences) produce identical checksums.
@@ -61,12 +57,12 @@ struct RunOutcome {
 // --- Section 1: raw buffer push+release sweep ----------------------------
 
 /// Streams `total` events (100us cadence, delay uniform in [0, K/2]) through
-/// one ReorderBuffer, releasing up to frontier-K after every push. The
-/// first `warmup` events fill the buffer to steady state untimed.
-RunOutcome RunBufferSweep(Engine engine, size_t warmup, size_t measured,
-                          DurationUs k) {
+/// one buffer, releasing up to frontier-K after every push. The first
+/// `warmup` events fill the buffer to steady state untimed.
+template <typename Buffer>
+RunOutcome RunBufferSweep(size_t warmup, size_t measured, DurationUs k) {
   Rng rng(1234);
-  ReorderBuffer buf(engine);
+  Buffer buf;
   std::vector<Event> released;
   RunOutcome out;
   TimestampUs frontier = 0;
@@ -131,10 +127,10 @@ std::vector<Event> KeyedStream(size_t n, int64_t num_keys, bool bursty) {
 /// checksum. The end-of-stream Flush runs outside the timer (its bulk
 /// drain is identical across modes and would only dilute the per-tuple
 /// numbers) but its releases still fold into the checksum.
-RunOutcome RunKeyed(const DisorderHandlerSpec& spec, Engine engine,
+RunOutcome RunKeyed(const DisorderHandlerSpec& spec,
                     const std::vector<Event>& events, size_t batch) {
-  std::unique_ptr<DisorderHandler> handler = MakeDisorderHandlerOrDie(
-      spec.WithBufferEngine(engine).WithLatencySamples(false));
+  std::unique_ptr<DisorderHandler> handler =
+      MakeDisorderHandlerOrDie(spec.WithLatencySamples(false));
   ChecksumSink sink;
   const std::span<const Event> stream(events);
   const auto t0 = std::chrono::steady_clock::now();
@@ -173,21 +169,25 @@ void Run() {
       {"size=1e2", 100},       {"size=1e3", 1000},   {"size=1e4", 10000},
       {"size=1e5", 100000},    {"size=1e6", 1000000},
   };
+  const auto add_row = [&table](const char* section, const char* config,
+                                const char* engine, const RunOutcome& r) {
+    table.BeginRow();
+    table.Cell(section);
+    table.Cell(config);
+    table.Cell(engine);
+    table.Cell(r.ns_per_tuple, 2);
+    table.Cell(1e6 / r.ns_per_tuple, 1);
+    table.Cell(r.max_buffer);
+    table.Cell(static_cast<int64_t>(r.checksum));
+  };
   for (const SweepPoint& p : points) {
     const DurationUs k = static_cast<DurationUs>(p.target_size) * 100;
     const size_t measured = 1000000;
-    for (Engine engine : {Engine::kHeap, Engine::kRing}) {
-      const RunOutcome r =
-          RunBufferSweep(engine, /*warmup=*/p.target_size, measured, k);
-      table.BeginRow();
-      table.Cell("buffer");
-      table.Cell(p.name);
-      table.Cell(EngineName(engine));
-      table.Cell(r.ns_per_tuple, 2);
-      table.Cell(1e6 / r.ns_per_tuple, 1);
-      table.Cell(r.max_buffer);
-      table.Cell(static_cast<int64_t>(r.checksum));
-    }
+    const size_t warmup = p.target_size;
+    add_row("buffer", p.name, "heap",
+            RunBufferSweep<reference::HeapReorderBuffer>(warmup, measured, k));
+    add_row("buffer", p.name, "ring",
+            RunBufferSweep<ReorderBuffer>(warmup, measured, k));
   }
 
   // Keyed dispatch: 16-key stream, fixed 30ms slack shards.
@@ -224,17 +224,8 @@ void Run() {
       {"1key-keyed-batch256", &keyed_spec, &one_key, kBatch},
   };
   for (const KeyedRow& row : rows) {
-    for (Engine engine : {Engine::kHeap, Engine::kRing}) {
-      const RunOutcome r = RunKeyed(*row.spec, engine, *row.events, row.batch);
-      table.BeginRow();
-      table.Cell("keyed");
-      table.Cell(row.name);
-      table.Cell(EngineName(engine));
-      table.Cell(r.ns_per_tuple, 2);
-      table.Cell(1e6 / r.ns_per_tuple, 1);
-      table.Cell(r.max_buffer);
-      table.Cell(static_cast<int64_t>(r.checksum));
-    }
+    add_row("keyed", row.name, "ring",
+            RunKeyed(*row.spec, *row.events, row.batch));
   }
 
   EmitTable(table, "f19_disorder.csv");

@@ -47,25 +47,6 @@ double RunningMoments::variance() const {
 
 double RunningMoments::stddev() const { return std::sqrt(variance()); }
 
-Ewma::Ewma(double alpha) : alpha_(alpha) {
-  STREAMQ_CHECK_GT(alpha, 0.0);
-  STREAMQ_CHECK_LE(alpha, 1.0);
-}
-
-void Ewma::Add(double x) {
-  if (!initialized_) {
-    value_ = x;
-    initialized_ = true;
-  } else {
-    value_ = alpha_ * x + (1.0 - alpha_) * value_;
-  }
-}
-
-void Ewma::Reset() {
-  value_ = 0.0;
-  initialized_ = false;
-}
-
 ReservoirSample::ReservoirSample(size_t capacity, uint64_t seed)
     : capacity_(capacity), rng_(seed) {
   STREAMQ_CHECK_GT(capacity, 0u);
@@ -208,27 +189,6 @@ double SlidingWindowQuantile::Quantile(double q) const {
   // statistic is the minimum of that suffix.
   const double b = *std::min_element(nth + 1, scratch_.end());
   return a * (1.0 - frac) + b * frac;
-}
-
-double SlidingWindowQuantile::CdfAt(double x) const {
-  if (window_.empty()) return 1.0;
-  size_t le = 0;
-  for (double d : window_) {
-    if (d <= x) ++le;
-  }
-  return static_cast<double>(le) / static_cast<double>(window_.size());
-}
-
-double SlidingWindowQuantile::Max() const {
-  if (window_.empty()) return 0.0;
-  return *std::max_element(window_.begin(), window_.end());
-}
-
-double SlidingWindowQuantile::Mean() const {
-  if (window_.empty()) return 0.0;
-  double s = 0.0;
-  for (double d : window_) s += d;
-  return s / static_cast<double>(window_.size());
 }
 
 std::string DistributionSummary::ToString() const {

@@ -39,25 +39,6 @@ class RunningMoments {
   double max_ = 0.0;
 };
 
-/// Exponentially weighted moving average.
-class Ewma {
- public:
-  /// `alpha` is the weight of the newest sample, in (0, 1].
-  explicit Ewma(double alpha);
-
-  void Add(double x);
-  void Reset();
-
-  bool empty() const { return !initialized_; }
-  double value() const { return value_; }
-  double alpha() const { return alpha_; }
-
- private:
-  double alpha_;
-  double value_ = 0.0;
-  bool initialized_ = false;
-};
-
 /// Fixed-capacity uniform reservoir sample (Vitter's algorithm R).
 class ReservoirSample {
  public:
@@ -123,13 +104,6 @@ class SlidingWindowQuantile {
   /// scratch buffer + nth_element); callers query at control-loop cadence,
   /// not per tuple.
   double Quantile(double q) const;
-
-  /// Fraction of windowed samples <= x (empirical CDF). Returns 1 if empty
-  /// (optimistic prior: with no evidence of delay, everything is on time).
-  double CdfAt(double x) const;
-
-  double Max() const;
-  double Mean() const;
 
  private:
   size_t capacity_;

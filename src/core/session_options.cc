@@ -225,6 +225,17 @@ Status SessionOptions::Validate() const {
   if (slide_ms < 0) {
     return Status::InvalidArgument("--slide must be >= 0 ms (0 = tumbling)");
   }
+  if (slide_ms > 0) {
+    const int64_t windows_per_event = (window_ms + slide_ms - 1) / slide_ms;
+    if (windows_per_event > kMaxWindowsPerEvent) {
+      std::string message = "--window / --slide puts each event in ";
+      message += std::to_string(windows_per_event);
+      message += " windows; at most ";
+      message += std::to_string(kMaxWindowsPerEvent);
+      message += " allowed (raise --slide or shrink --window)";
+      return Status::InvalidArgument(message);
+    }
+  }
   {
     auto spec = ParseAggregateSpec(agg);
     if (!spec.ok()) {

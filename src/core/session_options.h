@@ -100,10 +100,14 @@ struct SessionOptions {
   /// runner constraints hold). Every field is bounded, so options from an
   /// untrusted RegisterQuery frame cannot overflow a duration or size an
   /// allocation: millisecond fields are at most kMaxMillis, threads at most
-  /// kMaxThreads and vshards at most kMaxVirtualShards.
+  /// kMaxThreads and vshards at most kMaxVirtualShards. A query's cost per
+  /// event grows with the windows each event lands in, ceil(window /
+  /// slide), so that is at most kMaxWindowsPerEvent: one RegisterQuery
+  /// cannot pin a core.
   static constexpr int64_t kMaxMillis = 1'000'000'000'000;  // ~31.7 years.
   static constexpr int64_t kMaxThreads = 256;
   static constexpr int64_t kMaxVirtualShards = 4096;
+  static constexpr int64_t kMaxWindowsPerEvent = 1024;
   Status Validate() const;
 
   /// Builds the ContinuousQuery this options set describes (validates

@@ -27,10 +27,6 @@ class BufferedHandlerBase : public DisorderHandler {
 
   size_t buffered() const override { return buffer_.size(); }
 
-  void set_buffer_engine(ReorderBuffer::Engine engine) override {
-    buffer_.SetEngine(engine);
-  }
-
   void set_buffer_arena(EventArena* arena) override {
     buffer_.SetArena(arena);
   }

@@ -11,7 +11,6 @@
 #include "common/stats.h"
 #include "common/time.h"
 #include "disorder/event_sink.h"
-#include "disorder/reorder_buffer.h"
 #include "stream/event.h"
 
 namespace streamq {
@@ -128,14 +127,6 @@ class DisorderHandler {
 
   /// Current buffer occupancy in tuples.
   virtual size_t buffered() const { return 0; }
-
-  /// Selects the ReorderBuffer engine for buffering handlers; composite
-  /// handlers propagate the choice to every shard. Only legal before the
-  /// first arrival (buffers migrate only while empty). No-op for handlers
-  /// that do not buffer.
-  virtual void set_buffer_engine(ReorderBuffer::Engine engine) {
-    (void)engine;
-  }
 
   /// Attaches a slab arena to the reorder buffer of every buffering
   /// handler (composite handlers propagate to every shard, existing and

@@ -32,13 +32,6 @@ DisorderHandlerSpec DisorderHandlerSpec::WithLatencySamples(
   return s;
 }
 
-DisorderHandlerSpec DisorderHandlerSpec::WithBufferEngine(
-    ReorderBuffer::Engine engine) const {
-  DisorderHandlerSpec s = *this;
-  s.buffer_engine = engine;
-  return s;
-}
-
 DisorderHandlerSpec DisorderHandlerSpec::WithBufferCap(
     size_t max_buffered_events, ShedPolicy policy) const {
   DisorderHandlerSpec s = *this;
@@ -318,10 +311,6 @@ std::unique_ptr<DisorderHandler> BuildHandlerInner(
 
 std::unique_ptr<DisorderHandler> BuildHandler(const DisorderHandlerSpec& spec) {
   std::unique_ptr<DisorderHandler> handler = BuildHandlerInner(spec);
-  // Applied on every layer (keyed wrapper and shards alike): the wrapper
-  // remembers the engine for shards created later, and shard specs reach
-  // here again through the factory recursion.
-  handler->set_buffer_engine(spec.buffer_engine);
   if (spec.max_buffered_events != 0) {
     handler->set_buffer_cap(spec.max_buffered_events, spec.shed_policy);
   }

@@ -52,11 +52,6 @@ struct DisorderHandlerSpec {
   /// hot path free of sample bookkeeping.
   bool collect_latency_samples = true;
 
-  /// ReorderBuffer engine for every buffering handler built from this spec
-  /// (per-key specs propagate it to all shards). The bucket ring is the
-  /// default; kHeap is the reference engine for equivalence checks.
-  ReorderBuffer::Engine buffer_engine = ReorderBuffer::Engine::kRing;
-
   /// Hard cap on buffered tuples (0 = unbounded). Applied to the top-level
   /// handler only: for a per-key spec the keyed wrapper enforces it as one
   /// global budget across all keys (shards stay uncapped).
@@ -97,7 +92,6 @@ struct DisorderHandlerSpec {
   /// expression, e.g. DisorderHandlerSpec::Fixed(Seconds(1)).PerKey().
   DisorderHandlerSpec PerKey(bool enabled = true) const;
   DisorderHandlerSpec WithLatencySamples(bool enabled) const;
-  DisorderHandlerSpec WithBufferEngine(ReorderBuffer::Engine engine) const;
   /// Bounded-memory degradation: cap the buffer at `max_buffered_events`
   /// tuples, shedding per `policy` (0 removes the cap).
   DisorderHandlerSpec WithBufferCap(

@@ -115,8 +115,8 @@ struct KeyedDisorderHandler::Shard {
   /// (e.g. a watermark reorderer discarding beyond allowed lateness) never
   /// reach the intercept, so they must be reconciled from the inner stats.
   int64_t last_dropped = 0;
-  /// This shard's position in wm_heap_.
-  size_t heap_pos = 0;
+  /// This shard's position in wm_queue_.
+  size_t wm_pos = 0;
   Intercept intercept;
 };
 
@@ -168,9 +168,6 @@ KeyedDisorderHandler::Shard* KeyedDisorderHandler::Route(int64_t key) {
     if (shard_observer_ != nullptr) {
       owned->handler->set_observer(shard_observer_);
     }
-    if (has_buffer_engine_) {
-      owned->handler->set_buffer_engine(buffer_engine_);
-    }
     if (buffer_arena_ != nullptr) {
       owned->handler->set_buffer_arena(buffer_arena_);
     }
@@ -184,9 +181,9 @@ KeyedDisorderHandler::Shard* KeyedDisorderHandler::Route(int64_t key) {
     slack_sum_ += shard->last_slack;
     shard->last_buffered = shard->handler->buffered();
     buffered_total_ += shard->last_buffered;
-    shard->heap_pos = wm_heap_.size();
-    wm_heap_.push_back(static_cast<uint32_t>(shards_.size() - 1));
-    WmHeapSiftUp(shard->heap_pos);
+    shard->wm_pos = wm_queue_.size();
+    wm_queue_.push_back(static_cast<uint32_t>(shards_.size() - 1));
+    WmHeapSiftUp(shard->wm_pos);
     by_key_dirty_ = true;
   }
   last_key_ = key;
@@ -364,51 +361,51 @@ void KeyedDisorderHandler::Flush(EventSink* sink) {
 }
 
 void KeyedDisorderHandler::RaiseShardWatermark(Shard* shard) {
-  WmHeapSiftDown(shard->heap_pos);
+  WmHeapSiftDown(shard->wm_pos);
 }
 
 void KeyedDisorderHandler::WmHeapSiftUp(size_t pos) {
-  const uint32_t idx = wm_heap_[pos];
+  const uint32_t idx = wm_queue_[pos];
   const TimestampUs w = shards_[idx]->watermark;
   while (pos > 0) {
     const size_t parent = (pos - 1) / 2;
-    if (shards_[wm_heap_[parent]]->watermark <= w) break;
-    wm_heap_[pos] = wm_heap_[parent];
-    shards_[wm_heap_[pos]]->heap_pos = pos;
+    if (shards_[wm_queue_[parent]]->watermark <= w) break;
+    wm_queue_[pos] = wm_queue_[parent];
+    shards_[wm_queue_[pos]]->wm_pos = pos;
     pos = parent;
   }
-  wm_heap_[pos] = idx;
-  shards_[idx]->heap_pos = pos;
+  wm_queue_[pos] = idx;
+  shards_[idx]->wm_pos = pos;
 }
 
 void KeyedDisorderHandler::WmHeapSiftDown(size_t pos) {
-  const size_t n = wm_heap_.size();
-  const uint32_t idx = wm_heap_[pos];
+  const size_t n = wm_queue_.size();
+  const uint32_t idx = wm_queue_[pos];
   const TimestampUs w = shards_[idx]->watermark;
   while (true) {
     const size_t left = 2 * pos + 1;
     const size_t right = left + 1;
     size_t smallest = pos;
     TimestampUs sw = w;
-    if (left < n && shards_[wm_heap_[left]]->watermark < sw) {
+    if (left < n && shards_[wm_queue_[left]]->watermark < sw) {
       smallest = left;
-      sw = shards_[wm_heap_[left]]->watermark;
+      sw = shards_[wm_queue_[left]]->watermark;
     }
-    if (right < n && shards_[wm_heap_[right]]->watermark < sw) {
+    if (right < n && shards_[wm_queue_[right]]->watermark < sw) {
       smallest = right;
     }
     if (smallest == pos) break;
-    wm_heap_[pos] = wm_heap_[smallest];
-    shards_[wm_heap_[pos]]->heap_pos = pos;
+    wm_queue_[pos] = wm_queue_[smallest];
+    shards_[wm_queue_[pos]]->wm_pos = pos;
     pos = smallest;
   }
-  wm_heap_[pos] = idx;
-  shards_[idx]->heap_pos = pos;
+  wm_queue_[pos] = idx;
+  shards_[idx]->wm_pos = pos;
 }
 
 void KeyedDisorderHandler::EmitMergedIfAdvanced(TimestampUs stream_time,
                                                 EventSink* sink) {
-  const TimestampUs merged = shards_[wm_heap_.front()]->watermark;
+  const TimestampUs merged = shards_[wm_queue_.front()]->watermark;
   if (merged != kMinTimestamp &&
       (merged_watermark_ == kMinTimestamp || merged > merged_watermark_)) {
     merged_watermark_ = merged;
@@ -428,14 +425,6 @@ void KeyedDisorderHandler::set_observer(PipelineObserver* observer) {
   shard_observer_ = observer;
   for (const auto& shard : shards_) {
     shard->handler->set_observer(observer);
-  }
-}
-
-void KeyedDisorderHandler::set_buffer_engine(ReorderBuffer::Engine engine) {
-  has_buffer_engine_ = true;
-  buffer_engine_ = engine;
-  for (const auto& shard : shards_) {
-    shard->handler->set_buffer_engine(engine);
   }
 }
 

@@ -71,10 +71,6 @@ class KeyedDisorderHandler : public DisorderHandler {
   /// both layers would double-count latencies and late events.
   void set_observer(PipelineObserver* observer) override;
 
-  /// Propagates the buffer engine to every inner handler, existing and
-  /// future. Only legal before the first arrival.
-  void set_buffer_engine(ReorderBuffer::Engine engine) override;
-
   /// Propagates the slab arena to every inner handler, existing and
   /// future — the case the arena exists for: keyed workloads create and
   /// destroy per-key buffers continuously, and pooling their bucket
@@ -132,7 +128,7 @@ class KeyedDisorderHandler : public DisorderHandler {
   mutable bool by_key_dirty_ = false;
   /// Binary min-heap of dense shard indices ordered by shard watermark;
   /// each shard stores its heap position for O(log n) increase-key.
-  std::vector<uint32_t> wm_heap_;
+  std::vector<uint32_t> wm_queue_;
 
   TimestampUs merged_watermark_ = kMinTimestamp;
   TimestampUs last_stream_time_ = 0;
@@ -142,8 +138,6 @@ class KeyedDisorderHandler : public DisorderHandler {
   Shard* last_shard_ = nullptr;
   /// Observer handed to every inner handler (including ones created later).
   PipelineObserver* shard_observer_ = nullptr;
-  bool has_buffer_engine_ = false;
-  ReorderBuffer::Engine buffer_engine_ = ReorderBuffer::Engine::kRing;
   /// Arena handed to every inner handler (including ones created later).
   EventArena* buffer_arena_ = nullptr;
 

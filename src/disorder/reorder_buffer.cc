@@ -7,10 +7,6 @@ namespace streamq {
 
 namespace {
 
-/// Switch from pop-one-at-a-time to partition + sort once a single release
-/// has popped this many events (bulk drains: heartbeats, batch boundaries).
-constexpr size_t kBulkPopThreshold = 32;
-
 /// Below this release size, skip the reserve entirely and let the output
 /// vector's geometric growth absorb the appends; an exact reserve per tiny
 /// release would defeat amortization.
@@ -25,195 +21,6 @@ constexpr size_t kReserveSkipBound = 32;
 constexpr size_t kBucketMinCapacity = 8;
 constexpr size_t kBucketMaxCapacity = 1024;
 
-}  // namespace
-
-void ReorderBuffer::SetEngine(Engine engine) {
-  if (engine == engine_) return;
-  STREAMQ_CHECK(empty());
-  engine_ = engine;
-}
-
-void ReorderBuffer::SetArena(EventArena* arena) {
-  if (arena == arena_) return;
-  STREAMQ_CHECK(empty());
-  arena_ = arena;
-}
-
-ReorderBuffer::~ReorderBuffer() {
-  // Return every owned buffer — the live heap, live buckets, and empty
-  // buckets that still hold capacity — so storage survives shard churn.
-  if (arena_ == nullptr) return;
-  if (heap_.capacity() > 0) arena_->Recycle(std::move(heap_));
-  for (RingBucket& b : ring_) {
-    if (b.events.capacity() > 0) arena_->Recycle(std::move(b.events));
-  }
-}
-
-void ReorderBuffer::ReserveHeapStorage() {
-  // Arena-attached heaps start from a pooled buffer (often with a previous
-  // life's full capacity); the malloc path keeps vector growth as-is.
-  if (arena_ != nullptr) heap_ = arena_->AcquireAtLeast(kBucketMaxCapacity);
-}
-
-void ReorderBuffer::ReserveBucket(RingBucket* b) {
-  if (arena_ != nullptr) {
-    b->events = arena_->AcquireAtLeast(RingBucketReserve());
-  } else {
-    b->events.reserve(RingBucketReserve());
-  }
-}
-
-void ReorderBuffer::PushBatch(std::span<const Event> events) {
-  if (events.empty()) return;
-  if (engine_ == Engine::kRing) {
-    for (const Event& e : events) RingPush(e);
-    return;
-  }
-  const size_t old_size = heap_.size();
-  heap_.insert(heap_.end(), events.begin(), events.end());
-  // Per-element sift-up costs O(m log n) worst case but is nearly free for
-  // in-order-ish arrivals (new maxima stay at their leaf); a full heapify is
-  // O(n) regardless. Prefer heapify only when the batch dominates the
-  // existing buffer, where its linear cost is already amortized.
-  if (old_size < events.size()) {
-    Heapify();
-  } else {
-    for (size_t i = old_size; i < heap_.size(); ++i) SiftUp(i);
-  }
-  if (heap_.size() > max_size_) max_size_ = heap_.size();
-}
-
-TimestampUs ReorderBuffer::MinEventTime() const {
-  STREAMQ_CHECK(!empty());
-  if (engine_ == Engine::kHeap) return heap_.front().event_time;
-  // The lowest-index live bucket holds the minimum (q is monotone in time).
-  const RingBucket& b = RingAt(q_min_);
-  if (b.sorted) return b.events[b.head].event_time;
-  TimestampUs min_t = b.events[b.head].event_time;
-  for (size_t i = b.head + 1; i < b.events.size(); ++i) {
-    min_t = std::min(min_t, b.events[i].event_time);
-  }
-  return min_t;
-}
-
-void ReorderBuffer::PopMin(Event* out) {
-  STREAMQ_CHECK(!empty());
-  if (engine_ == Engine::kRing) {
-    RingPopMin(out);
-  } else {
-    HeapPopMin(out);
-  }
-}
-
-size_t ReorderBuffer::PopUpTo(TimestampUs threshold, std::vector<Event>* out) {
-  return engine_ == Engine::kRing ? RingPopUpTo(threshold, out)
-                                  : HeapPopUpTo(threshold, out);
-}
-
-size_t ReorderBuffer::DrainInto(std::vector<Event>* out) {
-  if (engine_ == Engine::kRing) return RingDrainInto(out);
-  const size_t drained = heap_.size();
-  if (drained == 0) return 0;
-  std::sort(heap_.begin(), heap_.end(), Less);
-  out->reserve(out->size() + drained);
-  out->insert(out->end(), std::make_move_iterator(heap_.begin()),
-              std::make_move_iterator(heap_.end()));
-  heap_.clear();
-  return drained;
-}
-
-void ReorderBuffer::Clear() {
-  heap_.clear();
-  if (ring_size_ > 0) {
-    for (int64_t q = q_min_; q <= q_max_; ++q) RingAt(q).Reset();
-    ring_size_ = 0;
-  }
-  q_min_ = 0;
-  q_max_ = -1;
-}
-
-// --- Heap engine ---------------------------------------------------------
-
-void ReorderBuffer::HeapPopMin(Event* out) {
-  *out = std::move(heap_.front());
-  heap_.front() = std::move(heap_.back());
-  heap_.pop_back();
-  if (!heap_.empty()) SiftDown(0);
-}
-
-size_t ReorderBuffer::HeapPopUpTo(TimestampUs threshold,
-                                  std::vector<Event>* out) {
-  if (heap_.empty() || heap_.front().event_time > threshold) return 0;
-  size_t popped = 0;
-  while (!heap_.empty() && heap_.front().event_time <= threshold) {
-    if (popped >= kBulkPopThreshold) {
-      // Large release: partition the remaining releasable events to the
-      // back, sort them into emission order, and re-heapify the keepers.
-      // The reserve covers exactly the bulk tail, not the whole buffer.
-      auto keep_end = std::partition(
-          heap_.begin(), heap_.end(),
-          [threshold](const Event& e) { return e.event_time > threshold; });
-      std::sort(keep_end, heap_.end(), Less);
-      const size_t bulk = static_cast<size_t>(heap_.end() - keep_end);
-      out->reserve(out->size() + bulk);
-      popped += bulk;
-      out->insert(out->end(), std::make_move_iterator(keep_end),
-                  std::make_move_iterator(heap_.end()));
-      heap_.erase(keep_end, heap_.end());
-      Heapify();
-      return popped;
-    }
-    out->emplace_back();
-    HeapPopMin(&out->back());
-    ++popped;
-  }
-  return popped;
-}
-
-void ReorderBuffer::Heapify() {
-  if (heap_.size() < 2) return;
-  for (size_t i = heap_.size() / 2; i-- > 0;) SiftDown(i);
-}
-
-void ReorderBuffer::SiftUp(size_t i) {
-  if (i == 0) return;
-  size_t parent = (i - 1) / 2;
-  if (!Less(heap_[i], heap_[parent])) return;  // Common case: already a leaf.
-  Event v = std::move(heap_[i]);
-  do {
-    heap_[i] = std::move(heap_[parent]);
-    i = parent;
-    parent = (i - 1) / 2;
-  } while (i > 0 && Less(v, heap_[parent]));
-  heap_[i] = std::move(v);
-}
-
-void ReorderBuffer::SiftDown(size_t i) {
-  const size_t n = heap_.size();
-  Event v = std::move(heap_[i]);
-  while (true) {
-    const size_t left = 2 * i + 1;
-    const size_t right = left + 1;
-    size_t smallest = i;
-    const Event* sv = &v;
-    if (left < n && Less(heap_[left], *sv)) {
-      smallest = left;
-      sv = &heap_[left];
-    }
-    if (right < n && Less(heap_[right], *sv)) {
-      smallest = right;
-    }
-    if (smallest == i) break;
-    heap_[i] = std::move(heap_[smallest]);
-    i = smallest;
-  }
-  heap_[i] = std::move(v);
-}
-
-// --- Ring engine ---------------------------------------------------------
-
-namespace {
-
 /// Bucket-granular bounds on the live event-time span: [q_min, q_max]
 /// buckets of width 2^shift cover exactly this closed time interval.
 inline TimestampUs BucketLow(int64_t q, int shift) {
@@ -225,6 +32,50 @@ inline TimestampUs BucketHigh(int64_t q, int shift) {
 
 }  // namespace
 
+void ReorderBuffer::SetArena(EventArena* arena) {
+  if (arena == arena_) return;
+  STREAMQ_CHECK(empty());
+  arena_ = arena;
+}
+
+ReorderBuffer::~ReorderBuffer() {
+  // Return every owned buffer — live buckets and empty buckets that still
+  // hold capacity — so storage survives shard churn.
+  if (arena_ == nullptr) return;
+  for (Bucket& b : ring_) {
+    if (b.events.capacity() > 0) arena_->Recycle(std::move(b.events));
+  }
+}
+
+void ReorderBuffer::ReserveBucket(Bucket* b) {
+  if (arena_ != nullptr) {
+    b->events = arena_->AcquireAtLeast(BucketReserve());
+  } else {
+    b->events.reserve(BucketReserve());
+  }
+}
+
+TimestampUs ReorderBuffer::MinEventTime() const {
+  STREAMQ_CHECK(!empty());
+  // The lowest-index live bucket holds the minimum (q is monotone in time).
+  const Bucket& b = BucketAt(q_min_);
+  if (b.sorted) return b.events[b.head].event_time;
+  TimestampUs min_t = b.events[b.head].event_time;
+  for (size_t i = b.head + 1; i < b.events.size(); ++i) {
+    min_t = std::min(min_t, b.events[i].event_time);
+  }
+  return min_t;
+}
+
+void ReorderBuffer::Clear() {
+  if (size_ > 0) {
+    for (int64_t q = q_min_; q <= q_max_; ++q) BucketAt(q).Reset();
+    size_ = 0;
+  }
+  q_min_ = 0;
+  q_max_ = -1;
+}
+
 int ReorderBuffer::DesiredShift(TimestampUs lo, TimestampUs hi) {
   const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
   int s = 0;
@@ -235,10 +86,10 @@ int ReorderBuffer::DesiredShift(TimestampUs lo, TimestampUs hi) {
   return s;
 }
 
-void ReorderBuffer::RingPush(Event e) {
+void ReorderBuffer::Push(Event e) {
   if (ring_.empty()) ring_.resize(kInitialRingCapacity);
   int64_t q = e.event_time >> shift_;
-  if (ring_size_ == 0) {
+  if (size_ == 0) {
     q_min_ = q_max_ = q;
   } else if (q < q_min_ || q > q_max_) {
     int64_t new_min = std::min(q, q_min_);
@@ -250,23 +101,23 @@ void ReorderBuffer::RingPush(Event e) {
     // cache miss per push, and rebucketing a sparse buffer is cheap.
     if (new_span > kMaxLiveBuckets ||
         (new_span > kTargetLiveBuckets &&
-         ring_size_ < static_cast<size_t>(new_span))) {
+         size_ < static_cast<size_t>(new_span))) {
       // Span blown (slack grew or an outlier arrived): widen the buckets so
       // the whole live span refits near the target bucket count.
       const TimestampUs lo =
           std::min(e.event_time, BucketLow(q_min_, shift_));
       const TimestampUs hi =
           std::max(e.event_time, BucketHigh(q_max_, shift_));
-      RingRebucket(std::max(DesiredShift(lo, hi), shift_ + 1));
+      Rebucket(std::max(DesiredShift(lo, hi), shift_ + 1));
       q = e.event_time >> shift_;
       new_min = std::min(q, q_min_);
       new_max = std::max(q, q_max_);
     }
-    RingGrowCapacity(static_cast<uint64_t>(new_max - new_min + 1));
+    GrowCapacity(static_cast<uint64_t>(new_max - new_min + 1));
     q_min_ = new_min;
     q_max_ = new_max;
   }
-  RingBucket& b = RingAt(q);
+  Bucket& b = BucketAt(q);
   if (b.LiveEmpty()) {
     b.Reset();
     b.sorted = true;
@@ -275,39 +126,40 @@ void ReorderBuffer::RingPush(Event e) {
   }
   if (b.events.capacity() == 0) ReserveBucket(&b);
   b.events.push_back(std::move(e));
-  ++ring_size_;
-  if (ring_size_ > max_size_) max_size_ = ring_size_;
+  ++size_;
+  if (size_ > max_size_) max_size_ = size_;
   // Narrow when the live span collapsed to a sliver of wide buckets (slack
   // shrank): re-split toward the target count. The bucket-granular span
   // over-estimates the true span, so this only narrows when clearly due --
   // the kMaxLiveBuckets/kNarrowSpanBuckets gap provides the hysteresis.
-  if (shift_ > 0 && ring_size_ >= kNarrowMinEvents &&
+  if (shift_ > 0 && size_ >= kNarrowMinEvents &&
       q_max_ - q_min_ + 1 <= kNarrowSpanBuckets) {
     const int desired =
         DesiredShift(BucketLow(q_min_, shift_), BucketHigh(q_max_, shift_));
-    if (desired < shift_) RingRebucket(desired);
+    if (desired < shift_) Rebucket(desired);
   }
 }
 
-void ReorderBuffer::RingPopMin(Event* out) {
-  RingBucket& b = RingAt(q_min_);
+void ReorderBuffer::PopMin(Event* out) {
+  STREAMQ_CHECK(!empty());
+  Bucket& b = BucketAt(q_min_);
   EnsureSortedLive(&b);
   *out = std::move(b.events[b.head]);
   ++b.head;
   if (b.LiveEmpty()) b.Reset();
-  --ring_size_;
-  RingAdvanceMin();
+  --size_;
+  AdvanceMin();
 }
 
-size_t ReorderBuffer::RingPopUpTo(TimestampUs threshold,
+size_t ReorderBuffer::PopUpTo(TimestampUs threshold,
                                   std::vector<Event>* out) {
-  if (ring_size_ == 0) return 0;
+  if (size_ == 0) return 0;
   const int64_t qt = threshold >> shift_;
   if (qt < q_min_) return 0;
   // Common per-event case: the threshold lands in the lowest live bucket
   // and nothing there is releasable yet.
   if (qt == q_min_) {
-    const RingBucket& b = RingAt(q_min_);
+    const Bucket& b = BucketAt(q_min_);
     if (b.sorted && b.events[b.head].event_time > threshold) return 0;
   }
   // Buckets in [q_min_, q_full_end) lie entirely at or below the threshold;
@@ -315,14 +167,14 @@ size_t ReorderBuffer::RingPopUpTo(TimestampUs threshold,
   // release size for the reserve.
   const int64_t q_full_end = std::min(qt, q_max_ + 1);
   size_t bound = 0;
-  for (int64_t q = q_min_; q < q_full_end; ++q) bound += RingAt(q).live();
-  if (qt <= q_max_) bound += RingAt(qt).live();
+  for (int64_t q = q_min_; q < q_full_end; ++q) bound += BucketAt(q).live();
+  if (qt <= q_max_) bound += BucketAt(qt).live();
   if (bound == 0) return 0;
   if (bound > kReserveSkipBound) out->reserve(out->size() + bound);
 
   size_t popped = 0;
   for (int64_t q = q_min_; q < q_full_end; ++q) {
-    RingBucket& b = RingAt(q);
+    Bucket& b = BucketAt(q);
     if (b.LiveEmpty()) continue;
     EnsureSortedLive(&b);
     popped += b.live();
@@ -333,7 +185,7 @@ size_t ReorderBuffer::RingPopUpTo(TimestampUs threshold,
     b.Reset();
   }
   if (qt <= q_max_) {
-    RingBucket& b = RingAt(qt);
+    Bucket& b = BucketAt(qt);
     if (!b.LiveEmpty()) {
       EnsureSortedLive(&b);
       const auto live_begin =
@@ -350,17 +202,17 @@ size_t ReorderBuffer::RingPopUpTo(TimestampUs threshold,
       }
     }
   }
-  ring_size_ -= popped;
-  RingAdvanceMin();
+  size_ -= popped;
+  AdvanceMin();
   return popped;
 }
 
-size_t ReorderBuffer::RingDrainInto(std::vector<Event>* out) {
-  const size_t drained = ring_size_;
+size_t ReorderBuffer::DrainInto(std::vector<Event>* out) {
+  const size_t drained = size_;
   if (drained == 0) return 0;
   out->reserve(out->size() + drained);
   for (int64_t q = q_min_; q <= q_max_; ++q) {
-    RingBucket& b = RingAt(q);
+    Bucket& b = BucketAt(q);
     if (b.LiveEmpty()) continue;
     EnsureSortedLive(&b);
     out->insert(out->end(),
@@ -369,12 +221,12 @@ size_t ReorderBuffer::RingDrainInto(std::vector<Event>* out) {
                 std::make_move_iterator(b.events.end()));
     b.Reset();
   }
-  ring_size_ = 0;
-  RingAdvanceMin();
+  size_ = 0;
+  AdvanceMin();
   return drained;
 }
 
-void ReorderBuffer::EnsureSortedLive(RingBucket* b) {
+void ReorderBuffer::EnsureSortedLive(Bucket* b) {
   if (b->sorted) return;
   if (b->head > 0) {
     b->events.erase(b->events.begin(),
@@ -385,36 +237,36 @@ void ReorderBuffer::EnsureSortedLive(RingBucket* b) {
   b->sorted = true;
 }
 
-void ReorderBuffer::RingGrowCapacity(uint64_t span) {
+void ReorderBuffer::GrowCapacity(uint64_t span) {
   if (ring_.empty()) ring_.resize(kInitialRingCapacity);
   if (span <= ring_.size()) return;
   size_t cap = ring_.size();
   while (cap < span) cap *= 2;
   cap *= 2;  // Headroom so a drifting span doesn't regrow immediately.
-  std::vector<RingBucket> old = std::move(ring_);
-  ring_.assign(cap, RingBucket{});
-  if (ring_size_ > 0) {
+  std::vector<Bucket> old = std::move(ring_);
+  ring_.assign(cap, Bucket{});
+  if (size_ > 0) {
     const size_t old_mask = old.size() - 1;
     for (int64_t q = q_min_; q <= q_max_; ++q) {
-      RingBucket& ob = old[static_cast<size_t>(q) & old_mask];
+      Bucket& ob = old[static_cast<size_t>(q) & old_mask];
       if (ob.LiveEmpty()) continue;
-      ring_[RingIndex(q)] = std::move(ob);
+      ring_[BucketIndex(q)] = std::move(ob);
     }
   }
   if (arena_ != nullptr) {
     // Empty buckets left behind by the remap still hold capacity; pool it
     // for the new ring's virgin buckets instead of freeing.
-    for (RingBucket& ob : old) {
+    for (Bucket& ob : old) {
       if (ob.events.capacity() > 0) arena_->Recycle(std::move(ob.events));
     }
   }
 }
 
-void ReorderBuffer::RingRebucket(int new_shift) {
+void ReorderBuffer::Rebucket(int new_shift) {
   std::vector<Event> all;
-  all.reserve(ring_size_);
+  all.reserve(size_);
   for (int64_t q = q_min_; q <= q_max_; ++q) {
-    RingBucket& b = RingAt(q);
+    Bucket& b = BucketAt(q);
     if (b.LiveEmpty()) continue;
     all.insert(all.end(),
                std::make_move_iterator(b.events.begin() +
@@ -432,9 +284,9 @@ void ReorderBuffer::RingRebucket(int new_shift) {
   }
   q_min_ = new_min;
   q_max_ = new_max;
-  RingGrowCapacity(static_cast<uint64_t>(new_max - new_min + 1));
+  GrowCapacity(static_cast<uint64_t>(new_max - new_min + 1));
   for (Event& e : all) {
-    RingBucket& b = RingAt(e.event_time >> shift_);
+    Bucket& b = BucketAt(e.event_time >> shift_);
     if (b.events.empty()) {
       b.sorted = true;
     } else if (b.sorted && Less(e, b.events.back())) {
@@ -445,20 +297,20 @@ void ReorderBuffer::RingRebucket(int new_shift) {
   }
 }
 
-size_t ReorderBuffer::RingBucketReserve() const {
+size_t ReorderBuffer::BucketReserve() const {
   const size_t span =
-      ring_size_ == 0 ? 1 : static_cast<size_t>(q_max_ - q_min_ + 1);
-  return std::clamp(ring_size_ / span + 1, kBucketMinCapacity,
+      size_ == 0 ? 1 : static_cast<size_t>(q_max_ - q_min_ + 1);
+  return std::clamp(size_ / span + 1, kBucketMinCapacity,
                     kBucketMaxCapacity);
 }
 
-void ReorderBuffer::RingAdvanceMin() {
-  if (ring_size_ == 0) {
+void ReorderBuffer::AdvanceMin() {
+  if (size_ == 0) {
     q_min_ = 0;
     q_max_ = -1;
     return;
   }
-  while (RingAt(q_min_).LiveEmpty()) ++q_min_;
+  while (BucketAt(q_min_).LiveEmpty()) ++q_min_;
 }
 
 }  // namespace streamq

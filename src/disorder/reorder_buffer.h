@@ -15,39 +15,22 @@ namespace streamq {
 
 /// Buffer of events keyed by (event_time, id). The common substrate of
 /// every buffering disorder handler: insert on arrival, pop in event-time
-/// order up to a release threshold.
+/// order up to a release threshold. Pop order is fully determined by the
+/// total order (event_time, id), so the internal layout is unobservable.
 ///
-/// Pop order is fully determined by the total order (event_time, id), so the
-/// internal layout is unobservable; the two engines below are exactly
-/// interchangeable, sequence for sequence.
-///
-///  * Engine::kHeap — binary min-heap (the reference engine). O(log n)
-///    sift per push, per-element sift-down pops with a partition + sort
-///    fallback for bulk releases.
-///  * Engine::kRing — slack-aligned bucket ring (calendar-queue style, the
-///    default). Events append O(1) into power-of-two-width time buckets;
-///    PopUpTo releases whole buckets below the threshold and sorts only
-///    the one boundary bucket. Because K-slack release thresholds advance
-///    monotonically with the frontier, each event is sorted once within
-///    its (small) bucket: O(1) amortized per operation independent of
-///    buffer size. The bucket width auto-resizes from the observed
-///    event-time span of the buffer (≈ the slack K), so buffers from 10^2
-///    to 10^6 events keep a bounded bucket count and bounded bucket
-///    population.
+/// Layout: a slack-aligned bucket ring (calendar-queue style). Events
+/// append O(1) into power-of-two-width time buckets; PopUpTo releases whole
+/// buckets below the threshold and sorts only the one boundary bucket.
+/// Because K-slack release thresholds advance monotonically with the
+/// frontier, each event is sorted once within its (small) bucket: O(1)
+/// amortized per operation independent of buffer size. The bucket width
+/// auto-resizes from the observed event-time span of the buffer (≈ the
+/// slack K), so buffers from 10^2 to 10^6 events keep a bounded bucket
+/// count and bounded bucket population.
 class ReorderBuffer {
  public:
-  enum class Engine { kHeap, kRing };
-
-  explicit ReorderBuffer(Engine engine = Engine::kRing) : engine_(engine) {}
-
-  /// Switches engines. Only legal while the buffer is empty (there is no
-  /// cross-engine migration; handlers select the engine before ingesting).
-  void SetEngine(Engine engine);
-
-  Engine engine() const { return engine_; }
-
-  /// Attaches a slab arena: bucket and heap storage is acquired from — and,
-  /// on destruction, recycled into — the arena instead of the heap, so the
+  /// Attaches a slab arena: bucket storage is acquired from — and, on
+  /// destruction, recycled into — the arena instead of malloc, so the
   /// steady state allocates nothing even as shards come and go. Only legal
   /// while the buffer is empty; nullptr detaches. The arena must outlive
   /// the buffer (GlobalEventArena always does).
@@ -59,24 +42,16 @@ class ReorderBuffer {
 
   /// Inserts one event. Takes the event by value and moves it into the
   /// buffer so the hot path pays a single copy at the call boundary.
-  void Push(Event e) {
-    if (engine_ == Engine::kRing) {
-      RingPush(std::move(e));
-    } else {
-      HeapPush(std::move(e));
-    }
+  void Push(Event e);
+
+  /// Bulk insert. Equivalent to Push-ing every element in order (each
+  /// append is already O(1)).
+  void PushBatch(std::span<const Event> events) {
+    for (const Event& e : events) Push(e);
   }
 
-  /// Bulk insert. Equivalent to Push-ing every element in order. The heap
-  /// engine chooses between per-element sift-up (small batches) and a full
-  /// O(n) heapify (batches comparable to the buffer) by cost estimate; the
-  /// ring engine appends element-wise (already O(1) each).
-  void PushBatch(std::span<const Event> events);
-
-  bool empty() const { return size() == 0; }
-  size_t size() const {
-    return engine_ == Engine::kRing ? ring_size_ : heap_.size();
-  }
+  bool empty() const { return size_ == 0; }
+  size_t size() const { return size_; }
 
   /// Largest size ever reached (memory footprint instrumentation).
   size_t max_size() const { return max_size_; }
@@ -89,10 +64,9 @@ class ReorderBuffer {
 
   /// Pops every event with event_time <= threshold, appending to `*out` in
   /// event-time order. Returns the number popped. Output capacity is
-  /// reserved against a cheap per-release upper bound (releasable-bucket
-  /// populations for the ring, the bulk-partition count for the heap), not
-  /// against the whole buffer, so small releases never pay a full-buffer
-  /// reservation.
+  /// reserved against a cheap per-release upper bound (the releasable
+  /// buckets' populations), not against the whole buffer, so small
+  /// releases never pay a full-buffer reservation.
   size_t PopUpTo(TimestampUs threshold, std::vector<Event>* out);
 
   /// Drains the entire buffer in event-time order into `*out` (end of
@@ -107,29 +81,12 @@ class ReorderBuffer {
     return a.id < b.id;
   }
 
-  // --- Heap engine -------------------------------------------------------
-
-  void HeapPush(Event e) {
-    if (heap_.capacity() == 0) ReserveHeapStorage();
-    heap_.push_back(std::move(e));
-    SiftUp(heap_.size() - 1);
-    if (heap_.size() > max_size_) max_size_ = heap_.size();
-  }
-  void HeapPopMin(Event* out);
-  size_t HeapPopUpTo(TimestampUs threshold, std::vector<Event>* out);
-  void SiftUp(size_t i);
-  void SiftDown(size_t i);
-  void Heapify();
-  void ReserveHeapStorage();
-
-  // --- Ring engine -------------------------------------------------------
-
   /// One time bucket: live events occupy [head, events.size()); `sorted`
   /// says the live range is ascending by (event_time, id). The dead prefix
   /// [0, head) lets repeated partial releases from the boundary bucket pop
   /// a sorted prefix without shifting the tail; it is reclaimed when the
   /// bucket empties or is next resorted.
-  struct RingBucket {
+  struct Bucket {
     std::vector<Event> events;
     size_t head = 0;
     bool sorted = false;
@@ -143,54 +100,46 @@ class ReorderBuffer {
     }
   };
 
-  size_t RingIndex(int64_t q) const {
+  size_t BucketIndex(int64_t q) const {
     return static_cast<size_t>(static_cast<uint64_t>(q) & (ring_.size() - 1));
   }
-  RingBucket& RingAt(int64_t q) { return ring_[RingIndex(q)]; }
-  const RingBucket& RingAt(int64_t q) const { return ring_[RingIndex(q)]; }
+  Bucket& BucketAt(int64_t q) { return ring_[BucketIndex(q)]; }
+  const Bucket& BucketAt(int64_t q) const { return ring_[BucketIndex(q)]; }
 
-  void RingPush(Event e);
-  void RingPopMin(Event* out);
   /// First allocation for a virgin bucket: from the arena when attached.
-  void ReserveBucket(RingBucket* b);
-  size_t RingPopUpTo(TimestampUs threshold, std::vector<Event>* out);
-  size_t RingDrainInto(std::vector<Event>* out);
+  void ReserveBucket(Bucket* b);
 
   /// Compacts the dead prefix and sorts the live range (no-op if sorted).
-  void EnsureSortedLive(RingBucket* b);
+  void EnsureSortedLive(Bucket* b);
 
   /// Grows the ring so `span` bucket indices fit (power-of-two capacity;
   /// existing buckets are remapped by masking, as in FlatWindowStore).
-  void RingGrowCapacity(uint64_t span);
+  void GrowCapacity(uint64_t span);
 
   /// Re-buckets every live event under a new bucket-width shift.
-  void RingRebucket(int new_shift);
+  void Rebucket(int new_shift);
 
   /// First-allocation size for a virgin bucket: the buffer's current mean
   /// live-bucket population, clamped (deep buffers open big buckets).
-  size_t RingBucketReserve() const;
+  size_t BucketReserve() const;
 
   /// Smallest shift whose bucket count over [lo, hi] stays at or below the
   /// target live-bucket count.
   static int DesiredShift(TimestampUs lo, TimestampUs hi);
 
   /// Advances q_min_ past drained buckets (resets the span when empty).
-  void RingAdvanceMin();
+  void AdvanceMin();
 
-  Engine engine_;
   EventArena* arena_ = nullptr;
   size_t max_size_ = 0;
 
-  // Heap engine state.
-  std::vector<Event> heap_;
-
-  // Ring engine state. The span [q_min_, q_max_] is valid iff
-  // ring_size_ > 0; ring capacity is a power of two covering it.
-  std::vector<RingBucket> ring_;
+  // The span [q_min_, q_max_] is valid iff size_ > 0; ring capacity is a
+  // power of two covering it.
+  std::vector<Bucket> ring_;
   int shift_ = kInitialShift;
   int64_t q_min_ = 0;
   int64_t q_max_ = -1;
-  size_t ring_size_ = 0;
+  size_t size_ = 0;
 
   static constexpr int kInitialShift = 8;        // 256 us buckets.
   static constexpr int kMaxShift = 40;           // ~13 days; overflow guard.

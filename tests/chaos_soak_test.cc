@@ -24,8 +24,6 @@
 namespace streamq {
 namespace {
 
-using Engine = ReorderBuffer::Engine;
-
 std::vector<Event> SoakWorkload(uint64_t seed) {
   WorkloadConfig cfg;
   cfg.num_events = 6000;
@@ -76,9 +74,8 @@ FaultSpec ValidFaults(uint64_t seed) {
 
 enum class HandlerKind { kAq, kLb, kFixed, kMp, kWatermark, kSpeculative };
 
-ContinuousQuery BuildQuery(HandlerKind kind, bool per_key, Engine engine,
-                           size_t cap, ShedPolicy policy,
-                           IngestValidation validation,
+ContinuousQuery BuildQuery(HandlerKind kind, bool per_key, size_t cap,
+                           ShedPolicy policy, IngestValidation validation,
                            DurationUs max_slack = 0) {
   QueryBuilder builder("chaos");
   builder.Tumbling(Millis(100)).Aggregate("sum").AllowedLateness(Millis(50));
@@ -111,9 +108,7 @@ ContinuousQuery BuildQuery(HandlerKind kind, bool per_key, Engine engine,
   if (cap != 0) builder.BufferCap(cap, policy);
   if (max_slack > 0) builder.MaxSlack(max_slack);
   builder.ValidateIngest(validation);
-  ContinuousQuery query = builder.Build();
-  query.handler = query.handler.WithBufferEngine(engine);
-  return query;
+  return builder.Build();
 }
 
 /// The soak contract for a completed degraded run: OK status, exact
@@ -139,7 +134,6 @@ struct SoakCase {
   const char* name;
   HandlerKind kind;
   bool per_key;
-  Engine engine;
   size_t cap;
   ShedPolicy policy;
   IngestValidation validation;
@@ -148,40 +142,35 @@ struct SoakCase {
 };
 
 constexpr SoakCase kSoakCases[] = {
-    {"aq/global/ring/emit-early", HandlerKind::kAq, false, Engine::kRing, 1024,
+    {"aq/global/emit-early", HandlerKind::kAq, false, 1024,
      ShedPolicy::kEmitEarly, IngestValidation::kDrop, FullFaults, Millis(100)},
-    {"aq/keyed/ring/emit-early", HandlerKind::kAq, true, Engine::kRing, 512,
+    {"aq/keyed/emit-early", HandlerKind::kAq, true, 512,
      ShedPolicy::kEmitEarly, IngestValidation::kDrop, FullFaults, 0},
-    {"lb/global/heap/drop-oldest", HandlerKind::kLb, false, Engine::kHeap, 512,
+    {"lb/global/drop-oldest", HandlerKind::kLb, false, 512,
      ShedPolicy::kDropOldest, IngestValidation::kDrop, FullFaults,
      Millis(100)},
-    {"lb/keyed/ring/drop-newest", HandlerKind::kLb, true, Engine::kRing, 512,
+    {"lb/keyed/drop-newest", HandlerKind::kLb, true, 512,
      ShedPolicy::kDropNewest, IngestValidation::kDrop, BurstyFaults, 0},
-    {"fixed/global/ring/drop-newest", HandlerKind::kFixed, false, Engine::kRing,
-     256, ShedPolicy::kDropNewest, IngestValidation::kDrop, BurstyFaults, 0},
-    {"fixed/keyed/heap/drop-oldest", HandlerKind::kFixed, true, Engine::kHeap,
-     256, ShedPolicy::kDropOldest, IngestValidation::kDrop, FullFaults, 0},
-    {"mp/global/ring/emit-early", HandlerKind::kMp, false, Engine::kRing, 1024,
+    {"fixed/global/drop-newest", HandlerKind::kFixed, false, 256,
+     ShedPolicy::kDropNewest, IngestValidation::kDrop, BurstyFaults, 0},
+    {"fixed/keyed/drop-oldest", HandlerKind::kFixed, true, 256,
+     ShedPolicy::kDropOldest, IngestValidation::kDrop, FullFaults, 0},
+    {"mp/global/emit-early", HandlerKind::kMp, false, 1024,
      ShedPolicy::kEmitEarly, IngestValidation::kDrop, BurstyFaults, 0},
-    {"watermark/global/ring/emit-early", HandlerKind::kWatermark, false,
-     Engine::kRing, 512, ShedPolicy::kEmitEarly, IngestValidation::kDrop,
-     FullFaults, 0},
+    {"watermark/global/emit-early", HandlerKind::kWatermark, false, 512,
+     ShedPolicy::kEmitEarly, IngestValidation::kDrop, FullFaults, 0},
     // Speculative emit-then-amend: no reorder buffer to cap, so disorder
     // bursts turn into amendment storms — which must stay graceful.
-    {"speculative/global/amend", HandlerKind::kSpeculative, false,
-     Engine::kRing, 0, ShedPolicy::kEmitEarly, IngestValidation::kDrop,
-     FullFaults, Millis(100)},
-    {"speculative/keyed/amend/bursts", HandlerKind::kSpeculative, true,
-     Engine::kRing, 0, ShedPolicy::kEmitEarly, IngestValidation::kDrop,
-     BurstyFaults, 0},
+    {"speculative/global/amend", HandlerKind::kSpeculative, false, 0,
+     ShedPolicy::kEmitEarly, IngestValidation::kDrop, FullFaults, Millis(100)},
+    {"speculative/keyed/amend/bursts", HandlerKind::kSpeculative, true, 0,
+     ShedPolicy::kEmitEarly, IngestValidation::kDrop, BurstyFaults, 0},
     // Unvalidated runs: the injected faults stay within the valid domain,
     // so kOff pipelines must survive them untouched.
-    {"aq/global/ring/uncapped/no-validation", HandlerKind::kAq, false,
-     Engine::kRing, 0, ShedPolicy::kEmitEarly, IngestValidation::kOff,
-     ValidFaults, 0},
-    {"fixed/global/ring/emit-early/no-validation", HandlerKind::kFixed, false,
-     Engine::kRing, 256, ShedPolicy::kEmitEarly, IngestValidation::kOff,
-     ValidFaults, 0},
+    {"aq/global/uncapped/no-validation", HandlerKind::kAq, false, 0,
+     ShedPolicy::kEmitEarly, IngestValidation::kOff, ValidFaults, 0},
+    {"fixed/global/emit-early/no-validation", HandlerKind::kFixed, false, 256,
+     ShedPolicy::kEmitEarly, IngestValidation::kOff, ValidFaults, 0},
 };
 
 TEST(ChaosSoakTest, EveryConfigurationDegradesGracefully) {
@@ -191,8 +180,8 @@ TEST(ChaosSoakTest, EveryConfigurationDegradesGracefully) {
       SCOPED_TRACE(std::string(c.name) + " seed=" + std::to_string(seed));
       VectorSource inner(workload);
       FaultInjectingSource faulty(&inner, c.faults(seed));
-      QueryExecutor exec(BuildQuery(c.kind, c.per_key, c.engine, c.cap,
-                                    c.policy, c.validation, c.max_slack));
+      QueryExecutor exec(BuildQuery(c.kind, c.per_key, c.cap, c.policy,
+                                    c.validation, c.max_slack));
       const RunReport report = exec.Run(&faulty);
       ExpectGracefulDegradation(report, faulty.stats(), c.cap);
       if (c.validation == IngestValidation::kOff) {
@@ -205,7 +194,7 @@ TEST(ChaosSoakTest, EveryConfigurationDegradesGracefully) {
 TEST(ChaosSoakTest, HandlerContractSurvivesFaultyStreams) {
   // Straight into the handler (no executor): order, watermark monotonicity
   // and the terminal flush must hold on a burst-spiked, duplicated,
-  // drop-riddled stream, capped and uncapped, both engines.
+  // drop-riddled stream, capped and uncapped.
   const std::vector<Event> workload = SoakWorkload(17);
   VectorSource inner(workload);
   FaultInjectingSource faulty(&inner, ValidFaults(17));
@@ -213,36 +202,33 @@ TEST(ChaosSoakTest, HandlerContractSurvivesFaultyStreams) {
   Event e;
   while (faulty.Next(&e)) stream.push_back(e);
 
-  for (Engine engine : {Engine::kHeap, Engine::kRing}) {
-    for (size_t cap : {size_t{0}, size_t{128}}) {
-      for (ShedPolicy policy :
-           {ShedPolicy::kEmitEarly, ShedPolicy::kDropNewest,
-            ShedPolicy::kDropOldest}) {
-        if (cap == 0 && policy != ShedPolicy::kEmitEarly) continue;
-        for (bool per_key : {false, true}) {
-          DisorderHandlerSpec spec = DisorderHandlerSpec::Aq(AqKSlack::Options{})
-                                         .PerKey(per_key)
-                                         .WithBufferEngine(engine)
-                                         .WithBufferCap(cap, policy);
-          SCOPED_TRACE(spec.Describe() + (per_key ? " keyed" : " global"));
-          auto handler = MakeDisorderHandlerOrDie(spec);
-          testutil::ContractCheckingSink sink;
-          for (const Event& ev : stream) handler->OnEvent(ev, &sink);
-          handler->Flush(&sink);
+  for (size_t cap : {size_t{0}, size_t{128}}) {
+    for (ShedPolicy policy :
+         {ShedPolicy::kEmitEarly, ShedPolicy::kDropNewest,
+          ShedPolicy::kDropOldest}) {
+      if (cap == 0 && policy != ShedPolicy::kEmitEarly) continue;
+      for (bool per_key : {false, true}) {
+        DisorderHandlerSpec spec = DisorderHandlerSpec::Aq(AqKSlack::Options{})
+                                       .PerKey(per_key)
+                                       .WithBufferCap(cap, policy);
+        SCOPED_TRACE(spec.Describe() + (per_key ? " keyed" : " global"));
+        auto handler = MakeDisorderHandlerOrDie(spec);
+        testutil::ContractCheckingSink sink;
+        for (const Event& ev : stream) handler->OnEvent(ev, &sink);
+        handler->Flush(&sink);
 
-          EXPECT_TRUE(sink.watermarks_monotone);
-          EXPECT_EQ(sink.current_watermark, kMaxTimestamp);
-          if (!per_key) {
-            EXPECT_TRUE(sink.ordered);
-            EXPECT_TRUE(sink.respects_watermark);
-          }
-          const DisorderHandlerStats& hs = handler->stats();
-          EXPECT_EQ(hs.events_in, static_cast<int64_t>(stream.size()));
-          EXPECT_EQ(hs.events_in,
-                    hs.events_out + hs.events_late + hs.events_shed);
-          if (cap != 0) {
-            EXPECT_LE(hs.max_buffer_size, static_cast<int64_t>(cap));
-          }
+        EXPECT_TRUE(sink.watermarks_monotone);
+        EXPECT_EQ(sink.current_watermark, kMaxTimestamp);
+        if (!per_key) {
+          EXPECT_TRUE(sink.ordered);
+          EXPECT_TRUE(sink.respects_watermark);
+        }
+        const DisorderHandlerStats& hs = handler->stats();
+        EXPECT_EQ(hs.events_in, static_cast<int64_t>(stream.size()));
+        EXPECT_EQ(hs.events_in,
+                  hs.events_out + hs.events_late + hs.events_shed);
+        if (cap != 0) {
+          EXPECT_LE(hs.max_buffer_size, static_cast<int64_t>(cap));
         }
       }
     }
@@ -256,7 +242,7 @@ TEST(ChaosSoakTest, StrictValidationStopsTheRunWithoutCrashing) {
   f.seed = 23;
   f.timestamp_corrupt_prob = 0.05;
   FaultInjectingSource faulty(&inner, f);
-  QueryExecutor exec(BuildQuery(HandlerKind::kAq, false, Engine::kRing, 0,
+  QueryExecutor exec(BuildQuery(HandlerKind::kAq, false, 0,
                                 ShedPolicy::kEmitEarly,
                                 IngestValidation::kStrict));
   const RunReport report = exec.Run(&faulty);
@@ -278,10 +264,10 @@ TEST(ChaosSoakTest, ParallelRunnersDegradeGracefullyUnderFaults) {
     VectorSource inner(workload);
     FaultInjectingSource faulty(&inner, FullFaults(31));
     ParallelMultiQueryRunner runner;
-    runner.AddQuery(BuildQuery(HandlerKind::kAq, false, Engine::kRing, 512,
+    runner.AddQuery(BuildQuery(HandlerKind::kAq, false, 512,
                                ShedPolicy::kEmitEarly,
                                IngestValidation::kDrop));
-    runner.AddQuery(BuildQuery(HandlerKind::kFixed, false, Engine::kRing, 512,
+    runner.AddQuery(BuildQuery(HandlerKind::kFixed, false, 512,
                                ShedPolicy::kDropOldest,
                                IngestValidation::kDrop));
     const std::vector<RunReport> reports = runner.Run(&faulty);
@@ -298,8 +284,8 @@ TEST(ChaosSoakTest, ParallelRunnersDegradeGracefullyUnderFaults) {
     FaultInjectingSource faulty(&inner, BurstyFaults(31));
     const size_t kShards = 3;
     ShardedKeyedRunner runner(
-        BuildQuery(HandlerKind::kAq, true, Engine::kRing, 512,
-                   ShedPolicy::kEmitEarly, IngestValidation::kDrop),
+        BuildQuery(HandlerKind::kAq, true, 512, ShedPolicy::kEmitEarly,
+                   IngestValidation::kDrop),
         kShards);
     const RunReport merged = runner.Run(&faulty);
     EXPECT_TRUE(merged.status.ok()) << merged.status.ToString();
@@ -321,8 +307,8 @@ TEST(ChaosSoakTest, ParallelRunnersDegradeGracefullyUnderFaults) {
     VectorSource inner(workload);
     FaultInjectingSource faulty(&inner, BurstyFaults(31));
     ShardedKeyedRunner runner(
-        BuildQuery(HandlerKind::kSpeculative, true, Engine::kRing, 0,
-                   ShedPolicy::kEmitEarly, IngestValidation::kDrop),
+        BuildQuery(HandlerKind::kSpeculative, true, 0, ShedPolicy::kEmitEarly,
+                   IngestValidation::kDrop),
         /*shards=*/3);
     const RunReport merged = runner.Run(&faulty);
     EXPECT_TRUE(merged.status.ok()) << merged.status.ToString();

@@ -231,35 +231,30 @@ TEST(KeyedHandlerTest, HeartbeatReachesEveryShard) {
 }
 
 TEST(KeyedHandlerTest, HeartbeatAdvancesIdleKeyAndUnblocksMergedWatermark) {
-  // Regression (both buffer engines): a key that stops receiving events must
-  // still advance its watermark on OnHeartbeat, otherwise its stale minimum
-  // blocks the merged watermark forever.
-  for (const ReorderBuffer::Engine engine :
-       {ReorderBuffer::Engine::kHeap, ReorderBuffer::Engine::kRing}) {
-    SCOPED_TRACE(engine == ReorderBuffer::Engine::kHeap ? "heap" : "ring");
-    auto handler = MakeKeyedFixed(100);
-    handler->set_buffer_engine(engine);
-    CollectingSink sink;
-    handler->OnEvent(E(0, 1000, 1000, /*key=*/1), &sink);
-    ASSERT_EQ(sink.watermarks.back(), 900);
-    // Key 2 arrives once with a low watermark, then goes idle.
-    handler->OnEvent(E(1, 500, 1001, /*key=*/2), &sink);
-    // Key 1 races ahead; merged = min(9900, 400) is still pinned by the
-    // idle key, so the merged watermark cannot advance past 900.
-    handler->OnEvent(E(2, 10000, 10000, /*key=*/1), &sink);
-    EXPECT_EQ(sink.watermarks.back(), 900);
-    EXPECT_EQ(handler->buffered(), 2u);  // ts=500 (key 2), ts=10000 (key 1).
+  // Regression: a key that stops receiving events must still advance its
+  // watermark on OnHeartbeat, otherwise its stale minimum blocks the merged
+  // watermark forever.
+  auto handler = MakeKeyedFixed(100);
+  CollectingSink sink;
+  handler->OnEvent(E(0, 1000, 1000, /*key=*/1), &sink);
+  ASSERT_EQ(sink.watermarks.back(), 900);
+  // Key 2 arrives once with a low watermark, then goes idle.
+  handler->OnEvent(E(1, 500, 1001, /*key=*/2), &sink);
+  // Key 1 races ahead; merged = min(9900, 400) is still pinned by the idle
+  // key, so the merged watermark cannot advance past 900.
+  handler->OnEvent(E(2, 10000, 10000, /*key=*/1), &sink);
+  EXPECT_EQ(sink.watermarks.back(), 900);
+  EXPECT_EQ(handler->buffered(), 2u);  // ts=500 (key 2), ts=10000 (key 1).
 
-    // The heartbeat reaches the idle shard: key 2's frontier advances to
-    // the bound, its buffered tuple releases, and the merged minimum jumps.
-    handler->OnHeartbeat(8000, 11000, &sink);
-    EXPECT_EQ(sink.watermarks.back(), 7900);
-    EXPECT_EQ(handler->buffered(), 1u);  // Key 1's ts=10000 still held.
-    const auto released = std::find_if(
-        sink.events.begin(), sink.events.end(),
-        [](const Event& e) { return e.id == 1; });
-    EXPECT_NE(released, sink.events.end());
-  }
+  // The heartbeat reaches the idle shard: key 2's frontier advances to the
+  // bound, its buffered tuple releases, and the merged minimum jumps.
+  handler->OnHeartbeat(8000, 11000, &sink);
+  EXPECT_EQ(sink.watermarks.back(), 7900);
+  EXPECT_EQ(handler->buffered(), 1u);  // Key 1's ts=10000 still held.
+  const auto released =
+      std::find_if(sink.events.begin(), sink.events.end(),
+                   [](const Event& e) { return e.id == 1; });
+  EXPECT_NE(released, sink.events.end());
 }
 
 TEST(KeyedHandlerTest, AggregateAccessorsMatchFullRecompute) {

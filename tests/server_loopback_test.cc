@@ -193,7 +193,8 @@ TEST_F(ServerLoopbackTest, PayloadErrorsAreRecoverablePerConnection) {
 TEST_F(ServerLoopbackTest, HostileRegisterPayloadsGetErrorReplies) {
   // Each payload is one RegisterQuery frame whose numbers are out of any
   // sane range: a vshards count that cannot be allocated, durations whose
-  // microsecond form overflows, more threads than a tenant may spawn.
+  // microsecond form overflows, more threads than a tenant may spawn, a
+  // window/slide ratio that would put each event in 100000 windows.
   // Every one must come back as an error reply naming the flag, with the
   // server — and this very connection — still serving afterwards.
   const struct {
@@ -208,6 +209,7 @@ TEST_F(ServerLoopbackTest, HostileRegisterPayloadsGetErrorReplies) {
       {"--strategy=lb --latency-budget=9300000000000000", "--latency-budget"},
       {"--max-slack=9300000000000000", "--max-slack"},
       {"--per-key --threads=100000", "--threads"},
+      {"--window=100000 --slide=1", "--window"},
   };
   auto client = Connect();
   uint32_t tenant = 1;

@@ -167,6 +167,25 @@ TEST(SessionOptions, ValidationMatrix) {
          o->vshards = 100000000000000;
        },
        false},
+      // Windows per event, ceil(window / slide), bound a query's cost.
+      {"windows per event at the cap",
+       [](SessionOptions* o) {
+         o->window_ms = SessionOptions::kMaxWindowsPerEvent;
+         o->slide_ms = 1;
+       },
+       true},
+      {"windows per event past the cap",
+       [](SessionOptions* o) {
+         o->window_ms = SessionOptions::kMaxWindowsPerEvent + 1;
+         o->slide_ms = 1;
+       },
+       false},
+      {"windows per event rounds up",
+       [](SessionOptions* o) {
+         o->window_ms = 2 * SessionOptions::kMaxWindowsPerEvent + 1;
+         o->slide_ms = 2;
+       },
+       false},
   };
   for (const Case& c : kCases) {
     SessionOptions options;

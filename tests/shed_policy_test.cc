@@ -1,5 +1,5 @@
 // Bounded-memory degradation: every buffering handler — global and per-key,
-// heap and ring engine, fed per-event and batched — must honor a hard
+// fed per-event and batched — must honor a hard
 // buffer cap under each shed policy while keeping the sink contract
 // (event-time order, watermark monotonicity) and exact tuple accounting
 // (in == out + late + shed). A cap that never binds must be invisible:
@@ -22,8 +22,6 @@
 
 namespace streamq {
 namespace {
-
-using Engine = ReorderBuffer::Engine;
 
 constexpr ShedPolicy kAllPolicies[] = {
     ShedPolicy::kEmitEarly, ShedPolicy::kDropNewest, ShedPolicy::kDropOldest};
@@ -109,53 +107,47 @@ struct FeedMode {
   size_t batch_size;
 };
 
-TEST(ShedPolicyTest, CapHoldsAcrossHandlersScopesEnginesAndFeedModes) {
+TEST(ShedPolicyTest, CapHoldsAcrossHandlersScopesAndFeedModes) {
   constexpr size_t kCap = 64;
   const FeedMode kFeedModes[] = {{"per-event", 0}, {"batched", 37}};
   for (const DisorderHandlerSpec& base : BufferingSpecs()) {
     for (bool per_key : {false, true}) {
-      for (Engine engine : {Engine::kHeap, Engine::kRing}) {
-        for (const FeedMode& feed : kFeedModes) {
-          // Heap is the reference engine; one feed mode there keeps the
-          // matrix affordable (ring runs both).
-          if (engine == Engine::kHeap && feed.batch_size != 0) continue;
-          for (ShedPolicy policy : kAllPolicies) {
-            DisorderHandlerSpec spec = base.PerKey(per_key)
-                                           .WithBufferEngine(engine)
-                                           .WithBufferCap(kCap, policy);
-            SCOPED_TRACE(spec.Describe() + (per_key ? " keyed" : " global") +
-                         " " + feed.name);
-            TraceSink sink;
-            DisorderHandlerStats stats;
-            RunSpec(spec, feed.batch_size, &sink, &stats);
+      for (const FeedMode& feed : kFeedModes) {
+        for (ShedPolicy policy : kAllPolicies) {
+          DisorderHandlerSpec spec =
+              base.PerKey(per_key).WithBufferCap(kCap, policy);
+          SCOPED_TRACE(spec.Describe() + (per_key ? " keyed" : " global") +
+                       " " + feed.name);
+          TraceSink sink;
+          DisorderHandlerStats stats;
+          RunSpec(spec, feed.batch_size, &sink, &stats);
 
-            // The memory bound: occupancy never exceeded the cap.
-            EXPECT_LE(stats.max_buffer_size, static_cast<int64_t>(kCap));
-            // Exact accounting: every arrival is out, late, or shed.
-            EXPECT_EQ(stats.events_in,
-                      static_cast<int64_t>(TestStream().size()));
-            EXPECT_EQ(stats.events_in,
-                      stats.events_out + stats.events_late + stats.events_shed);
-            EXPECT_EQ(static_cast<int64_t>(sink.events.size()),
-                      stats.events_out);
-            // Drops (watermark reorderer's beyond-lateness discards) are
-            // counted late but never delivered to the sink.
-            EXPECT_EQ(static_cast<int64_t>(sink.late.size()),
-                      stats.events_late - stats.events_dropped);
-            // Shedding may advance watermarks early but never backwards.
-            EXPECT_TRUE(sink.watermarks_monotone);
-            EXPECT_EQ(sink.current_watermark, kMaxTimestamp);
-            if (!per_key) {
-              // Keyed output is only ordered per key; globally the merged
-              // stream interleaves, so these two hold for global runs only.
-              EXPECT_TRUE(sink.ordered);
-              EXPECT_TRUE(sink.respects_watermark);
-            }
-            if (policy == ShedPolicy::kEmitEarly) {
-              EXPECT_EQ(stats.events_shed, 0);
-            } else {
-              EXPECT_EQ(stats.events_force_released, 0);
-            }
+          // The memory bound: occupancy never exceeded the cap.
+          EXPECT_LE(stats.max_buffer_size, static_cast<int64_t>(kCap));
+          // Exact accounting: every arrival is out, late, or shed.
+          EXPECT_EQ(stats.events_in,
+                    static_cast<int64_t>(TestStream().size()));
+          EXPECT_EQ(stats.events_in,
+                    stats.events_out + stats.events_late + stats.events_shed);
+          EXPECT_EQ(static_cast<int64_t>(sink.events.size()),
+                    stats.events_out);
+          // Drops (watermark reorderer's beyond-lateness discards) are
+          // counted late but never delivered to the sink.
+          EXPECT_EQ(static_cast<int64_t>(sink.late.size()),
+                    stats.events_late - stats.events_dropped);
+          // Shedding may advance watermarks early but never backwards.
+          EXPECT_TRUE(sink.watermarks_monotone);
+          EXPECT_EQ(sink.current_watermark, kMaxTimestamp);
+          if (!per_key) {
+            // Keyed output is only ordered per key; globally the merged
+            // stream interleaves, so these two hold for global runs only.
+            EXPECT_TRUE(sink.ordered);
+            EXPECT_TRUE(sink.respects_watermark);
+          }
+          if (policy == ShedPolicy::kEmitEarly) {
+            EXPECT_EQ(stats.events_shed, 0);
+          } else {
+            EXPECT_EQ(stats.events_force_released, 0);
           }
         }
       }

@@ -75,36 +75,6 @@ TEST(RunningMomentsTest, Reset) {
   EXPECT_DOUBLE_EQ(m.mean(), 0.0);
 }
 
-TEST(EwmaTest, FirstSamplePassesThrough) {
-  Ewma e(0.5);
-  EXPECT_TRUE(e.empty());
-  e.Add(10.0);
-  EXPECT_FALSE(e.empty());
-  EXPECT_DOUBLE_EQ(e.value(), 10.0);
-}
-
-TEST(EwmaTest, ConvergesToConstant) {
-  Ewma e(0.2);
-  for (int i = 0; i < 200; ++i) e.Add(3.0);
-  EXPECT_NEAR(e.value(), 3.0, 1e-12);
-}
-
-TEST(EwmaTest, WeightsNewSamples) {
-  Ewma e(0.5);
-  e.Add(0.0);
-  e.Add(10.0);
-  EXPECT_DOUBLE_EQ(e.value(), 5.0);
-  e.Add(10.0);
-  EXPECT_DOUBLE_EQ(e.value(), 7.5);
-}
-
-TEST(EwmaTest, Reset) {
-  Ewma e(0.5);
-  e.Add(1.0);
-  e.Reset();
-  EXPECT_TRUE(e.empty());
-}
-
 TEST(ReservoirSampleTest, KeepsAllBelowCapacity) {
   ReservoirSample r(100, 1);
   for (int i = 0; i < 50; ++i) r.Add(i);
@@ -194,35 +164,17 @@ TEST(SlidingWindowQuantileTest, WindowEviction) {
   EXPECT_EQ(s.seen(), 8);
 }
 
-TEST(SlidingWindowQuantileTest, QuantileAndCdfConsistency) {
+TEST(SlidingWindowQuantileTest, QuantileOfRamp) {
   SlidingWindowQuantile s(1000);
   for (int i = 1; i <= 1000; ++i) s.Add(i);
-  const double p95 = s.Quantile(0.95);
-  EXPECT_NEAR(p95, 950.0, 2.0);
-  EXPECT_NEAR(s.CdfAt(p95), 0.95, 0.01);
-  EXPECT_DOUBLE_EQ(s.CdfAt(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(s.CdfAt(1e9), 1.0);
+  EXPECT_NEAR(s.Quantile(0.95), 950.0, 2.0);
+  EXPECT_DOUBLE_EQ(s.Quantile(0.0), 1.0);
+  EXPECT_DOUBLE_EQ(s.Quantile(1.0), 1000.0);
 }
 
 TEST(SlidingWindowQuantileTest, EmptyDefaults) {
   SlidingWindowQuantile s(10);
   EXPECT_DOUBLE_EQ(s.Quantile(0.5), 0.0);
-  // Optimistic prior: no observed delays means "everything on time".
-  EXPECT_DOUBLE_EQ(s.CdfAt(123.0), 1.0);
-  EXPECT_DOUBLE_EQ(s.Max(), 0.0);
-  EXPECT_DOUBLE_EQ(s.Mean(), 0.0);
-}
-
-TEST(SlidingWindowQuantileTest, MaxAndMean) {
-  SlidingWindowQuantile s(3);
-  s.Add(1.0);
-  s.Add(5.0);
-  s.Add(3.0);
-  EXPECT_DOUBLE_EQ(s.Max(), 5.0);
-  EXPECT_DOUBLE_EQ(s.Mean(), 3.0);
-  s.Add(10.0);  // Evicts 1.0.
-  EXPECT_DOUBLE_EQ(s.Max(), 10.0);
-  EXPECT_DOUBLE_EQ(s.Mean(), 6.0);
 }
 
 TEST(SlidingWindowQuantileTest, TracksDistributionShift) {

@@ -7,16 +7,19 @@ f24_scheduler.csv or f25_resilience.csv, auto-detected from the header)
 plus the committed baseline and applies per-suite checks:
 
 R-F19 (disorder-stage layout):
-  1. Equivalence (hard): `checksum` must agree between the heap and ring
-     engines for every (section, config) -- identical released-event
-     sequences are the PR's core guarantee.
+  1. Equivalence (hard): in the buffer section `checksum` must agree
+     between the ring and the reference heap rows of every size --
+     identical released-event sequences. Every config needs a ring row;
+     the keyed section has no heap rows (handlers always run the ring), so
+     there each per-event row's checksum must instead equal its
+     batch256 partner's (KEYED_CHECKSUM_PAIRS).
   2. Ring win (hard): in the buffer section at occupancies >= 1e4 the ring
-     engine must beat the heap by RING_BUFFER_BOUND in the same run (real
-     ratios are 6-36x; the heap's per-tuple cost is O(log n) there).
+     must beat the heap by RING_BUFFER_BOUND in the same run (real ratios
+     are 6-36x; the heap's per-tuple cost is O(log n) there).
   3. Batch win (hard): on the deep keyed rows, the run-segmented OnBatch
-     ring row must not be slower than the per-event ring row. The full
-     >= 1.3x target is a soft warning (the margin is real but modest, and
-     shared runners are noisy).
+     row must not be slower than the per-event row. The full >= 1.3x
+     target is a soft warning (the margin is real but modest, and shared
+     runners are noisy).
 
 R-F20 (bounded-memory degradation):
   1. Memory bound (hard): every capped row's max_buffer must be <= cap.
@@ -128,6 +131,13 @@ RING_BUFFER_BOUND = 1.0 / 1.5
 RING_BUFFER_GATED_SIZES = {"size=1e4", "size=1e5", "size=1e6"}
 KEYED_BATCH_TARGET = 1.3
 KEYED_DEEP_PAIR = ("bursty16-deep-perevent", "bursty16-deep-batch256")
+# Keyed rows that feed the same stream through the same handler: OnBatch
+# must release exactly what per-event OnEvent does.
+KEYED_CHECKSUM_PAIRS = (
+    ("bursty16-perevent", "bursty16-batch256"),
+    ("random16-perevent", "random16-batch256"),
+    ("bursty16-deep-perevent", "bursty16-deep-batch256"),
+)
 
 # f20: a never-binding cap may cost at most 2% over the uncapped hot path.
 OVERHEAD_BOUND = 1.02
@@ -206,13 +216,18 @@ def check_f19(args):
     warnings = []
 
     for section, config in configs:
-        heap = current.get((section, config, "heap"))
         ring = current.get((section, config, "ring"))
-        if heap is None or ring is None:
-            failures.append(f"{section}/{config}: missing engine row")
+        if ring is None:
+            failures.append(f"{section}/{config}: missing ring row")
+            continue
+        if section != "buffer":
+            continue
+        heap = current.get((section, config, "heap"))
+        if heap is None:
+            failures.append(f"{section}/{config}: missing heap row")
             continue
 
-        # 1. Identical released-event sequences, engine for engine.
+        # 1. Identical released-event sequences, ring against reference.
         if heap["checksum"] != ring["checksum"]:
             failures.append(
                 f"{section}/{config}: checksum mismatch "
@@ -227,9 +242,21 @@ def check_f19(args):
                     f"{section}/{config}: ring {r_ns:.2f} ns/tuple vs heap "
                     f"{h_ns:.2f} (bound {RING_BUFFER_BOUND:.3f}x)")
 
-    # 3. Batched keyed ingestion on the deep rows (ring, the default
-    # engine): inversion is a hard failure, missing the full target a soft
-    # warning.
+    # 1b. Keyed rows: OnBatch releases what per-event OnEvent releases.
+    for per_event_cfg, batched_cfg in KEYED_CHECKSUM_PAIRS:
+        per_event = current.get(("keyed", per_event_cfg, "ring"))
+        batched = current.get(("keyed", batched_cfg, "ring"))
+        if per_event is None or batched is None:
+            failures.append(
+                f"keyed/{per_event_cfg}: missing row for checksum pairing")
+        elif per_event["checksum"] != batched["checksum"]:
+            failures.append(
+                f"keyed/{batched_cfg}: checksum mismatch vs "
+                f"{per_event_cfg} {batched['checksum']} != "
+                f"{per_event['checksum']}")
+
+    # 3. Batched keyed ingestion on the deep rows: inversion is a hard
+    # failure, missing the full target a soft warning.
     per_event = current.get(("keyed", KEYED_DEEP_PAIR[0], "ring"))
     batched = current.get(("keyed", KEYED_DEEP_PAIR[1], "ring"))
     if per_event is not None and batched is not None:
