@@ -1,7 +1,7 @@
-/// R-F21 — Extreme-scale runtime: arena batch memory and lock-free MPSC
-/// ingestion.
+/// R-F21 — Runtime batch memory: the slab arena behind the threaded
+/// runners' feed.
 ///
-/// Three sections in one table (CSV: bench_results/f21_runtime.csv). Every
+/// Two sections in one table (CSV: bench_results/f21_runtime.csv). Every
 /// compared pair carries a checksum over its output, and the CI gates
 /// (tools/check_bench_regression.py, f21 suite) hold the checksums equal:
 /// these are performance switches, never semantic ones.
@@ -15,16 +15,8 @@
 ///     its keep (>= 1.3x, hard); larger batches must never invert.
 ///
 ///   * section=pipeline — the whole ShardedKeyedRunner on a Zipf-keyed
-///     stream (pooled batches, arena-backed reorder buffers): one
-///     end-to-end row whose checksum and throughput are tracked against
-///     the committed baseline.
-///
-///   * section=mpsc — ingestion scaling when the stream is physically many
-///     feeds: key-disjoint throttled sources (each sleeps between batches,
-///     like a socket would) through 1, 2, and 4 producer threads. The
-///     sleeps overlap across producers, so even a single-core runner shows
-///     real wall-clock scaling: p2 >= 1.3x p1 (hard), with identical
-///     first-emission checksums across all producer counts.
+///     stream (pooled batches): one end-to-end row whose checksum and
+///     throughput are tracked against the committed baseline.
 ///
 /// Moving hot shards off a colocated worker is work stealing's job; R-F24
 /// gates it on the same colocated-skew stream.
@@ -57,9 +49,9 @@ uint64_t Fold(uint64_t h, int64_t v) {
 }
 
 /// Zipf-keyed, bounded-delay workload: delays < K = 50ms, so nothing is
-/// ever late, no revisions fire, and first emissions are invariant to both
-/// placement and source interleaving — the precondition for checksum
-/// equality across every compared row.
+/// ever late, no revisions fire, and first emissions are invariant to
+/// placement — the precondition for checksum equality across every
+/// compared row.
 std::vector<Event> SkewedStream(int64_t n, double zipf_s, uint64_t seed) {
   WorkloadConfig cfg;
   cfg.num_events = n;
@@ -76,7 +68,7 @@ std::vector<Event> SkewedStream(int64_t n, double zipf_s, uint64_t seed) {
 ContinuousQuery KeyedQuery() {
   ContinuousQuery q;
   q.name = "f21";
-  q.handler = DisorderHandlerSpec::Fixed(Millis(50)).PerKey().WithArena();
+  q.handler = DisorderHandlerSpec::Fixed(Millis(50)).PerKey();
   q.window.window = WindowSpec::Tumbling(Millis(50));
   q.window.aggregate.kind = AggKind::kSum;
   q.window.per_key_watermarks = true;
@@ -103,7 +95,6 @@ struct Row {
   const char* mode;
   size_t workers = 0;
   size_t vshards = 0;
-  size_t producers = 0;
   int64_t events = 0;
   double wall_ms = 0.0;
   double max_share = 0.0;
@@ -117,7 +108,6 @@ void EmitRow(TableWriter* table, const Row& r) {
   table->Cell(r.mode);
   table->Cell(r.workers);
   table->Cell(r.vshards);
-  table->Cell(r.producers);
   table->Cell(r.events);
   table->Cell(r.wall_ms, 2);
   table->Cell(static_cast<double>(r.events) / r.wall_ms, 1);  // keps
@@ -189,7 +179,6 @@ void FeedSection(TableWriter* table) {
          {Labeled{"arena", best_arena}, Labeled{"malloc", best_malloc}}) {
       Row row{.section = "feed", .config = config, .mode = l.mode};
       row.workers = 1;
-      row.producers = 1;
       row.events = static_cast<int64_t>(events.size());
       row.wall_ms = l.out.wall_ms;
       row.checksum = l.out.checksum;
@@ -238,7 +227,6 @@ void PipelineSection(TableWriter* table) {
   Row row{.section = "pipeline", .config = "zipf-keyed", .mode = "arena"};
   row.workers = 3;
   row.vshards = 12;
-  row.producers = 1;
   row.events = static_cast<int64_t>(events.size());
   row.wall_ms = best.wall_ms;
   row.max_share = best.max_share;
@@ -246,109 +234,13 @@ void PipelineSection(TableWriter* table) {
   EmitRow(table, row);
 }
 
-// --------------------------------------------------------------- section=mpsc
-
-/// A source that sleeps between batches, like a rate-limited network feed.
-/// The sleep happens on the producer thread, so P throttled sources overlap
-/// their waits — the property the MPSC feed exists to exploit.
-class ThrottledSource : public EventSource {
- public:
-  ThrottledSource(std::vector<Event> events, DurationUs pause_us)
-      : inner_(std::move(events)), pause_us_(pause_us) {}
-
-  bool Next(Event* out) override { return inner_.Next(out); }
-
-  size_t NextBatch(std::vector<Event>* out, size_t max_events) override {
-    const size_t n = inner_.NextBatch(out, max_events);
-    if (n > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(pause_us_));
-    }
-    return n;
-  }
-
-  void Reset() override { inner_.Reset(); }
-  int64_t size_hint() const override { return inner_.size_hint(); }
-
- private:
-  VectorSource inner_;
-  DurationUs pause_us_;
-};
-
-/// Checksum over first emissions only, the part that is invariant to
-/// source interleaving (the workload is built so there are no revisions —
-/// this matches ResultChecksum on these streams, but states the contract).
-uint64_t FirstEmissionChecksum(const RunReport& report) {
-  uint64_t h = 1469598103934665603ull;
-  for (const WindowResult& r : report.results) {
-    if (r.is_revision) continue;
-    h = Fold(h, r.bounds.start);
-    h = Fold(h, r.key);
-    h = Fold(h, static_cast<int64_t>(r.value * 1e6));
-    h = Fold(h, r.tuple_count);
-  }
-  return h;
-}
-
-void MpscSection(TableWriter* table) {
-  const std::vector<Event> events = SkewedStream(300000, 0.0, 77);
-  constexpr DurationUs kPause = 200;  // Per 256-event batch: feed-bound.
-  constexpr size_t kWorkers = 2;
-
-  for (size_t producers : {size_t{1}, size_t{2}, size_t{4}}) {
-    // Key-disjoint partitions: every key's events flow through exactly one
-    // producer, so first emissions are interleaving-invariant.
-    std::vector<std::vector<Event>> parts(producers);
-    for (const Event& e : events) {
-      parts[ShardedKeyedRunner::ShardOf(e.key, producers)].push_back(e);
-    }
-
-    constexpr int kReps = 3;
-    double best_wall = 0.0;
-    uint64_t checksum = 0;
-    int64_t processed = 0;
-    for (int rep = 0; rep < kReps; ++rep) {
-      std::vector<ThrottledSource> sources;
-      sources.reserve(producers);
-      for (const std::vector<Event>& part : parts) {
-        sources.emplace_back(part, kPause);
-      }
-      std::vector<EventSource*> ptrs;
-      ptrs.reserve(producers);
-      for (ThrottledSource& s : sources) ptrs.push_back(&s);
-
-      ParallelOptions options;
-      options.batch_size = 256;
-      ShardedKeyedRunner runner(KeyedQuery(), kWorkers, options);
-      const RunReport report = runner.RunMultiSource(ptrs);
-      if (rep == 0 || report.wall_seconds * 1000.0 < best_wall) {
-        best_wall = report.wall_seconds * 1000.0;
-      }
-      checksum = FirstEmissionChecksum(report);
-      processed = report.events_processed;
-    }
-
-    char mode[16];
-    std::snprintf(mode, sizeof(mode), "p%d", static_cast<int>(producers));
-    Row row{.section = "mpsc", .config = "throttled-feed", .mode = mode};
-    row.workers = kWorkers;
-    row.vshards = kWorkers;
-    row.producers = producers;
-    row.events = processed;
-    row.wall_ms = best_wall;
-    row.checksum = checksum;
-    EmitRow(table, row);
-  }
-}
-
 void Run() {
   TableWriter table(
-      "R-F21: extreme-scale runtime — arena feed memory, MPSC ingestion "
-      "scaling",
-      {"section", "config", "mode", "workers", "vshards", "producers",
-       "events", "wall_ms", "keps", "max_share", "checksum"});
+      "R-F21: runtime batch memory — arena vs malloc feed, keyed pipeline",
+      {"section", "config", "mode", "workers", "vshards", "events",
+       "wall_ms", "keps", "max_share", "checksum"});
   FeedSection(&table);
   PipelineSection(&table);
-  MpscSection(&table);
   EmitTable(table, "f21_runtime.csv");
 }
 

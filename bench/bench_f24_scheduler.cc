@@ -1,4 +1,4 @@
-/// R-F24 — Pull-based work stealing and adaptive batch sizing.
+/// R-F24 — Pull-based work stealing and the feed batch size.
 ///
 /// Two sections in one table (CSV: bench_results/f24_scheduler.csv).
 /// Every compared pair carries a checksum over its merged output, and the
@@ -16,12 +16,9 @@
 ///     wall >= 1.2x (hard), steals > 0, byte-identical output.
 ///
 ///   * section=batch — feed batch sizing on the whole sharded pipeline:
-///     fixed sizes {16, 64, 256, 1024} against the PI controller
-///     (--adaptive-batch) started from the default 512. The controller
-///     cannot beat the best fixed size on a stationary stream — the gate
-///     is that it lands within 10% of the best fixed row's throughput
-///     (hard) without being told which size that is. batch_end records
-///     where the controller settled.
+///     fixed sizes {16, 64, 256, 1024}, byte-identical output across all
+///     of them; the throughput curve shows what ParallelOptions::batch_size
+///     trades.
 
 #include <algorithm>
 #include <chrono>
@@ -69,7 +66,7 @@ std::vector<Event> SkewedStream(int64_t n, double zipf_s, uint64_t seed) {
 ContinuousQuery KeyedQuery() {
   ContinuousQuery q;
   q.name = "f24";
-  q.handler = DisorderHandlerSpec::Fixed(Millis(50)).PerKey().WithArena(true);
+  q.handler = DisorderHandlerSpec::Fixed(Millis(50)).PerKey();
   q.window.window = WindowSpec::Tumbling(Millis(50));
   q.window.aggregate.kind = AggKind::kSum;
   q.window.per_key_watermarks = true;
@@ -98,7 +95,6 @@ struct Row {
   int64_t events = 0;
   double wall_ms = 0.0;
   int64_t steals = 0;
-  size_t batch_end = 0;
   uint64_t checksum = 0;
 };
 
@@ -113,14 +109,12 @@ void EmitRow(TableWriter* table, const Row& r) {
   table->Cell(r.wall_ms, 2);
   table->Cell(static_cast<double>(r.events) / r.wall_ms, 1);  // keps
   table->Cell(r.steals);
-  table->Cell(r.batch_end);
   table->Cell(static_cast<int64_t>(r.checksum));
 }
 
 struct Outcome {
   double wall_ms = 0.0;
   int64_t steals = 0;
-  size_t batch_end = 0;
   uint64_t checksum = 0;
 };
 
@@ -133,7 +127,6 @@ Outcome RunOnce(const std::vector<Event>& events, size_t workers,
   Outcome out;
   out.wall_ms = report.wall_seconds * 1000.0;
   out.steals = runner.steals();
-  out.batch_end = runner.final_batch_size();
   out.checksum = ResultChecksum(report);
   return out;
 }
@@ -229,7 +222,6 @@ void StealSection(TableWriter* table) {
     row.events = static_cast<int64_t>(events.size());
     row.wall_ms = l.out.wall_ms;
     row.steals = l.out.steals;
-    row.batch_end = l.out.batch_end;
     row.checksum = l.out.checksum;
     EmitRow(table, row);
   }
@@ -246,20 +238,13 @@ void BatchSection(TableWriter* table) {
   constexpr int kReps = 3;
   const size_t fixed_sizes[] = {16, 64, 256, 1024};
   Outcome best_fixed[4];
-  Outcome best_adaptive;
   for (int rep = 0; rep < kReps; ++rep) {  // Interleaved min-of-N.
     for (size_t i = 0; i < 4; ++i) {
       ParallelOptions opts = base;
       opts.batch_size = fixed_sizes[i];
-      // Keep the controller rails out of the way of the sweep itself.
       const Outcome o = RunOnce(events, kWorkers, opts, nullptr);
       if (rep == 0 || o.wall_ms < best_fixed[i].wall_ms) best_fixed[i] = o;
     }
-    ParallelOptions adaptive = base;
-    adaptive.batch_size = 512;  // Controller's starting point, not a hint.
-    adaptive.adaptive_batch = true;
-    const Outcome a = RunOnce(events, kWorkers, adaptive, nullptr);
-    if (rep == 0 || a.wall_ms < best_adaptive.wall_ms) best_adaptive = a;
   }
   for (size_t i = 0; i < 4; ++i) {
     char mode[24];
@@ -269,26 +254,17 @@ void BatchSection(TableWriter* table) {
     row.vshards = 12;
     row.events = static_cast<int64_t>(events.size());
     row.wall_ms = best_fixed[i].wall_ms;
-    row.batch_end = fixed_sizes[i];
     row.checksum = best_fixed[i].checksum;
     EmitRow(table, row);
   }
-  Row row{.section = "batch", .config = "zipf-keyed", .mode = "adaptive"};
-  row.workers = kWorkers;
-  row.vshards = 12;
-  row.events = static_cast<int64_t>(events.size());
-  row.wall_ms = best_adaptive.wall_ms;
-  row.batch_end = best_adaptive.batch_end;
-  row.checksum = best_adaptive.checksum;
-  EmitRow(table, row);
 }
 
 void Run() {
   TableWriter table(
       "R-F24: pull-based scheduler — work stealing under colocated skew, "
-      "adaptive feed batch sizing",
+      "feed batch size sweep",
       {"section", "config", "mode", "workers", "vshards", "events",
-       "wall_ms", "keps", "steals", "batch_end", "checksum"});
+       "wall_ms", "keps", "steals", "checksum"});
   StealSection(&table);
   BatchSection(&table);
   EmitTable(table, "f24_scheduler.csv");

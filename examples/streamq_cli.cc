@@ -10,7 +10,7 @@
 /// load generator — see core/session_options.h for the full list):
 ///   --window=<ms> --slide=<ms> --agg=<name> --strategy=<s> --quality=<q>
 ///   --latency-budget=<ms> --k=<ms> --per-key --lateness=<ms>
-///   --threads=<n> --vshards=<v> --steal --adaptive-batch
+///   --threads=<n> --vshards=<v> --steal
 ///   --buffer-cap=<n> --shed=<policy> --max-slack=<ms> --validate=<mode>
 ///   --window-engine=<hot|amend> --speculative
 ///

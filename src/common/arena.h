@@ -17,7 +17,7 @@ namespace streamq {
 /// Counters for one SlabArena (all monotonically increasing except
 /// `free_slabs`/`free_batches`, which are the current pool depths).
 struct ArenaStats {
-  int64_t slab_acquires = 0;   // Raw-slab Acquire/AcquireAtLeast calls.
+  int64_t slab_acquires = 0;   // Raw-slab Acquire calls.
   int64_t slab_reuses = 0;     // ... of which were served from the pool.
   int64_t slab_recycles = 0;   // Slabs returned and kept in the pool.
   int64_t slab_drops = 0;      // Slabs returned to a full/disabled pool.
@@ -33,12 +33,11 @@ struct ArenaStats {
 ///
 /// Two pools, one lock, zero steady-state allocation:
 ///
-///  * **Raw slabs** (`Acquire`/`AcquireAtLeast` → `Recycle`): plain
-///    `std::vector<T>` buffers whose heap storage survives round trips
-///    through the pool. Users that own a buffer for a while (reorder-buffer
-///    buckets) draw from here; returning the slab clears elements but keeps
-///    capacity, so the next acquirer skips the allocation *and* the
-///    reserve.
+///  * **Raw slabs** (`Acquire` → `Recycle`): plain `std::vector<T>`
+///    buffers whose heap storage survives round trips through the pool.
+///    A feed loop's scratch chunk draws from here; returning the slab
+///    clears elements but keeps capacity, so the next acquirer skips the
+///    allocation *and* the reserve.
 ///
 ///  * **Shared batches** (`Share`): publishes a filled slab as an immutable
 ///    reference-counted batch (`Batch`). The refcount is intrusive — batch
@@ -65,8 +64,7 @@ template <typename T>
 class SlabArena {
  public:
   struct Options {
-    /// Default capacity reserved for a freshly created slab or batch node.
-    /// Zero means "exactly what the caller asks for".
+    /// Capacity reserved for an acquired slab or a fresh batch node.
     size_t slab_capacity = 512;
     /// Upper bounds on pooled objects (free-list depth, not bytes).
     size_t max_free_slabs = 1024;
@@ -135,15 +133,14 @@ class SlabArena {
 
   const Options& options() const { return impl_->options; }
 
-  /// Returns an empty slab with at least the default capacity reserved.
-  Slab Acquire() { return AcquireAtLeast(impl_->options.slab_capacity); }
-
-  /// Returns an empty slab with at least `min_capacity` reserved. Reuses a
-  /// pooled buffer when one is available (its capacity is whatever its
+  /// Returns an empty slab with at least `slab_capacity` reserved. Reuses
+  /// a pooled buffer when one is available (its capacity is whatever its
   /// previous life earned it; it is grown if short).
-  Slab AcquireAtLeast(size_t min_capacity) {
+  Slab Acquire() {
     Slab slab = impl_->PopSlab();
-    if (slab.capacity() < min_capacity) slab.reserve(min_capacity);
+    if (slab.capacity() < impl_->options.slab_capacity) {
+      slab.reserve(impl_->options.slab_capacity);
+    }
     return slab;
   }
 
@@ -179,11 +176,7 @@ class SlabArena {
     Slab PopSlab() {
       std::lock_guard<std::mutex> lock(mu);
       ++stats_.slab_acquires;
-      if (free_slabs.empty()) {
-        Slab slab;
-        slab.reserve(options.slab_capacity);
-        return slab;
-      }
+      if (free_slabs.empty()) return Slab();
       ++stats_.slab_reuses;
       Slab slab = std::move(free_slabs.back());
       free_slabs.pop_back();

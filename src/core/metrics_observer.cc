@@ -81,10 +81,7 @@ MetricsObserver::MetricsObserver(const MetricsRegistry::Options& options)
           registry_.counter("streamq.queue.backpressure_stalls_total")),
       shard_batches_(registry_.counter("streamq.shard.batches_total")),
       segments_stolen_(
-          registry_.counter("streamq.scheduler.segments_stolen_total")),
-      batch_size_(registry_.gauge("streamq.scheduler.batch_size")),
-      batch_adaptations_(
-          registry_.counter("streamq.scheduler.batch_adaptations_total")) {}
+          registry_.counter("streamq.scheduler.segments_stolen_total")) {}
 
 void MetricsObserver::OnSourceBatch(int64_t events) {
   source_batches_->Increment();
@@ -198,12 +195,6 @@ void MetricsObserver::OnSegmentSteal(size_t victim, size_t thief,
   segments_stolen_->Increment();
   WorkerEntry(thief).segments_stolen->Increment();
   WorkerEntry(victim).segments_donated->Increment();
-}
-
-void MetricsObserver::OnBatchSizeAdapted(size_t producer, size_t batch) {
-  (void)producer;
-  batch_adaptations_->Increment();
-  batch_size_->Set(static_cast<double>(batch));
 }
 
 Counter* MetricsObserver::ShardCounter(size_t shard) {

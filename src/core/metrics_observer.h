@@ -54,7 +54,6 @@ class MetricsObserver : public PipelineObserver {
   void OnBackpressureStall(size_t worker) override;
   void OnShardBatch(size_t shard, int64_t events) override;
   void OnSegmentSteal(size_t victim, size_t thief, size_t shard) override;
-  void OnBatchSizeAdapted(size_t producer, size_t batch) override;
 
  private:
   /// Lazily-created per-worker scheduler metrics (same pattern as
@@ -102,8 +101,6 @@ class MetricsObserver : public PipelineObserver {
   Counter* backpressure_stalls_;
   Counter* shard_batches_;
   Counter* segments_stolen_;
-  Gauge* batch_size_;
-  Counter* batch_adaptations_;
 
   std::mutex shard_mu_;
   std::vector<Counter*> shard_events_;

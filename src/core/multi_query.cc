@@ -126,6 +126,7 @@ std::vector<RunReport> MultiQueryRunner::RunShared(EventSource* source) {
         wall_seconds > 0.0 ? static_cast<double>(events) / wall_seconds : 0.0;
     r.handler_stats = handler->stats();
     r.window_stats = window_ops[i]->stats();
+    r.results_amended = r.window_stats.revisions;
     r.results = result_sinks[i]->results;
     r.final_slack = handler->current_slack();
     reports.push_back(std::move(r));

@@ -12,8 +12,6 @@
 #include "common/arena.h"
 #include "common/logging.h"
 #include "common/time.h"
-#include "core/adaptive_batch.h"
-#include "core/mpsc_queue.h"
 #include "core/queue_backoff.h"
 #include "core/spsc_queue.h"
 #include "stream/event.h"
@@ -22,6 +20,7 @@ namespace streamq {
 
 namespace {
 
+using EventArena = SlabArena<Event>;
 using EventBatch = EventArena::Batch;
 using EventSlab = EventArena::Slab;
 
@@ -39,46 +38,40 @@ struct FeedItem {
   FeedKind kind = FeedKind::kStop;
 };
 
+using FeedQueue = SpscQueue<FeedItem>;
+
 /// One worker thread, its input queue, and the counters the feed side and
 /// the worker share. Cache-line aligned so neighbouring workers' counters
 /// do not false-share.
-template <typename Queue>
 struct alignas(64) WorkerSlot {
-  std::unique_ptr<Queue> queue;
+  std::unique_ptr<FeedQueue> queue;
   std::thread thread;
-  /// Cleared once, by the producer that abandons the worker.
-  std::atomic<bool> feeding{true};
   std::atomic<bool> exited{false};
   /// Pull signal for work stealing: the worker raises it when its queue
   /// runs dry, right before blocking, and clears it on the next item. The
   /// driver reads it relaxed — a heuristic, not a synchronization edge.
   std::atomic<uint32_t> hungry{0};
   std::atomic<int64_t> processed{0};
-  std::atomic<int64_t> routed_events{0};
-  std::atomic<int64_t> routed_batches{0};
-  std::atomic<int64_t> stalls{0};
   Status worker_status;  // Written by the worker thread.
-  Status driver_status;  // Written once, by the abandoning producer.
-  int64_t stolen = 0;    // Steal accounting; written by the one producer
-  int64_t donated = 0;   // that may steal, read after the run.
+  // Feed-side state below: only the feeding thread touches it, and the
+  // report reads it after the join.
+  /// Cleared once, when the feed side abandons the worker.
+  bool feeding = true;
+  Status driver_status;
+  int64_t routed_events = 0;
+  int64_t routed_batches = 0;
+  int64_t stalls = 0;
+  int64_t stolen = 0;
+  int64_t donated = 0;
 };
-
-AdaptiveBatcher::Options BatcherOptions(const ParallelOptions& options) {
-  AdaptiveBatcher::Options b;
-  b.min_batch = options.min_batch;
-  b.max_batch = options.max_batch;
-  b.initial = options.batch_size;
-  return b;
-}
 
 /// One run of either runner: a table of executors, the worker threads that
 /// drive them, and the feed side — delivery with bounded patience, the one
 /// source pump, and the terminal flush. `placement` maps each executor to
 /// the worker that owns it: the identity on the independent runner,
-/// round-robin over virtual shards on the keyed one, where stealing (the
-/// single-producer feed only) is its one writer. The runners differ only
-/// in the router they hand Pump and in how they assemble the report.
-template <typename Queue>
+/// round-robin over virtual shards on the keyed one, where stealing is its
+/// one writer. The runners differ only in the router they hand Pump and in
+/// how they assemble the report.
 struct RunState {
   RunState(std::vector<std::unique_ptr<QueryExecutor>> table,
            size_t worker_count, const ParallelOptions& opts,
@@ -87,19 +80,18 @@ struct RunState {
         observer(obs),
         executors(std::move(table)),
         num_workers(worker_count),
-        workers(std::make_unique<WorkerSlot<Queue>[]>(worker_count)),
+        workers(std::make_unique<WorkerSlot[]>(worker_count)),
         released(std::make_unique<std::atomic<uint32_t>[]>(executors.size())),
         placement(executors.size()),
         arena(EventArena::Options{.slab_capacity = opts.batch_size}),
-        feeding_count(num_workers),
-        final_batch(opts.batch_size) {
+        feeding_count(num_workers) {
     for (size_t e = 0; e < executors.size(); ++e) {
       if (observer != nullptr) executors[e]->SetObserver(observer);
       placement[e] = static_cast<uint32_t>(e % num_workers);
     }
     start = WallClockMicros();
     for (size_t w = 0; w < num_workers; ++w) {
-      workers[w].queue = std::make_unique<Queue>(options.queue_capacity);
+      workers[w].queue = std::make_unique<FeedQueue>(options.queue_capacity);
       workers[w].thread = std::thread([this, w] { RunShardWorker(w); });
     }
   }
@@ -123,13 +115,13 @@ struct RunState {
   /// handshake, which sequences old-owner writes before new-owner reads.
   /// `owned` tracks the executors this worker is responsible for, so an
   /// abandoned worker still flushes its partial results. Exceptions are
-  /// contained here: the queue is closed (so producers stop feeding),
-  /// drained (so a blocked producer gets room and the shared batches are
+  /// contained here: the queue is closed (so the feed side stops feeding),
+  /// drained (so a blocked feeder gets room and the shared batches are
   /// released), and the failure lands in worker_status for the report
   /// instead of std::terminate.
   void RunShardWorker(size_t w) {
-    WorkerSlot<Queue>& self = workers[w];
-    Queue* q = self.queue.get();
+    WorkerSlot& self = workers[w];
+    FeedQueue* q = self.queue.get();
     std::vector<uint8_t> owned(executors.size(), 0);
     try {
       FeedItem item;
@@ -205,13 +197,13 @@ struct RunState {
   /// it is abandoned with ResourceExhausted and its queue is closed so it
   /// sees early end-of-stream.
   bool Deliver(size_t w, FeedItem item) {
-    WorkerSlot<Queue>& slot = workers[w];
-    if (!slot.feeding.load(std::memory_order_relaxed)) return false;
-    Queue* q = slot.queue.get();
+    WorkerSlot& slot = workers[w];
+    if (!slot.feeding) return false;
+    FeedQueue* q = slot.queue.get();
     if (q->TryPush(std::move(item))) return true;
     Status fail;
     if (!q->closed()) {
-      slot.stalls.fetch_add(1, std::memory_order_relaxed);
+      ++slot.stalls;
       if (observer != nullptr) observer->OnBackpressureStall(w);
       DurationUs timeout = options.feed_timeout_us;
       for (int attempt = 0; attempt < options.feed_max_attempts; ++attempt) {
@@ -227,14 +219,9 @@ struct RunState {
         q->Close();
       }
     }
-    // First abandoner records the driver status and drops the worker from
-    // the feed set; with several producers the CAS makes exactly one of
-    // them win, so driver_status is written once, race-free.
-    bool expected = true;
-    if (slot.feeding.compare_exchange_strong(expected, false)) {
-      if (!fail.ok()) slot.driver_status = std::move(fail);
-      feeding_count.fetch_sub(1, std::memory_order_relaxed);
-    }
+    slot.feeding = false;
+    if (!fail.ok()) slot.driver_status = std::move(fail);
+    --feeding_count;
     return false;
   }
 
@@ -245,73 +232,29 @@ struct RunState {
     if (!Deliver(w, FeedItem{std::move(batch), executor, FeedKind::kBatch})) {
       return false;
     }
-    WorkerSlot<Queue>& slot = workers[w];
-    slot.routed_events.fetch_add(count, std::memory_order_relaxed);
-    slot.routed_batches.fetch_add(1, std::memory_order_relaxed);
+    WorkerSlot& slot = workers[w];
+    slot.routed_events += count;
+    ++slot.routed_batches;
     if (observer != nullptr) observer->OnQueueDepth(w, slot.queue->size());
     return true;
   }
 
-  /// Mean worker-queue occupancy as a fraction of capacity — the adaptive
-  /// batch controller's depth input.
-  double MeanDepthFraction() const {
-    double sum = 0.0;
-    for (size_t w = 0; w < num_workers; ++w) {
-      const Queue& q = *workers[w].queue;
-      sum += static_cast<double>(q.size()) / static_cast<double>(q.capacity());
-    }
-    return sum / static_cast<double>(num_workers);
-  }
-
-  /// The one source pump: pulls batches until the source runs dry or no
-  /// worker is left to feed, and hands each to `router`. The scratch chunk
-  /// swap-cycles with the arena's batch nodes, so the steady state
-  /// allocates nothing. With adaptive_batch on, each batch's routing time
-  /// and the queue depths steer the feed batch size; with it off, the pump
-  /// reads no clock. The router's AfterBatch sees the size in effect for
-  /// the next pull.
+  /// The one source pump: pulls batches of options.batch_size until the
+  /// source runs dry or no worker is left to feed, and hands each to
+  /// `router`. The scratch chunk swap-cycles with the arena's batch nodes,
+  /// so the steady state allocates nothing.
   template <typename Router>
-  void Pump(EventSource* source, size_t producer, Router* router) {
-    AdaptiveBatcher batcher(BatcherOptions(options));
-    size_t feed_batch = options.batch_size;
+  void Pump(EventSource* source, Router* router) {
     EventSlab chunk = arena.Acquire();
-    while (feeding_count.load(std::memory_order_relaxed) > 0 &&
-           source->NextBatch(&chunk, feed_batch) > 0) {
-      const TimestampUs route_start =
-          options.adaptive_batch ? WallClockMicros() : 0;
+    while (feeding_count > 0 &&
+           source->NextBatch(&chunk, options.batch_size) > 0) {
       const auto pulled = static_cast<int64_t>(chunk.size());
-      events_pulled.fetch_add(pulled, std::memory_order_relaxed);
+      events_pulled += pulled;
       if (observer != nullptr) observer->OnSourceBatch(pulled);
       router->Route(&chunk);
-      if (options.adaptive_batch &&
-          batcher.Observe(MeanDepthFraction(),
-                          static_cast<double>(WallClockMicros() -
-                                              route_start))) {
-        feed_batch = batcher.batch();
-        if (observer != nullptr) {
-          observer->OnBatchSizeAdapted(producer, feed_batch);
-        }
-      }
-      router->AfterBatch(feed_batch);
+      router->AfterBatch();
     }
     arena.Recycle(std::move(chunk));
-    final_batch.store(feed_batch, std::memory_order_relaxed);
-  }
-
-  /// Runs `pump(source, producer)` for every source: on the caller thread
-  /// for a single source, else on one producer thread per source.
-  template <typename PumpFn>
-  void ForEachSource(std::span<EventSource* const> sources, PumpFn pump) {
-    if (sources.size() == 1) {
-      pump(sources[0], 0);
-      return;
-    }
-    std::vector<std::thread> producers;
-    producers.reserve(sources.size());
-    for (size_t p = 0; p < sources.size(); ++p) {
-      producers.emplace_back([&pump, &sources, p] { pump(sources[p], p); });
-    }
-    for (std::thread& t : producers) t.join();
   }
 
   /// Terminal flush: a kFinish for every executor on its current owner's
@@ -335,7 +278,7 @@ struct RunState {
   /// than the executor's own (strict validation) status.
   RunReport Report(size_t e) const {
     RunReport r = executors[e]->Report();
-    const WorkerSlot<Queue>& owner = workers[placement[e]];
+    const WorkerSlot& owner = workers[placement[e]];
     if (!owner.worker_status.ok()) {
       r.status = owner.worker_status;
     } else if (!owner.driver_status.ok()) {
@@ -345,12 +288,12 @@ struct RunState {
   }
 
   WorkerLoad Load(size_t w) const {
-    const WorkerSlot<Queue>& slot = workers[w];
+    const WorkerSlot& slot = workers[w];
     WorkerLoad load;
-    load.events_routed = slot.routed_events.load(std::memory_order_relaxed);
-    load.batches_routed = slot.routed_batches.load(std::memory_order_relaxed);
+    load.events_routed = slot.routed_events;
+    load.batches_routed = slot.routed_batches;
     load.events_processed = slot.processed.load(std::memory_order_relaxed);
-    load.stalls = slot.stalls.load(std::memory_order_relaxed);
+    load.stalls = slot.stalls;
     load.segments_stolen = slot.stolen;
     load.segments_donated = slot.donated;
     return load;
@@ -360,22 +303,20 @@ struct RunState {
   PipelineObserver* const observer;
   const std::vector<std::unique_ptr<QueryExecutor>> executors;
   const size_t num_workers;
-  const std::unique_ptr<WorkerSlot<Queue>[]> workers;
+  const std::unique_ptr<WorkerSlot[]> workers;
   /// Per executor: set by its old owner once a kRelease handoff is done.
   const std::unique_ptr<std::atomic<uint32_t>[]> released;
   std::vector<uint32_t> placement;
   EventArena arena;
   TimestampUs start = 0;
-  std::atomic<size_t> feeding_count;
-  std::atomic<int64_t> events_pulled{0};
-  std::atomic<size_t> final_batch;
+  size_t feeding_count;
+  int64_t events_pulled = 0;
 };
 
 // --- Independent (multi-query) runner ------------------------------------
 
 /// Every worker sees the whole stream: one shared, immutable copy of each
 /// batch, fed to the worker's one query.
-template <typename Queue>
 struct BroadcastRouter {
   void Route(EventSlab* chunk) {
     const EventBatch batch = run->arena.Share(chunk);
@@ -383,14 +324,13 @@ struct BroadcastRouter {
       (void)run->DeliverBatch(i, static_cast<uint32_t>(i), batch);
     }
   }
-  void AfterBatch(size_t /*feed_batch*/) {}
+  void AfterBatch() {}
 
-  RunState<Queue>* run;
+  RunState* run;
 };
 
-template <typename Queue>
 std::vector<RunReport> RunIndependent(const std::vector<ContinuousQuery>& queries,
-                                      std::span<EventSource* const> sources,
+                                      EventSource* source,
                                       const ParallelOptions& options,
                                       PipelineObserver* observer) {
   const size_t n = queries.size();
@@ -399,22 +339,16 @@ std::vector<RunReport> RunIndependent(const std::vector<ContinuousQuery>& querie
   for (const ContinuousQuery& q : queries) {
     executors.push_back(std::make_unique<QueryExecutor>(q));
   }
-  RunState<Queue> run(std::move(executors), n, options, observer);
-  run.ForEachSource(sources, [&run](EventSource* source, size_t producer) {
-    BroadcastRouter<Queue> router{&run};
-    run.Pump(source, producer, &router);
-  });
+  RunState run(std::move(executors), n, options, observer);
+  BroadcastRouter router{&run};
+  run.Pump(source, &router);
   const double wall_seconds = run.Stop();
   if (observer != nullptr) {
-    observer->OnRunCompleted(run.events_pulled.load(std::memory_order_relaxed),
-                             wall_seconds);
+    observer->OnRunCompleted(run.events_pulled, wall_seconds);
   }
 
-  char cfg[160];
-  std::snprintf(cfg, sizeof(cfg),
-                "workers=%zu producers=%zu feed=%s batch_final=%zu", n,
-                sources.size(), sources.size() > 1 ? "mpsc" : "spsc",
-                run.final_batch.load(std::memory_order_relaxed));
+  char cfg[32];
+  std::snprintf(cfg, sizeof(cfg), "workers=%zu", n);
 
   std::vector<RunReport> reports;
   reports.reserve(n);
@@ -435,15 +369,13 @@ std::vector<RunReport> RunIndependent(const std::vector<ContinuousQuery>& querie
 // --- Sharded keyed runner -------------------------------------------------
 
 /// Splits each chunk by key hash into per-shard slabs and delivers every
-/// touched shard's slab to the worker that owns the shard. Each producer
-/// has its own router. On the single-producer feed the router also runs
-/// work stealing: it moves a shard between workers through the in-band
-/// kRelease handoff, buffering the shard's batches while the handoff is in
-/// flight.
-template <typename Queue>
+/// touched shard's slab to the worker that owns the shard. The router also
+/// runs work stealing: it moves a shard between workers through the
+/// in-band kRelease handoff, buffering the shard's batches while the
+/// handoff is in flight.
 class ShardRouter {
  public:
-  explicit ShardRouter(RunState<Queue>* run)
+  explicit ShardRouter(RunState* run)
       : run_(run),
         slabs_(run->executors.size()),
         shard_routed_(run->executors.size(), 0) {
@@ -474,12 +406,12 @@ class ShardRouter {
     touched_.clear();
   }
 
-  void AfterBatch(size_t feed_batch) {
+  void AfterBatch() {
     if (handing_off_ &&
         run_->released[handoff_shard_].load(std::memory_order_acquire) != 0) {
       CompleteHandoff();
     }
-    if (run_->options.steal && !handing_off_) MaybeSteal(feed_batch);
+    if (run_->options.steal && !handing_off_) MaybeSteal();
   }
 
   /// Returns the shard slabs to the arena and settles an in-flight handoff
@@ -541,14 +473,14 @@ class ShardRouter {
   /// Triggers read worker progress (hunger flags, processed counters), so
   /// *when* steals happen is timing-dependent; *what* they produce is not —
   /// placement never affects the merged output (see class comment).
-  void MaybeSteal(size_t feed_batch) {
+  void MaybeSteal() {
     const size_t num_workers = run_->num_workers;
     auto& workers = run_->workers;
     // Thief: a starving worker that is still fed and genuinely drained.
     size_t thief = num_workers;
     for (size_t w = 0; w < num_workers; ++w) {
       if (workers[w].hungry.load(std::memory_order_relaxed) != 0 &&
-          workers[w].feeding.load(std::memory_order_relaxed) &&
+          workers[w].feeding &&
           workers[w].queue->empty()) {
         thief = w;
         break;
@@ -559,13 +491,14 @@ class ShardRouter {
     // least two feed batches pending and batches still queued; a drained
     // victim has nothing worth pulling.
     size_t victim = num_workers;
-    int64_t victim_backlog = 2 * static_cast<int64_t>(feed_batch) - 1;
+    int64_t victim_backlog =
+        2 * static_cast<int64_t>(run_->options.batch_size) - 1;
     for (size_t w = 0; w < num_workers; ++w) {
       if (w == thief) continue;
-      if (!workers[w].feeding.load(std::memory_order_relaxed)) continue;
+      if (!workers[w].feeding) continue;
       if (workers[w].queue->empty()) continue;
       const int64_t backlog =
-          workers[w].routed_events.load(std::memory_order_relaxed) -
+          workers[w].routed_events -
           workers[w].processed.load(std::memory_order_relaxed);
       if (backlog > victim_backlog) {
         victim = w;
@@ -603,7 +536,7 @@ class ShardRouter {
     }
   }
 
-  RunState<Queue>* const run_;
+  RunState* const run_;
   std::vector<EventSlab> slabs_;
   std::vector<uint32_t> touched_;
   /// Events routed to each shard so far: the load estimate stealing ranks
@@ -619,32 +552,25 @@ struct KeyedOutcome {
   RunReport merged;
   std::vector<WorkerLoad> loads;
   int64_t steals = 0;
-  size_t final_batch = 0;
 };
 
-template <typename Queue>
 KeyedOutcome RunSharded(const ContinuousQuery& query, size_t num_workers,
-                        std::span<EventSource* const> sources,
-                        const ParallelOptions& options,
+                        EventSource* source, const ParallelOptions& options,
                         PipelineObserver* observer) {
   const size_t W = num_workers;
   const size_t V =
       options.virtual_shards == 0 ? W : options.virtual_shards;
   STREAMQ_CHECK_GE(V, W) << "virtual_shards must cover every worker";
-  STREAMQ_CHECK(!options.steal || sources.size() == 1)
-      << "steal requires a single-source run";
 
   std::vector<std::unique_ptr<QueryExecutor>> executors;
   executors.reserve(V);
   for (size_t v = 0; v < V; ++v) {
     executors.push_back(std::make_unique<QueryExecutor>(query));
   }
-  RunState<Queue> run(std::move(executors), W, options, observer);
-  run.ForEachSource(sources, [&run](EventSource* source, size_t producer) {
-    ShardRouter<Queue> router(&run);
-    run.Pump(source, producer, &router);
-    router.Finish();
-  });
+  RunState run(std::move(executors), W, options, observer);
+  ShardRouter router(&run);
+  run.Pump(source, &router);
+  router.Finish();
   const double wall_seconds = run.Stop();
 
   KeyedOutcome out;
@@ -653,15 +579,11 @@ KeyedOutcome RunSharded(const ContinuousQuery& query, size_t num_workers,
     out.loads[w] = run.Load(w);
     out.steals += out.loads[w].segments_stolen;
   }
-  out.final_batch = run.final_batch.load(std::memory_order_relaxed);
 
-  char cfg[224];
-  std::snprintf(cfg, sizeof(cfg),
-                "workers=%zu vshards=%zu producers=%zu feed=%s steal=%s "
-                "steals=%lld batch_final=%zu",
-                W, V, sources.size(), sources.size() > 1 ? "mpsc" : "spsc",
-                options.steal ? "on" : "off",
-                static_cast<long long>(out.steals), out.final_batch);
+  char cfg[160];
+  std::snprintf(cfg, sizeof(cfg), "workers=%zu vshards=%zu steal=%s steals=%lld",
+                W, V, options.steal ? "on" : "off",
+                static_cast<long long>(out.steals));
 
   // Merge shard reports into one.
   RunReport& merged = out.merged;
@@ -732,19 +654,6 @@ Status ParallelOptions::Validate() const {
   if (feed_max_attempts <= 0) {
     return Status::InvalidArgument("feed_max_attempts must be positive");
   }
-  if (min_batch == 0) {
-    return Status::InvalidArgument("min_batch must be positive");
-  }
-  if (max_batch < min_batch) {
-    return Status::InvalidArgument(
-        "max_batch must be >= min_batch (the adaptive controller clamps "
-        "to [min_batch, max_batch])");
-  }
-  if (adaptive_batch && (batch_size < min_batch || batch_size > max_batch)) {
-    return Status::InvalidArgument(
-        "batch_size is the adaptive controller's starting point and must "
-        "lie within [min_batch, max_batch]");
-  }
   return Status::OK();
 }
 
@@ -754,21 +663,9 @@ void ParallelMultiQueryRunner::AddQuery(const ContinuousQuery& query) {
 }
 
 std::vector<RunReport> ParallelMultiQueryRunner::Run(EventSource* source) {
-  EventSource* one[1] = {source};
-  return RunMultiSource(one);
-}
-
-std::vector<RunReport> ParallelMultiQueryRunner::RunMultiSource(
-    std::span<EventSource* const> sources) {
   STREAMQ_CHECK(!queries_.empty()) << "no queries added";
-  STREAMQ_CHECK(!sources.empty()) << "no sources";
   STREAMQ_CHECK_OK(options_.Validate());
-  if (sources.size() == 1) {
-    return RunIndependent<SpscQueue<FeedItem>>(queries_, sources, options_,
-                                               observer_);
-  }
-  return RunIndependent<MpscQueue<FeedItem>>(queries_, sources, options_,
-                                             observer_);
+  return RunIndependent(queries_, source, options_, observer_);
 }
 
 ShardedKeyedRunner::ShardedKeyedRunner(const ContinuousQuery& query,
@@ -800,22 +697,10 @@ size_t ShardedKeyedRunner::ShardOf(int64_t key, size_t num_shards) {
 }
 
 RunReport ShardedKeyedRunner::Run(EventSource* source) {
-  EventSource* one[1] = {source};
-  return RunMultiSource(one);
-}
-
-RunReport ShardedKeyedRunner::RunMultiSource(
-    std::span<EventSource* const> sources) {
-  STREAMQ_CHECK(!sources.empty()) << "no sources";
   KeyedOutcome out =
-      sources.size() == 1
-          ? RunSharded<SpscQueue<FeedItem>>(query_, num_workers_, sources,
-                                            options_, observer_)
-          : RunSharded<MpscQueue<FeedItem>>(query_, num_workers_, sources,
-                                            options_, observer_);
+      RunSharded(query_, num_workers_, source, options_, observer_);
   loads_ = std::move(out.loads);
   steals_ = out.steals;
-  final_batch_ = out.final_batch;
   return std::move(out.merged);
 }
 

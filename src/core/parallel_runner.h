@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -46,28 +45,19 @@ struct ParallelOptions {
   /// state. Must be >= the worker count when nonzero.
   size_t virtual_shards = 0;
 
-  /// ShardedKeyedRunner, single-source runs only: demand-driven work
-  /// stealing, the one way a shard moves between workers. Each worker's
-  /// bounded queue is its deque of ready virtual-shard batch segments;
-  /// when a worker runs dry (blocked on an empty deque) while another is
-  /// backlogged by at least two feed batches, the driver moves the hottest
-  /// movable shard from the most-backlogged victim to the starving worker
-  /// through an in-band kRelease safe-point handshake (DESIGN §14).
+  /// ShardedKeyedRunner only: demand-driven work stealing, the one way a
+  /// shard moves between workers. Each worker's bounded queue is its deque
+  /// of ready virtual-shard batch segments; when a worker runs dry
+  /// (blocked on an empty deque) while another is backlogged by at least
+  /// two feed batches, the runner moves the hottest movable shard from the
+  /// most-backlogged victim to the starving worker through an in-band
+  /// kRelease safe-point handshake (DESIGN §14).
   /// Stealing moves whole shards — never splitting a key's state — so the
   /// merged output is byte-identical to a static placement for *any*
   /// steal schedule; the trigger reads worker progress, so the steal count
   /// (recorded in runtime_config and WorkerLoad) is timing-dependent even
   /// though the results are not.
   bool steal = false;
-
-  /// Adapt the per-source feed batch size at run time within [min_batch,
-  /// max_batch], starting from batch_size, driven by observed queue depth
-  /// and per-batch service time (core/adaptive_batch.h). Applies to every
-  /// feed path on both runners; results are unaffected — batch size only
-  /// changes throughput, latency, and when scheduler decisions fire.
-  bool adaptive_batch = false;
-  size_t min_batch = 64;
-  size_t max_batch = 8192;
 
   /// Field and range checks for everything above, centralized so every
   /// front end (runner constructors, SessionOptions::Validate, tests)
@@ -121,16 +111,6 @@ class ParallelMultiQueryRunner {
   /// wedging the driver. The process never terminates on a worker fault.
   std::vector<RunReport> Run(EventSource* source);
 
-  /// Multi-producer feed: one producer thread per source pushes batches
-  /// into lock-free MPSC worker queues, with the same failure-safety
-  /// contract as Run(). Each query sees all sources' events, interleaved
-  /// in queue-arrival order — use when the "stream" is physically many
-  /// feeds (network sockets, partitioned logs) whose interleaving is
-  /// already arbitrary. Unlike Run(), the interleaving is scheduling-
-  /// dependent, so per-query results are only deterministic up to source
-  /// interleaving.
-  std::vector<RunReport> RunMultiSource(std::span<EventSource* const> sources);
-
   const ParallelOptions& options() const { return options_; }
 
   /// Installs one observer on every worker pipeline plus the driver's queue
@@ -178,15 +158,6 @@ class ShardedKeyedRunner {
   /// (aggregate memory bound), final_slack = max over shards.
   RunReport Run(EventSource* source);
 
-  /// Multi-producer feed over lock-free MPSC worker queues: one producer
-  /// thread per source routes its own events (static placement; steal
-  /// must be off). Sources must partition the key space — each key's
-  /// events all arriving through one source — for the per-key subsequences
-  /// (hence first emissions) to be interleaving-invariant; with key-
-  /// disjoint sources the merged first-emission output is byte-identical
-  /// to Run() over the merged stream.
-  RunReport RunMultiSource(std::span<EventSource* const> sources);
-
   size_t num_shards() const { return num_workers_; }
   size_t num_workers() const { return num_workers_; }
 
@@ -195,19 +166,14 @@ class ShardedKeyedRunner {
   /// patterns onto shards; the mix makes placement uniform regardless.
   static size_t ShardOf(int64_t key, size_t num_shards);
 
-  /// Per-worker accounting for the most recent Run/RunMultiSource, indexed
-  /// by worker; empty before the first run.
+  /// Per-worker accounting for the most recent Run, indexed by worker;
+  /// empty before the first run.
   const std::vector<WorkerLoad>& worker_loads() const { return loads_; }
 
   /// Segments stolen by starving workers during the most recent run
   /// (options.steal). Timing-dependent by design; the merged output is
   /// byte-identical to a static run regardless of the schedule.
   int64_t steals() const { return steals_; }
-
-  /// Feed batch size at the end of the most recent run: the adaptive
-  /// controller's converged setpoint, or options.batch_size when
-  /// adaptive_batch is off.
-  size_t final_batch_size() const { return final_batch_; }
 
   /// Installs one observer on every shard pipeline plus the driver's
   /// per-shard routing counters. Must be thread-safe and outlive Run().
@@ -220,7 +186,6 @@ class ShardedKeyedRunner {
   PipelineObserver* observer_ = nullptr;
   std::vector<WorkerLoad> loads_;
   int64_t steals_ = 0;
-  size_t final_batch_ = 0;
 };
 
 }  // namespace streamq

@@ -150,13 +150,6 @@ class PipelineObserver {
     (void)thief;
     (void)shard;
   }
-
-  /// Producer `producer`'s adaptive batch controller completed a control
-  /// step; `batch` is the new per-source feed size (the setpoint gauge).
-  virtual void OnBatchSizeAdapted(size_t producer, size_t batch) {
-    (void)producer;
-    (void)batch;
-  }
 };
 
 }  // namespace streamq

@@ -184,10 +184,6 @@ SessionOptions& SessionOptions::Steal(bool on) {
   steal = on;
   return *this;
 }
-SessionOptions& SessionOptions::AdaptiveBatch(bool on) {
-  adaptive_batch = on;
-  return *this;
-}
 SessionOptions& SessionOptions::BufferCap(int64_t cap, std::string policy) {
   buffer_cap = cap;
   shed = std::move(policy);
@@ -280,9 +276,9 @@ Status SessionOptions::Validate() const {
                                    std::to_string(kMaxVirtualShards));
   }
   if (threads == 0) {
-    if (vshards != 0 || steal || adaptive_batch) {
+    if (vshards != 0 || steal) {
       return Status::InvalidArgument(
-          "--vshards/--steal/--adaptive-batch require --threads=<n>");
+          "--vshards/--steal require --threads=<n>");
     }
   } else {
     if (!per_key) {
@@ -358,20 +354,13 @@ Result<ContinuousQuery> SessionOptions::BuildQuery() const {
   (void)ParseIngestValidationName(validate, &mode);  // Validated above.
   builder.ValidateIngest(mode);
 
-  ContinuousQuery query = builder.Build();
-  if (threads > 0) {
-    // Threaded runs pool their batches; back the reorder buffers with
-    // recycled bucket slabs too.
-    query.handler = query.handler.WithArena();
-  }
-  return query;
+  return builder.Build();
 }
 
 ParallelOptions SessionOptions::BuildParallelOptions() const {
   ParallelOptions popts;
   popts.virtual_shards = static_cast<size_t>(vshards);
   popts.steal = steal;
-  popts.adaptive_batch = adaptive_batch;
   return popts;
 }
 
@@ -410,7 +399,6 @@ std::vector<std::string> SessionOptions::ToTokens() const {
   if (threads != defaults.threads) emit("--threads", std::to_string(threads));
   if (vshards != defaults.vshards) emit("--vshards", std::to_string(vshards));
   if (steal) out.push_back("--steal");
-  if (adaptive_batch) out.push_back("--adaptive-batch");
   if (buffer_cap != defaults.buffer_cap) {
     emit("--buffer-cap", std::to_string(buffer_cap));
   }
@@ -479,8 +467,11 @@ constexpr RetiredFlag kRetiredFlags[] = {
      "thread placement is left to the OS; confine the process with "
      "taskset or a cpuset instead"},
     {"--mpsc",
-     "sessions read one source; multi-producer ingestion is "
-     "ShardedKeyedRunner::RunMultiSource over key-disjoint sources"},
+     "the threaded runners read one ordered source; merge the feeds "
+     "upstream into one stream"},
+    {"--adaptive-batch",
+     "the threaded runners feed a fixed batch "
+     "(ParallelOptions::batch_size); drop the flag"},
 };
 
 }  // namespace
@@ -557,8 +548,6 @@ Status SessionOptions::ParseTokens(std::span<const std::string> tokens,
       st = int_value(&out->vshards);
     } else if (t.flag == "--steal") {
       out->steal = true;
-    } else if (t.flag == "--adaptive-batch") {
-      out->adaptive_batch = true;
     } else if (t.flag == "--buffer-cap") {
       st = int_value(&out->buffer_cap);
     } else if (t.flag == "--shed") {
@@ -596,8 +585,8 @@ const std::vector<std::string>& SessionOptions::KnownFlags() {
       "--strategy",  "--speculative", "--window-engine", "--quality",
       "--latency-budget", "--k",
       "--per-key",   "--lateness",  "--threads",        "--vshards",
-      "--steal",     "--adaptive-batch", "--buffer-cap", "--shed",
-      "--max-slack", "--validate"};
+      "--steal",     "--buffer-cap", "--shed",     "--max-slack",
+      "--validate"};
   return *flags;
 }
 
@@ -621,7 +610,6 @@ std::string SessionOptions::Describe() const {
     out << ", " << threads << " thread" << (threads > 1 ? "s" : "");
     if (vshards > 0) out << " x " << vshards << " vshards";
     if (steal) out << ", steal";
-    if (adaptive_batch) out << ", adaptive-batch";
   }
   if (buffer_cap > 0) out << ", cap=" << buffer_cap << "(" << shed << ")";
   if (validate != "off") out << ", validate=" << validate;

@@ -66,7 +66,6 @@ struct SessionOptions {
   int64_t threads = 0;
   int64_t vshards = 0;   // 0 = one per worker; else must be >= threads.
   bool steal = false;    // demand-driven work stealing.
-  bool adaptive_batch = false;  // adapt feed batch size at run time.
 
   /// Robustness / degradation.
   int64_t buffer_cap = 0;            // 0 = unbounded.
@@ -90,7 +89,6 @@ struct SessionOptions {
   SessionOptions& Threads(int64_t n);
   SessionOptions& VirtualShards(int64_t n);
   SessionOptions& Steal(bool on = true);
-  SessionOptions& AdaptiveBatch(bool on = true);
   SessionOptions& BufferCap(int64_t cap, std::string policy = "emit-early");
   SessionOptions& MaxSlack(int64_t ms);
   SessionOptions& ValidateIngest(std::string mode);

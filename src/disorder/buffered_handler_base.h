@@ -27,10 +27,6 @@ class BufferedHandlerBase : public DisorderHandler {
 
   size_t buffered() const override { return buffer_.size(); }
 
-  void set_buffer_arena(EventArena* arena) override {
-    buffer_.SetArena(arena);
-  }
-
   void set_buffer_cap(size_t max_buffered_events, ShedPolicy policy) override {
     max_buffered_events_ = max_buffered_events;
     shed_policy_ = policy;

@@ -128,14 +128,6 @@ class DisorderHandler {
   /// Current buffer occupancy in tuples.
   virtual size_t buffered() const { return 0; }
 
-  /// Attaches a slab arena to the reorder buffer of every buffering
-  /// handler (composite handlers propagate to every shard, existing and
-  /// future): bucket storage is pooled and recycled across shard churn
-  /// instead of hitting the heap. Only legal before the first arrival;
-  /// the arena must outlive the handler. No-op for handlers that do not
-  /// buffer.
-  virtual void set_buffer_arena(EventArena* arena) { (void)arena; }
-
   /// Hard bound on buffered tuples (0 = unbounded, the default). When an
   /// arrival finds the buffer at the cap, the handler sheds per `policy`
   /// and accounts the loss in events_shed / events_force_released. A keyed

@@ -47,12 +47,6 @@ DisorderHandlerSpec DisorderHandlerSpec::WithMaxSlack(
   return s;
 }
 
-DisorderHandlerSpec DisorderHandlerSpec::WithArena(bool enabled) const {
-  DisorderHandlerSpec s = *this;
-  s.use_arena = enabled;
-  return s;
-}
-
 Status DisorderHandlerSpec::Validate() const {
   if (max_slack < 0) {
     return Status::InvalidArgument("spec: max_slack must be >= 0");
@@ -316,9 +310,6 @@ std::unique_ptr<DisorderHandler> BuildHandler(const DisorderHandlerSpec& spec) {
   }
   if (spec.max_slack > 0) {
     handler->set_max_slack(spec.max_slack);
-  }
-  if (spec.use_arena) {
-    handler->set_buffer_arena(&GlobalEventArena());
   }
   return handler;
 }

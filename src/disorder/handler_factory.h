@@ -64,12 +64,6 @@ struct DisorderHandlerSpec {
   /// Propagated to every layer, shards included.
   DurationUs max_slack = 0;
 
-  /// Attach GlobalEventArena() to every buffering layer built from this
-  /// spec: reorder-buffer bucket storage is pooled and recycled across
-  /// shard churn instead of allocated per bucket. Pure allocation-path
-  /// switch — released sequences are identical either way.
-  bool use_arena = false;
-
   /// Named constructors — the supported way to build a spec. Each sets
   /// exactly the fields its kind reads; combine with the chainable
   /// modifiers below instead of assigning fields directly.
@@ -99,8 +93,6 @@ struct DisorderHandlerSpec {
       ShedPolicy policy = ShedPolicy::kEmitEarly) const;
   /// Clamp adaptive K at `max_slack` microseconds (0 removes the clamp).
   DisorderHandlerSpec WithMaxSlack(DurationUs max_slack) const;
-  /// Pool reorder-buffer storage in the process-wide event arena.
-  DisorderHandlerSpec WithArena(bool enabled = true) const;
 
   /// Checks every field the configured kind reads (slack signs, quantile
   /// bounds, controller gains, gamma). MakeDisorderHandler calls this, so a

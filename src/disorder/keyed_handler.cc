@@ -168,9 +168,6 @@ KeyedDisorderHandler::Shard* KeyedDisorderHandler::Route(int64_t key) {
     if (shard_observer_ != nullptr) {
       owned->handler->set_observer(shard_observer_);
     }
-    if (buffer_arena_ != nullptr) {
-      owned->handler->set_buffer_arena(buffer_arena_);
-    }
     if (max_slack_ > 0) {
       owned->handler->set_max_slack(max_slack_);
     }
@@ -425,13 +422,6 @@ void KeyedDisorderHandler::set_observer(PipelineObserver* observer) {
   shard_observer_ = observer;
   for (const auto& shard : shards_) {
     shard->handler->set_observer(observer);
-  }
-}
-
-void KeyedDisorderHandler::set_buffer_arena(EventArena* arena) {
-  buffer_arena_ = arena;
-  for (const auto& shard : shards_) {
-    shard->handler->set_buffer_arena(arena);
   }
 }
 

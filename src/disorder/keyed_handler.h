@@ -71,12 +71,6 @@ class KeyedDisorderHandler : public DisorderHandler {
   /// both layers would double-count latencies and late events.
   void set_observer(PipelineObserver* observer) override;
 
-  /// Propagates the slab arena to every inner handler, existing and
-  /// future — the case the arena exists for: keyed workloads create and
-  /// destroy per-key buffers continuously, and pooling their bucket
-  /// storage removes that churn from the heap.
-  void set_buffer_arena(EventArena* arena) override;
-
   /// Global buffer budget across all keys: the keyed handler enforces the
   /// cap itself (the inner handlers stay uncapped) by shedding from the
   /// fullest shard before dispatching an arrival that would overflow it.
@@ -138,8 +132,6 @@ class KeyedDisorderHandler : public DisorderHandler {
   Shard* last_shard_ = nullptr;
   /// Observer handed to every inner handler (including ones created later).
   PipelineObserver* shard_observer_ = nullptr;
-  /// Arena handed to every inner handler (including ones created later).
-  EventArena* buffer_arena_ = nullptr;
 
   /// Global buffer budget (0 = unbounded) and the policy applied when it
   /// is exhausted.

@@ -1,6 +1,5 @@
 #include "disorder/reorder_buffer.h"
 
-#include "common/arena.h"
 #include "common/logging.h"
 
 namespace streamq {
@@ -31,29 +30,6 @@ inline TimestampUs BucketHigh(int64_t q, int shift) {
 }
 
 }  // namespace
-
-void ReorderBuffer::SetArena(EventArena* arena) {
-  if (arena == arena_) return;
-  STREAMQ_CHECK(empty());
-  arena_ = arena;
-}
-
-ReorderBuffer::~ReorderBuffer() {
-  // Return every owned buffer — live buckets and empty buckets that still
-  // hold capacity — so storage survives shard churn.
-  if (arena_ == nullptr) return;
-  for (Bucket& b : ring_) {
-    if (b.events.capacity() > 0) arena_->Recycle(std::move(b.events));
-  }
-}
-
-void ReorderBuffer::ReserveBucket(Bucket* b) {
-  if (arena_ != nullptr) {
-    b->events = arena_->AcquireAtLeast(BucketReserve());
-  } else {
-    b->events.reserve(BucketReserve());
-  }
-}
 
 TimestampUs ReorderBuffer::MinEventTime() const {
   STREAMQ_CHECK(!empty());
@@ -124,7 +100,7 @@ void ReorderBuffer::Push(Event e) {
   } else if (b.sorted && Less(e, b.events.back())) {
     b.sorted = false;
   }
-  if (b.events.capacity() == 0) ReserveBucket(&b);
+  if (b.events.capacity() == 0) b.events.reserve(BucketReserve());
   b.events.push_back(std::move(e));
   ++size_;
   if (size_ > max_size_) max_size_ = size_;
@@ -253,13 +229,6 @@ void ReorderBuffer::GrowCapacity(uint64_t span) {
       ring_[BucketIndex(q)] = std::move(ob);
     }
   }
-  if (arena_ != nullptr) {
-    // Empty buckets left behind by the remap still hold capacity; pool it
-    // for the new ring's virgin buckets instead of freeing.
-    for (Bucket& ob : old) {
-      if (ob.events.capacity() > 0) arena_->Recycle(std::move(ob.events));
-    }
-  }
 }
 
 void ReorderBuffer::Rebucket(int new_shift) {
@@ -292,7 +261,7 @@ void ReorderBuffer::Rebucket(int new_shift) {
     } else if (b.sorted && Less(e, b.events.back())) {
       b.sorted = false;
     }
-    if (b.events.capacity() == 0) ReserveBucket(&b);
+    if (b.events.capacity() == 0) b.events.reserve(BucketReserve());
     b.events.push_back(std::move(e));
   }
 }

@@ -29,17 +29,6 @@ namespace streamq {
 /// count and bounded bucket population.
 class ReorderBuffer {
  public:
-  /// Attaches a slab arena: bucket storage is acquired from — and, on
-  /// destruction, recycled into — the arena instead of malloc, so the
-  /// steady state allocates nothing even as shards come and go. Only legal
-  /// while the buffer is empty; nullptr detaches. The arena must outlive
-  /// the buffer (GlobalEventArena always does).
-  void SetArena(EventArena* arena);
-
-  EventArena* arena() const { return arena_; }
-
-  ~ReorderBuffer();
-
   /// Inserts one event. Takes the event by value and moves it into the
   /// buffer so the hot path pays a single copy at the call boundary.
   void Push(Event e);
@@ -106,9 +95,6 @@ class ReorderBuffer {
   Bucket& BucketAt(int64_t q) { return ring_[BucketIndex(q)]; }
   const Bucket& BucketAt(int64_t q) const { return ring_[BucketIndex(q)]; }
 
-  /// First allocation for a virgin bucket: from the arena when attached.
-  void ReserveBucket(Bucket* b);
-
   /// Compacts the dead prefix and sorts the live range (no-op if sorted).
   void EnsureSortedLive(Bucket* b);
 
@@ -130,7 +116,6 @@ class ReorderBuffer {
   /// Advances q_min_ past drained buckets (resets the span when empty).
   void AdvanceMin();
 
-  EventArena* arena_ = nullptr;
   size_t max_size_ = 0;
 
   // The span [q_min_, q_max_] is valid iff size_ > 0; ring capacity is a

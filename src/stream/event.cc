@@ -3,21 +3,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "common/arena.h"
-
 namespace streamq {
-
-EventArena& GlobalEventArena() {
-  // slab_capacity 0: bucket users ask for exact capacities via
-  // AcquireAtLeast, so a default reservation would only waste memory.
-  // Intentionally leaked — reachable through the static, so LeakSanitizer
-  // stays quiet and no static-destruction-order hazard exists.
-  static EventArena* arena = new EventArena(
-      EventArena::Options{.slab_capacity = 0,
-                          .max_free_slabs = 4096,
-                          .max_free_batches = 1024});
-  return *arena;
-}
 
 std::string ToString(const Event& e) {
   char buf[160];

@@ -10,22 +10,6 @@
 
 namespace streamq {
 
-template <typename T>
-class SlabArena;
-
-struct Event;
-
-/// Slab arena specialized for Event storage (see common/arena.h): pooled
-/// `std::vector<Event>` slabs for reorder-buffer buckets plus recycled
-/// shared batches for the runner queues.
-using EventArena = SlabArena<Event>;
-
-/// Process-wide event arena, shared by every handler/runner configured with
-/// arena allocation but no explicit arena of its own. Never destroyed
-/// (function-local static pointer), so it safely outlives any handler,
-/// including ones torn down during static destruction.
-EventArena& GlobalEventArena();
-
 /// One stream tuple. The engine is deliberately schema-fixed: a keyed,
 /// timestamped double. This matches the operator under study (disorder
 /// handling + windowed aggregation), whose behavior depends only on

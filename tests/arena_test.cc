@@ -21,13 +21,18 @@ TEST(SlabArenaTest, AcquireReservesDefaultCapacity) {
   IntArena::Slab slab = arena.Acquire();
   EXPECT_TRUE(slab.empty());
   EXPECT_GE(slab.capacity(), 64u);
-  IntArena::Slab big = arena.AcquireAtLeast(1000);
-  EXPECT_GE(big.capacity(), 1000u);
+  // A pooled slab that its previous life left short is grown on reuse.
+  IntArena::Slab small;
+  small.reserve(8);
+  arena.Recycle(std::move(small));
+  IntArena::Slab regrown = arena.Acquire();
+  EXPECT_GE(regrown.capacity(), 64u);
+  EXPECT_EQ(arena.stats().slab_reuses, 1);
 }
 
 TEST(SlabArenaTest, RecycleKeepsCapacityAndServesReuses) {
   IntArena arena(IntArena::Options{.slab_capacity = 8});
-  IntArena::Slab slab = arena.AcquireAtLeast(500);
+  IntArena::Slab slab = arena.Acquire();
   for (int i = 0; i < 500; ++i) slab.push_back(i);
   arena.Recycle(std::move(slab));
 
@@ -96,7 +101,8 @@ TEST(SlabArenaTest, BatchOutlivesEveryArenaHandle) {
 TEST(SlabArenaTest, CopiedHandlesShareTheSamePools) {
   IntArena arena(IntArena::Options{.slab_capacity = 8});
   IntArena other = arena;  // Same pools, different handle.
-  IntArena::Slab slab = arena.AcquireAtLeast(300);
+  IntArena::Slab slab = arena.Acquire();
+  slab.reserve(300);
   other.Recycle(std::move(slab));
   EXPECT_EQ(arena.stats().free_slabs, 1u);
   EXPECT_GE(other.Acquire().capacity(), 300u);
@@ -106,7 +112,7 @@ TEST(SlabArenaTest, PoolBoundsAreRespected) {
   IntArena arena(IntArena::Options{
       .slab_capacity = 4, .max_free_slabs = 2, .max_free_batches = 1});
   for (int i = 0; i < 4; ++i) {
-    IntArena::Slab slab = arena.AcquireAtLeast(8);
+    IntArena::Slab slab = arena.Acquire();
     arena.Recycle(std::move(slab));
     // Each round trip reuses the pooled slab, so the pool never overflows…
   }
@@ -124,7 +130,7 @@ TEST(SlabArenaTest, PoolBoundsAreRespected) {
 TEST(SlabArenaTest, DisabledPoolingDegradesToPlainHeap) {
   IntArena arena(IntArena::Options{
       .slab_capacity = 4, .max_free_slabs = 0, .max_free_batches = 0});
-  IntArena::Slab slab = arena.AcquireAtLeast(100);
+  IntArena::Slab slab = arena.Acquire();
   slab.push_back(1);
   IntArena::Batch batch = arena.Share(&slab);
   batch.reset();
@@ -174,9 +180,10 @@ TEST(SlabArenaTest, CrossThreadReleaseReturnsNodesHome) {
   EXPECT_GE(arena.stats().batch_reuses, 100);
 }
 
-TEST(EventArenaTest, GlobalEventArenaSharesAndRecycles) {
-  EventArena& arena = GlobalEventArena();
-  EventArena::Slab slab = arena.AcquireAtLeast(4);
+TEST(EventArenaTest, SharesAndRecyclesEvents) {
+  using EventArena = SlabArena<Event>;
+  EventArena arena(EventArena::Options{.slab_capacity = 4});
+  EventArena::Slab slab = arena.Acquire();
   Event e;
   e.id = 1;
   e.event_time = 10;
@@ -187,7 +194,10 @@ TEST(EventArenaTest, GlobalEventArenaSharesAndRecycles) {
   EXPECT_EQ((*batch)[0].id, 1);
   batch.reset();
   arena.Recycle(std::move(slab));
-  EXPECT_GT(arena.stats().batch_shares, 0);
+  const ArenaStats stats = arena.stats();
+  EXPECT_EQ(stats.batch_shares, 1);
+  EXPECT_EQ(stats.free_batches, 1u);
+  EXPECT_EQ(stats.slab_recycles, 1);
 }
 
 }  // namespace

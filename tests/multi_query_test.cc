@@ -137,6 +137,29 @@ TEST(MultiQueryTest, ManyQueriesOneStream) {
   }
 }
 
+TEST(MultiQueryTest, BothPlansReportAmendments) {
+  // A 5 ms slack under 20 ms mean delay leaves many late tuples; 10 s of
+  // allowed lateness turns each into a revision of an already fired window.
+  const auto w = testutil::DisorderedWorkload(10000);
+  const ContinuousQuery q = QueryBuilder("amend")
+                                .Tumbling(Millis(50))
+                                .Aggregate("sum")
+                                .FixedSlack(Millis(5))
+                                .AllowedLateness(Seconds(10))
+                                .Build();
+  for (const auto plan : {MultiQueryRunner::Plan::kIndependent,
+                          MultiQueryRunner::Plan::kSharedHandler}) {
+    MultiQueryRunner runner(plan);
+    runner.AddQuery(q);
+    VectorSource source(w.arrival_order);
+    const auto reports = runner.Run(&source);
+    ASSERT_EQ(reports.size(), 1u);
+    EXPECT_GT(reports[0].window_stats.revisions, 0);
+    EXPECT_EQ(reports[0].results_amended, reports[0].window_stats.revisions)
+        << "plan " << static_cast<int>(plan);
+  }
+}
+
 TEST(MultiQueryTest, RunWithoutQueriesAborts) {
   MultiQueryRunner runner(MultiQueryRunner::Plan::kIndependent);
   VectorSource source({});

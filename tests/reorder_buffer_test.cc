@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/rng.h"
 #include "tests/reference/reference_reorder_buffer.h"
 
@@ -337,12 +336,10 @@ constexpr DurationUs kSpans[] = {1,          16,          1'000,
 /// state after every step: size, high water, minimum and each popped
 /// sequence. The release threshold trails the frontier by a K that grows
 /// and shrinks, and sometimes steps back below the previous threshold.
-void RunDifferentialSchedule(uint64_t seed, bool with_arena) {
+void RunDifferentialSchedule(uint64_t seed) {
   Rng rng(seed);
-  EventArena arena;  // Outlives `ring`.
   ReorderBuffer ring;
   HeapReorderBuffer heap;
-  if (with_arena) ring.SetArena(&arena);
 
   int64_t next_id = 0;
   // Odd multiplier: a bijection on 32 bits, so ids are unique but arrive
@@ -378,7 +375,6 @@ void RunDifferentialSchedule(uint64_t seed, bool with_arena) {
 
   for (int step = 0; step < 1500; ++step) {
     SCOPED_TRACE("seed=" + std::to_string(seed) +
-                 " arena=" + std::to_string(with_arena) +
                  " step=" + std::to_string(step));
     const int64_t op = rng.NextInt(0, 99);
     out_ring.clear();
@@ -455,10 +451,8 @@ void RunDifferentialSchedule(uint64_t seed, bool with_arena) {
 
 TEST(ReorderBufferDifferential, RingMatchesReferenceHeapOnRandomSchedules) {
   for (uint64_t seed = 1; seed <= 24; ++seed) {
-    for (bool with_arena : {false, true}) {
-      RunDifferentialSchedule(seed, with_arena);
-      if (HasFatalFailure()) return;
-    }
+    RunDifferentialSchedule(seed);
+    if (HasFatalFailure()) return;
   }
 }
 

@@ -391,26 +391,22 @@ TEST(SessionOptions, SchedulerFlagsParseRoundTripAndValidate) {
   SessionOptions options;
   std::vector<std::string> leftover;
   const std::vector<std::string> tokens = {"--per-key", "--threads=2",
-                                           "--steal", "--adaptive-batch"};
+                                           "--steal"};
   ASSERT_TRUE(SessionOptions::ParseTokens(tokens, &options, &leftover).ok());
   EXPECT_TRUE(leftover.empty());
   EXPECT_TRUE(options.steal);
-  EXPECT_TRUE(options.adaptive_batch);
   ASSERT_TRUE(options.Validate().ok());
 
   auto decoded = SessionOptions::Deserialize(options.Serialize());
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_TRUE(decoded.value().steal);
-  EXPECT_TRUE(decoded.value().adaptive_batch);
   EXPECT_EQ(decoded.value().Serialize(), options.Serialize());
 
   const ParallelOptions popts = options.BuildParallelOptions();
   EXPECT_TRUE(popts.steal);
-  EXPECT_TRUE(popts.adaptive_batch);
 
   const std::string text = options.Describe();
   EXPECT_NE(text.find("steal"), std::string::npos);
-  EXPECT_NE(text.find("adaptive-batch"), std::string::npos);
 }
 
 TEST(SessionOptions, RetiredFlagsAreRejectedWithHints) {
@@ -426,7 +422,8 @@ TEST(SessionOptions, RetiredFlagsAreRejectedWithHints) {
       {"--window-engine=legacy", "did you mean --window-engine=hot?"},
       {"--arena=off", "always pool their batches"},
       {"--pin-cores", "taskset"},
-      {"--mpsc=2", "RunMultiSource"},
+      {"--mpsc=2", "one ordered source"},
+      {"--adaptive-batch", "fixed batch"},
   };
   for (const auto& retired : kRetired) {
     SCOPED_TRACE(retired.token);
@@ -460,21 +457,16 @@ TEST(SessionOptions, SchedulerFlagsRequireThreadsAndSingleSource) {
     EXPECT_NE(st.message().find("--threads"), std::string::npos);
   }
   {
-    SessionOptions options;
-    options.PerKey().AdaptiveBatch();
-    EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument);
-  }
-  {
     // Valid combination passes.
     SessionOptions options;
-    options.PerKey().Threads(2).Steal().AdaptiveBatch();
+    options.PerKey().Threads(2).Steal();
     EXPECT_TRUE(options.Validate().ok());
   }
 }
 
 TEST(SessionOptions, SchedulerFlagNearMissesSuggest) {
   EXPECT_EQ(SuggestFlag("--stea", {}), "--steal");
-  EXPECT_EQ(SuggestFlag("--adaptve-batch", {}), "--adaptive-batch");
+  EXPECT_EQ(SuggestFlag("--vshads", {}), "--vshards");
 }
 
 }  // namespace

@@ -1,12 +1,10 @@
-// Work stealing and adaptive batch sizing must never change results.
-// Placement-invariance (a virtual shard is a whole pipeline, so WHERE it
-// runs cannot affect WHAT it emits) makes demand-driven stealing
-// output-preserving — and batch size only changes when work happens,
-// never what each shard observes. These tests pin the merged output
-// byte-for-byte against static placement across seeds, worker counts, and
-// handler kinds (including speculative emit-then-amend), force real
-// steals with a sleep-bound sink on a colocated-skew stream, and cover
-// the scheduler's option validation.
+// Work stealing must never change results. Placement-invariance (a
+// virtual shard is a whole pipeline, so WHERE it runs cannot affect WHAT
+// it emits) makes demand-driven stealing output-preserving. These tests
+// pin the merged output byte-for-byte against static placement across
+// seeds, worker counts, and handler kinds (including speculative
+// emit-then-amend), force real steals with a sleep-bound sink on a
+// colocated-skew stream, and cover the scheduler's option validation.
 
 #include <atomic>
 #include <chrono>
@@ -17,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/adaptive_batch.h"
 #include "core/parallel_runner.h"
 #include "quality/speculation.h"
 #include "stream/generator.h"
@@ -188,78 +185,6 @@ TEST(StealEquivalenceTest, StarvedWorkersActuallySteal) {
   ExpectSameMergedOutcome(static_report, stolen);
 }
 
-TEST(StealEquivalenceTest, StealRejectsMultiSourceRuns) {
-  ParallelOptions opts;
-  opts.steal = true;
-  ShardedKeyedRunner runner(FixedKeyedQuery(), 2, opts);
-  const auto w = SkewedWorkload(3, 500);
-  std::vector<Event> a;
-  std::vector<Event> b;
-  for (const Event& e : w.arrival_order) {
-    (e.key % 2 == 0 ? a : b).push_back(e);
-  }
-  VectorSource sa(a);
-  VectorSource sb(b);
-  EventSource* sources[2] = {&sa, &sb};
-  EXPECT_DEATH(runner.RunMultiSource(sources),
-               "steal requires a single-source run");
-}
-
-// --- Adaptive batch sizing ------------------------------------------------
-
-TEST(StealEquivalenceTest, AdaptiveBatchDoesNotChangeResults) {
-  const auto w = SkewedWorkload(17);
-
-  ParallelOptions fixed_opts;
-  fixed_opts.batch_size = 256;
-  fixed_opts.virtual_shards = 16;
-  ShardedKeyedRunner fixed_runner(FixedKeyedQuery(), 3, fixed_opts);
-  VectorSource s1(w.arrival_order);
-  const RunReport fixed_report = fixed_runner.Run(&s1);
-  EXPECT_EQ(fixed_runner.final_batch_size(), 256u);
-
-  ParallelOptions ad_opts = fixed_opts;
-  ad_opts.adaptive_batch = true;
-  ad_opts.min_batch = 32;
-  ad_opts.max_batch = 2048;
-  ShardedKeyedRunner ad_runner(FixedKeyedQuery(), 3, ad_opts);
-  VectorSource s2(w.arrival_order);
-  const RunReport adapted = ad_runner.Run(&s2);
-  ASSERT_TRUE(adapted.status.ok()) << adapted.status.ToString();
-
-  ExpectSameMergedOutcome(fixed_report, adapted);
-  EXPECT_GE(ad_runner.final_batch_size(), 32u);
-  EXPECT_LE(ad_runner.final_batch_size(), 2048u);
-  EXPECT_NE(adapted.runtime_config.find("batch_final="), std::string::npos);
-}
-
-TEST(AdaptiveBatcherTest, ControllerStaysWithinRailsAndTracksPressure) {
-  AdaptiveBatcher::Options o;
-  o.min_batch = 64;
-  o.max_batch = 4096;
-  o.initial = 512;
-  o.interval_batches = 4;
-  AdaptiveBatcher full(o);
-  // Saturated queues: the controller must shrink the batch, never past
-  // the floor.
-  for (int i = 0; i < 400; ++i) full.Observe(1.0, 0.0);
-  EXPECT_LT(full.batch(), 512u);
-  EXPECT_GE(full.batch(), 64u);
-  EXPECT_GT(full.adaptations(), 0);
-
-  AdaptiveBatcher empty(o);
-  // Starved queues with cheap service: grow, never past the ceiling.
-  for (int i = 0; i < 400; ++i) empty.Observe(0.0, 0.0);
-  EXPECT_GT(empty.batch(), 512u);
-  EXPECT_LE(empty.batch(), 4096u);
-
-  AdaptiveBatcher slow(o);
-  // Service time far past the guard dominates the depth term: shrink even
-  // with empty queues.
-  for (int i = 0; i < 400; ++i) slow.Observe(0.0, 50000.0);
-  EXPECT_LT(slow.batch(), 512u);
-}
-
 // --- Option validation ----------------------------------------------------
 
 TEST(ParallelOptionsValidateTest, RejectsBadNumericsWithHints) {
@@ -269,18 +194,6 @@ TEST(ParallelOptionsValidateTest, RejectsBadNumericsWithHints) {
   ParallelOptions o5;
   o5.batch_size = 0;
   EXPECT_FALSE(o5.Validate().ok());
-
-  ParallelOptions o6;
-  o6.max_batch = 16;  // < min_batch (64).
-  const Status s6 = o6.Validate();
-  EXPECT_FALSE(s6.ok());
-  EXPECT_NE(s6.message().find("max_batch must be >= min_batch"),
-            std::string::npos);
-
-  ParallelOptions o7;
-  o7.adaptive_batch = true;
-  o7.batch_size = 16;  // Outside [min_batch, max_batch].
-  EXPECT_FALSE(o7.Validate().ok());
 
   ParallelOptions o8;
   o8.feed_max_attempts = 0;

@@ -33,19 +33,15 @@ R-F20 (bounded-memory degradation):
      cap binds; zero means the cap silently stopped applying), and the
      uncapped reference must shed nothing.
 
-R-F21 (extreme-scale runtime):
-  1. Equivalence (hard): within every compared group -- feed arena/malloc
-     per batch size, mpsc p1/p2/p4 -- `checksum` must be identical. The
-     arena pool and the MPSC feed are performance switches, never
-     semantic ones. The single pipeline row has nothing to pair with; its
-     throughput is baseline drift only.
+R-F21 (runtime batch memory):
+  1. Equivalence (hard): within every feed arena/malloc pair (one per
+     batch size) `checksum` must be identical. The arena pool is a
+     performance switch, never a semantic one. The single pipeline row
+     has nothing to pair with; its throughput is baseline drift only.
   2. Arena win (hard): on the smallest-batch feed row the arena must be
      >= F21_ARENA_TARGET x the malloc path in the same run (per-batch
      allocation dominates there); larger batches must never invert beyond
      F21_NO_INVERSION.
-  3. MPSC scaling (hard): with 2 producers the throttled-feed run must be
-     >= F21_MPSC_TARGET x the single-producer run in the same run; p4
-     falling behind p2 is a soft warning (it is overhead-bound).
 
 R-F22 (service path: server + load generator over loopback):
   1. Determinism (hard): the combined per-tenant result checksum must be
@@ -79,15 +75,12 @@ R-F23 (amend engine + speculative emit-then-amend):
 
 R-F24 (pull-based scheduler):
   1. Equivalence (hard): within every section all modes -- steal
-     static/steal, the fixed-batch sweep plus adaptive -- must produce
-     identical `checksum`s. The scheduler switches are performance
-     switches, never semantic ones.
+     static/steal, the fixed-batch sweep -- must produce identical
+     `checksum`s. Placement and batch size are performance switches,
+     never semantic ones.
   2. Steal win (hard): on the sink-latency colocated-skew config the
      static placement must cost >= F24_STEAL_TARGET x the stealing run in
      the same run, and the stealing run must report steals > 0.
-  3. Adaptive batch (hard): the PI controller's throughput must land
-     within F24_ADAPTIVE_TAX of the best fixed batch size in the same
-     run, without being told which size that is.
 
 R-F25 (resilience: chaos transport, idempotent replay, admission control):
   1. Exactly-once under faults (hard): the combined per-tenant result
@@ -143,10 +136,9 @@ KEYED_CHECKSUM_PAIRS = (
 OVERHEAD_BOUND = 1.02
 
 # f21: same-run relative targets (machine-independent). The arena target is
-# gated on the smallest feed batch (observed ~1.5x); the MPSC target on the
-# 2-producer row (observed ~1.9x). No-inversion bounds leave noise headroom.
+# gated on the smallest feed batch (observed ~1.5x). The no-inversion bound
+# leaves noise headroom.
 F21_ARENA_TARGET = 1.3
-F21_MPSC_TARGET = 1.3
 F21_NO_INVERSION = 0.95   # arena >= 0.95x malloc on non-gated batches.
 
 # f22: 4 paced clients vs 1 over loopback — the sleeps overlap, so the
@@ -155,12 +147,9 @@ F21_NO_INVERSION = 0.95   # arena >= 0.95x malloc on non-gated batches.
 F22_SCALING_TARGET = 1.3
 F22_P99_DRIFT = 3.0
 
-# f24: same-run relative targets. Stealing must cut the colocated-hot-shard
-# wall clock by 1.2x (observed ~1.7-2.1x). The adaptive controller must
-# land within 10% of the best fixed batch size without being told which
-# one it is.
+# f24: same-run relative target. Stealing must cut the colocated-hot-shard
+# wall clock by 1.2x (observed ~1.7-2.1x).
 F24_STEAL_TARGET = 1.2
-F24_ADAPTIVE_TAX = 1.1
 
 # f23: the speculative mode's first emission must halve the buffered
 # settle latency wherever disorder is material (>= 10% of tuples arrive
@@ -197,7 +186,7 @@ def sniff_suite(path):
         return "f25"
     if "clients" in header:
         return "f22"
-    if "batch_end" in header:  # before f21: both carry vshards.
+    if "steals" in header:  # before f21: both carry vshards.
         return "f24"
     if "vshards" in header:
         return "f21"
@@ -391,29 +380,7 @@ def check_f21(args):
                 f"{malloc_keps:.1f} ({arena_keps / malloc_keps:.2f}x, "
                 f"bound {bound}x)")
 
-    # 3. MPSC scaling: two producers' throttle sleeps overlap, so p2 must
-    # clearly beat p1 in the same run; p4 is overhead-bound (soft).
-    rows = pair("mpsc", "throttled-feed", "p1", "p2")
-    if rows is not None:
-        p1_keps = float(rows[0]["keps"])
-        p2_keps = float(rows[1]["keps"])
-        if p2_keps < p1_keps * F21_MPSC_TARGET:
-            failures.append(
-                f"mpsc/throttled-feed: p2 {p2_keps:.1f} keps vs p1 "
-                f"{p1_keps:.1f} ({p2_keps / p1_keps:.2f}x, target "
-                f"{F21_MPSC_TARGET}x)")
-        p4 = current.get(("mpsc", "throttled-feed", "p4"))
-        if p4 is not None:
-            if p4["checksum"] != rows[0]["checksum"]:
-                failures.append(
-                    f"mpsc/throttled-feed: p4 checksum {p4['checksum']} vs "
-                    f"p1 {rows[0]['checksum']}")
-            if float(p4["keps"]) < p2_keps:
-                warnings.append(
-                    f"mpsc/throttled-feed: p4 {float(p4['keps']):.1f} keps "
-                    f"behind p2 {p2_keps:.1f}")
-
-    # 4. Soft drift vs. committed baseline on throughput.
+    # 3. Soft drift vs. committed baseline on throughput.
     if args.baseline:
         baseline = load(args.baseline, key_cols)
         for key, row in current.items():
@@ -471,28 +438,7 @@ def check_f24(args):
             failures.append(
                 "steal/sink-latency: stealing run performed no steals")
 
-    # 3. Adaptive batch (hard): the controller must land within
-    # F24_ADAPTIVE_TAX of the best fixed size in the same run, without
-    # being told which size that is.
-    batch_rows = rows_in("batch")
-    adaptive = batch_rows.get("adaptive")
-    fixed = {m: r for m, r in batch_rows.items() if m.startswith("fixed-")}
-    if adaptive is None or not fixed:
-        failures.append("batch: missing adaptive or fixed rows")
-    else:
-        best_mode, best_row = max(
-            fixed.items(), key=lambda kv: float(kv[1]["keps"]))
-        best_keps = float(best_row["keps"])
-        adaptive_keps = float(adaptive["keps"])
-        if adaptive_keps * F24_ADAPTIVE_TAX < best_keps:
-            failures.append(
-                f"batch/zipf-keyed: adaptive {adaptive_keps:.1f} keps "
-                f"(settled at {adaptive['batch_end']}) vs best fixed "
-                f"{best_mode} {best_keps:.1f} "
-                f"({best_keps / adaptive_keps:.2f}x, bound "
-                f"{F24_ADAPTIVE_TAX}x)")
-
-    # 4. Soft drift vs. committed baseline on throughput.
+    # 3. Soft drift vs. committed baseline on throughput.
     if args.baseline:
         baseline = load(args.baseline, key_cols)
         for key, row in current.items():
