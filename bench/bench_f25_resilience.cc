@@ -35,7 +35,8 @@
 ///     admission control, not merely annotated with it.
 ///
 /// Event counts are small (4 x 5000): the sweep measures protocol-level
-/// robustness accounting, not aggregation speed — R-F22 owns throughput.
+/// robustness accounting, not aggregation speed — service capacity is the
+/// perfbench `service` workload's job.
 
 #include <atomic>
 #include <cstdint>

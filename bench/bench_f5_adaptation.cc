@@ -51,13 +51,11 @@ void Run() {
   const int64_t kSampleEvery = 2000;
 
   FixedKSlack fixed(Millis(30), /*collect_latency_samples=*/false);
-  MpKSlack::Options mp_options;
-  mp_options.collect_latency_samples = false;
-  MpKSlack mp(mp_options);
+  MpKSlack mp(MpKSlack::Options{}, /*collect_latency_samples=*/false);
   AqKSlack::Options aq_options;
   aq_options.target_quality = 0.95;
-  aq_options.collect_latency_samples = false;
-  AqKSlack aq(aq_options);
+  AqKSlack aq(aq_options, /*quality_model=*/nullptr,
+              /*collect_latency_samples=*/false);
 
   const auto fixed_trace = TraceSlack(&fixed, w.arrival_order, kSampleEvery);
   const auto mp_trace = TraceSlack(&mp, w.arrival_order, kSampleEvery);

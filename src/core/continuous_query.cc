@@ -175,7 +175,7 @@ ContinuousQuery QueryBuilder::Build() const {
   if (quality_driven_ && !explicit_gamma_) {
     // Aggregate-aware default: translate the quality target through the
     // aggregate's error profile.
-    q.handler.aq_quality_gamma = DefaultQualityGamma(q.window.aggregate.kind);
+    q.handler.quality_gamma = DefaultQualityGamma(q.window.aggregate.kind);
   }
   STREAMQ_CHECK_OK(q.Validate());
   return q;

@@ -12,6 +12,7 @@ namespace streamq {
 
 /// What QueryExecutor does with arrivals that fail ValidateEvent
 /// (non-finite value, negative/overflowing timestamp, clock regression).
+/// Declared in order of strictness.
 enum class IngestValidation {
   /// Trust the source; feed everything straight to the handler (default —
   /// zero per-tuple cost, right for generated workloads).

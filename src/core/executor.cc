@@ -34,15 +34,9 @@ std::string RunReport::ToString() const {
   return out;
 }
 
-QueryExecutor::QueryExecutor(const ContinuousQuery& query) : query_(query) {
-  STREAMQ_CHECK_OK(query.Validate());
-  handler_ = MakeDisorderHandlerOrDie(query.handler);
-  window_op_ =
-      std::make_unique<WindowedAggregation>(query.window, &result_sink_);
-}
-
-void QueryExecutor::Feed(const Event& e) {
-  if (query_.validation != IngestValidation::kOff) [[unlikely]] {
+void ValidatedFeed::Feed(const Event& e, DisorderHandler* handler,
+                         EventSink* sink) {
+  if (validation_ != IngestValidation::kOff) [[unlikely]] {
     if (!status_.ok()) return;  // strict mode already tripped
     Status s = ValidateEvent(e);
     if (!s.ok()) {
@@ -51,29 +45,20 @@ void QueryExecutor::Feed(const Event& e) {
     }
   }
   ++events_processed_;
-  handler_->OnEvent(e, window_op_.get());
+  handler->OnEvent(e, sink);
 }
 
-void QueryExecutor::FeedBatch(std::span<const Event> batch) {
-  if (query_.validation != IngestValidation::kOff) [[unlikely]] {
-    FeedBatchValidated(batch);
-    return;
-  }
-  events_processed_ += static_cast<int64_t>(batch.size());
-  handler_->OnBatch(batch, window_op_.get());
-}
-
-void QueryExecutor::FeedBatchValidated(std::span<const Event> batch) {
+void ValidatedFeed::FeedBatchValidated(std::span<const Event> batch,
+                                       DisorderHandler* handler,
+                                       EventSink* sink) {
   if (!status_.ok()) return;
-  // Feed maximal valid sub-spans so one bad tuple does not force the whole
-  // chunk down the per-event path.
   size_t begin = 0;
   for (size_t i = 0; i < batch.size(); ++i) {
     Status s = ValidateEvent(batch[i]);
     if (s.ok()) continue;
     if (i > begin) {
       events_processed_ += static_cast<int64_t>(i - begin);
-      handler_->OnBatch(batch.subspan(begin, i - begin), window_op_.get());
+      handler->OnBatch(batch.subspan(begin, i - begin), sink);
     }
     RejectEvent(batch[i], std::move(s));
     begin = i + 1;
@@ -81,18 +66,34 @@ void QueryExecutor::FeedBatchValidated(std::span<const Event> batch) {
   }
   if (begin < batch.size()) {
     events_processed_ += static_cast<int64_t>(batch.size() - begin);
-    handler_->OnBatch(batch.subspan(begin), window_op_.get());
+    handler->OnBatch(batch.subspan(begin), sink);
   }
 }
 
-void QueryExecutor::RejectEvent(const Event& e, Status status) {
+void ValidatedFeed::RejectEvent(const Event& e, Status status) {
   ++events_rejected_;
   if (observer_ != nullptr) {
     observer_->OnEventRejected(e);
   }
-  if (query_.validation == IngestValidation::kStrict && status_.ok()) {
+  if (validation_ == IngestValidation::kStrict && status_.ok()) {
     status_ = std::move(status);
   }
+}
+
+QueryExecutor::QueryExecutor(const ContinuousQuery& query)
+    : query_(query), feed_(query.validation) {
+  STREAMQ_CHECK_OK(query.Validate());
+  handler_ = MakeDisorderHandlerOrDie(query.handler);
+  window_op_ =
+      std::make_unique<WindowedAggregation>(query.window, &result_sink_);
+}
+
+void QueryExecutor::Feed(const Event& e) {
+  feed_.Feed(e, handler_.get(), window_op_.get());
+}
+
+void QueryExecutor::FeedBatch(std::span<const Event> batch) {
+  feed_.FeedBatch(batch, handler_.get(), window_op_.get());
 }
 
 void QueryExecutor::FeedHeartbeat(TimestampUs event_time_bound,
@@ -108,7 +109,7 @@ RunReport QueryExecutor::Run(EventSource* source, size_t batch_size) {
     Event e;
     while (source->Next(&e)) {
       Feed(e);
-      if (!status_.ok()) break;
+      if (!feed_.status().ok()) break;
     }
   } else {
     std::vector<Event> chunk;
@@ -119,13 +120,13 @@ RunReport QueryExecutor::Run(EventSource* source, size_t batch_size) {
         observer_->OnSourceBatch(static_cast<int64_t>(chunk.size()));
       }
       chunk.clear();
-      if (!status_.ok()) break;  // strict validation tripped: stop feeding
+      if (!feed_.status().ok()) break;  // strict validation tripped
     }
   }
   Finish();
   wall_seconds_ = ToSeconds(WallClockMicros() - start);
   if (observer_ != nullptr) {
-    observer_->OnRunCompleted(events_processed_, wall_seconds_);
+    observer_->OnRunCompleted(feed_.events_processed(), wall_seconds_);
   }
   return Report();
 }
@@ -133,13 +134,13 @@ RunReport QueryExecutor::Run(EventSource* source, size_t batch_size) {
 RunReport QueryExecutor::Report() const {
   RunReport report;
   report.query_name = query_.name;
-  report.events_processed = events_processed_;
-  report.events_rejected = events_rejected_;
-  report.status = status_;
+  report.events_processed = feed_.events_processed();
+  report.events_rejected = feed_.events_rejected();
+  report.status = feed_.status();
   report.wall_seconds = wall_seconds_;
   report.throughput_eps =
       wall_seconds_ > 0.0
-          ? static_cast<double>(events_processed_) / wall_seconds_
+          ? static_cast<double>(report.events_processed) / wall_seconds_
           : 0.0;
   report.handler_stats = handler_->stats();
   report.window_stats = window_op_->stats();

@@ -68,6 +68,50 @@ struct RunReport {
   std::string ToString() const;
 };
 
+/// Ingest validation in front of a disorder handler
+/// (ContinuousQuery::validation): counts processed and rejected arrivals,
+/// latches the strict-mode status, and feeds maximal valid sub-spans so one
+/// bad tuple does not force a chunk down the per-event path. QueryExecutor
+/// and MultiQueryRunner's shared plan both feed through it.
+class ValidatedFeed {
+ public:
+  explicit ValidatedFeed(IngestValidation validation)
+      : validation_(validation) {}
+
+  /// Feeds one arrival (dropped once strict validation has tripped).
+  void Feed(const Event& e, DisorderHandler* handler, EventSink* sink);
+
+  /// Feeds a chunk of consecutive arrivals through handler->OnBatch.
+  void FeedBatch(std::span<const Event> batch, DisorderHandler* handler,
+                 EventSink* sink) {
+    if (validation_ != IngestValidation::kOff) [[unlikely]] {
+      FeedBatchValidated(batch, handler, sink);
+      return;
+    }
+    events_processed_ += static_cast<int64_t>(batch.size());
+    handler->OnBatch(batch, sink);
+  }
+
+  /// Rejections are reported to `observer` (nullptr = none).
+  void set_observer(PipelineObserver* observer) { observer_ = observer; }
+
+  int64_t events_processed() const { return events_processed_; }
+  int64_t events_rejected() const { return events_rejected_; }
+  /// Sticky: non-OK once strict validation rejected a tuple.
+  const Status& status() const { return status_; }
+
+ private:
+  void FeedBatchValidated(std::span<const Event> batch,
+                          DisorderHandler* handler, EventSink* sink);
+  void RejectEvent(const Event& e, Status status);
+
+  IngestValidation validation_;
+  PipelineObserver* observer_ = nullptr;
+  int64_t events_processed_ = 0;
+  int64_t events_rejected_ = 0;
+  Status status_;
+};
+
 /// Single-query pipeline: EventSource -> DisorderHandler ->
 /// WindowedAggregation -> results. Use Run() for whole-stream execution or
 /// the Feed()/Finish() pair to drive it incrementally (e.g. interleaved with
@@ -112,6 +156,7 @@ class QueryExecutor {
   /// pointer null-checks (see core/pipeline_observer.h).
   void SetObserver(PipelineObserver* observer) {
     observer_ = observer;
+    feed_.set_observer(observer);
     handler_->set_observer(observer);
     window_op_->set_observer(observer);
   }
@@ -129,21 +174,15 @@ class QueryExecutor {
 
   /// Sticky run status (see RunReport::status). Always OK unless the query
   /// uses strict ingest validation.
-  const Status& status() const { return status_; }
+  const Status& status() const { return feed_.status(); }
 
  private:
-  /// Cold path of Feed/FeedBatch when ingest validation is on.
-  void FeedBatchValidated(std::span<const Event> batch);
-  void RejectEvent(const Event& e, Status status);
-
   ContinuousQuery query_;
   CollectingResultSink result_sink_;
   std::unique_ptr<DisorderHandler> handler_;
   std::unique_ptr<WindowedAggregation> window_op_;
+  ValidatedFeed feed_;
   PipelineObserver* observer_ = nullptr;
-  int64_t events_processed_ = 0;
-  int64_t events_rejected_ = 0;
-  Status status_;
   double wall_seconds_ = 0.0;
 };
 

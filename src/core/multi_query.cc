@@ -1,5 +1,7 @@
 #include "core/multi_query.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "common/time.h"
 
@@ -44,7 +46,8 @@ DisorderHandlerSpec MultiQueryRunner::SharedHandlerSpec(
   for (const ContinuousQuery& q : queries) {
     if (q.handler.kind != DisorderHandlerSpec::Kind::kAqKSlack) continue;
     if (strictest == nullptr ||
-        q.handler.aq.target_quality > strictest->aq.target_quality) {
+        q.handler.quality.target_quality >
+            strictest->quality.target_quality) {
       strictest = &q.handler;
     }
   }
@@ -91,6 +94,13 @@ std::vector<RunReport> MultiQueryRunner::RunIndependent(EventSource* source) {
 
 std::vector<RunReport> MultiQueryRunner::RunShared(EventSource* source) {
   auto handler = MakeDisorderHandlerOrDie(SharedHandlerSpec(queries_));
+  // One feed serves every query, so it validates with the strictest policy
+  // among them (IngestValidation is ordered off < drop < strict).
+  IngestValidation validation = IngestValidation::kOff;
+  for (const ContinuousQuery& q : queries_) {
+    validation = std::max(validation, q.validation);
+  }
+  ValidatedFeed feed(validation);
 
   std::vector<std::unique_ptr<CollectingResultSink>> result_sinks;
   std::vector<std::unique_ptr<WindowedAggregation>> window_ops;
@@ -104,13 +114,12 @@ std::vector<RunReport> MultiQueryRunner::RunShared(EventSource* source) {
   FanOutSink fan(fan_targets);
 
   const TimestampUs start = WallClockMicros();
-  int64_t events = 0;
   std::vector<Event> chunk;
   chunk.reserve(QueryExecutor::kDefaultRunBatchSize);
   while (source->NextBatch(&chunk, QueryExecutor::kDefaultRunBatchSize) > 0) {
-    events += static_cast<int64_t>(chunk.size());
-    handler->OnBatch(chunk, &fan);
+    feed.FeedBatch(chunk, handler.get(), &fan);
     chunk.clear();
+    if (!feed.status().ok()) break;  // strict validation tripped
   }
   handler->Flush(&fan);
   const double wall_seconds = ToSeconds(WallClockMicros() - start);
@@ -120,10 +129,14 @@ std::vector<RunReport> MultiQueryRunner::RunShared(EventSource* source) {
   for (size_t i = 0; i < queries_.size(); ++i) {
     RunReport r;
     r.query_name = queries_[i].name;
-    r.events_processed = events;
+    r.events_processed = feed.events_processed();
+    r.events_rejected = feed.events_rejected();
+    r.status = feed.status();
     r.wall_seconds = wall_seconds;
-    r.throughput_eps =
-        wall_seconds > 0.0 ? static_cast<double>(events) / wall_seconds : 0.0;
+    r.throughput_eps = wall_seconds > 0.0
+                           ? static_cast<double>(r.events_processed) /
+                                 wall_seconds
+                           : 0.0;
     r.handler_stats = handler->stats();
     r.window_stats = window_ops[i]->stats();
     r.results_amended = r.window_stats.revisions;

@@ -20,7 +20,9 @@ namespace streamq {
 ///    operator. The shared handler is configured from the *strictest*
 ///    quality target among the queries, so every target is met, but
 ///    looser queries inherit the strict query's buffering latency. The
-///    saving: one reorder buffer and one sort instead of N.
+///    saving: one reorder buffer and one sort instead of N. Ingest
+///    validation likewise runs once, with the strictest policy among the
+///    queries (strict > drop > off).
 ///
 /// This is the classic shared-execution trade-off for this operator:
 /// the ablation bench (R-F12) quantifies both sides.

@@ -12,19 +12,23 @@ struct Event;
 struct WindowResult;
 enum class ShedPolicy : int;
 
-/// One adaptation step of an adaptive disorder handler (AqKSlack/LbKSlack),
-/// reported through PipelineObserver::OnAdaptation. Scalar-only so the
-/// observer layer has no dependency on concrete handler types.
+/// One adaptation step of an adaptive disorder handler (AqKSlack,
+/// SpeculativeHandler, LbKSlack), reported through
+/// PipelineObserver::OnAdaptation. Scalar-only so the observer layer has no
+/// dependency on concrete handler types.
 struct AdaptationSample {
   int64_t tuple_index = 0;
   TimestampUs stream_time = 0;
-  /// Smoothed measured quality (AqKSlack) or interval mean latency in us
-  /// (LbKSlack) — whatever the handler's control loop measures.
+  /// Smoothed measured quality (AqKSlack, SpeculativeHandler) or interval
+  /// mean latency in us (LbKSlack) — whatever the handler's control loop
+  /// measures.
   double measured = 0.0;
   /// Current quantile setpoint p.
   double setpoint = 0.0;
   /// Slack bound K after this step, in event-time microseconds.
   DurationUs k = 0;
+  /// Buffered tuples after this step (0 for SpeculativeHandler, which
+  /// buffers nothing).
   size_t buffer_size = 0;
 };
 

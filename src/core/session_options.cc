@@ -244,8 +244,9 @@ Status SessionOptions::Validate() const {
         "unknown --strategy: " + strategy +
         " (want aq, lb, fixed, mp, watermark or none)");
   }
+  // Written as the negation of the valid range so NaN fails it too.
   if ((strategy == "aq" || speculative) &&
-      (quality <= 0.0 || quality > 1.0)) {
+      !(quality > 0.0 && quality <= 1.0)) {
     return Status::InvalidArgument("--quality must be in (0, 1]");
   }
   {

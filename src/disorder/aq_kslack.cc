@@ -1,63 +1,23 @@
 #include "disorder/aq_kslack.h"
 
-#include <algorithm>
-#include <cmath>
-
-#include "common/logging.h"
-
 namespace streamq {
 
 AqKSlack::AqKSlack(const Options& options,
-                   std::unique_ptr<QualityModel> quality_model)
-    : BufferedHandlerBase(options.collect_latency_samples),
-      options_(options),
-      quality_model_(quality_model ? std::move(quality_model)
-                                   : MakeCoverageQualityModel()),
-      lateness_sketch_(options.sketch_window),
-      lateness_reservoir_(options.sketch_window, /*seed=*/0x5EED),
-      pi_(PiController::Options{
-          .kp = options.kp,
-          .ki = options.ki,
-          .out_min = -options.trim_limit,
-          .out_max = options.trim_limit,
-          .integral_limit = options.trim_limit,
-      }) {
-  STREAMQ_CHECK_GT(options.target_quality, 0.0);
-  STREAMQ_CHECK_LE(options.target_quality, 1.0);
-  STREAMQ_CHECK_GT(options.adaptation_interval, 0);
-  STREAMQ_CHECK_GT(options.p_min, 0.0);
-  STREAMQ_CHECK_LE(options.p_max, 1.0);
-  STREAMQ_CHECK_LT(options.p_min, options.p_max);
-  STREAMQ_CHECK_GT(options.max_step, 0.0);
-  STREAMQ_CHECK_GT(options.quality_smoothing_alpha, 0.0);
-  STREAMQ_CHECK_LE(options.quality_smoothing_alpha, 1.0);
-  // Feed-forward initialization: before any measurement, set the quantile
-  // setpoint to the coverage the quality model requires.
-  p_ = std::clamp(quality_model_->CoverageForQuality(options.target_quality),
-                  options.p_min, options.p_max);
-}
+                   std::unique_ptr<QualityModel> quality_model,
+                   bool collect_latency_samples)
+    : BufferedHandlerBase(collect_latency_samples),
+      controller_(options, std::move(quality_model)) {}
 
 void AqKSlack::OnEvent(const Event& e, EventSink* sink) {
-  ++tuple_index_;
-  ++interval_events_;
-
-  // Observe lateness against the pre-update frontier: this is exactly the
-  // buffer size this tuple would have needed.
-  if (t_max_ != kMinTimestamp && e.event_time < t_max_) {
-    ObserveLateness(static_cast<double>(t_max_ - e.event_time));
-  } else {
-    ObserveLateness(0.0);
-  }
+  ObserveLateness(e);
 
   const int64_t late_before = stats_.events_late;
   const bool buffered = Ingest(e, sink);
   if (stats_.events_late > late_before) {
-    ++interval_late_;  // Tuple missed the watermark: a quality loss.
+    controller_.CountLate();  // Tuple missed the watermark: a quality loss.
   }
 
-  if (interval_events_ >= options_.adaptation_interval) {
-    Adapt(e.arrival_time);
-  }
+  if (controller_.step_due()) Adapt(e.arrival_time);
   if (buffered) {
     ReleaseUpTo(ReleaseThreshold(k_), e.arrival_time, sink);
   }
@@ -66,21 +26,11 @@ void AqKSlack::OnEvent(const Event& e, EventSink* sink) {
 void AqKSlack::OnBatch(std::span<const Event> batch, EventSink* sink) {
   struct Policy {
     AqKSlack* self;
-    void BeforeIngest(const Event& e) {
-      ++self->tuple_index_;
-      ++self->interval_events_;
-      if (self->t_max_ != kMinTimestamp && e.event_time < self->t_max_) {
-        self->ObserveLateness(static_cast<double>(self->t_max_ - e.event_time));
-      } else {
-        self->ObserveLateness(0.0);
-      }
-    }
+    void BeforeIngest(const Event& e) { self->ObserveLateness(e); }
     void AfterIngest(const Event& e, bool was_buffered) {
       // Ingest returns false exactly when it diverted the tuple late.
-      if (!was_buffered) ++self->interval_late_;
-      if (self->interval_events_ >= self->options_.adaptation_interval) {
-        self->Adapt(e.arrival_time);
-      }
+      if (!was_buffered) self->controller_.CountLate();
+      if (self->controller_.step_due()) self->Adapt(e.arrival_time);
     }
     DurationUs slack() const { return self->k_; }
   };
@@ -88,84 +38,19 @@ void AqKSlack::OnBatch(std::span<const Event> batch, EventSink* sink) {
 }
 
 void AqKSlack::Adapt(TimestampUs now) {
-  // --- Measure: coverage over the last interval -> quality via the model.
-  const double interval_coverage =
-      interval_events_ > 0
-          ? 1.0 - static_cast<double>(interval_late_) /
-                      static_cast<double>(interval_events_)
-          : 1.0;
-  const double interval_quality =
-      quality_model_->QualityFromCoverage(interval_coverage);
-  if (!have_measurement_) {
-    measured_quality_ = interval_quality;
-    have_measurement_ = true;
-  } else {
-    measured_quality_ =
-        options_.quality_smoothing_alpha * interval_quality +
-        (1.0 - options_.quality_smoothing_alpha) * measured_quality_;
-  }
-  interval_events_ = 0;
-  interval_late_ = 0;
-
-  // --- Feed-forward term: coverage the model says we need.
-  const double feed_forward = std::clamp(
-      quality_model_->CoverageForQuality(options_.target_quality),
-      options_.p_min, options_.p_max);
-
-  // --- Feedback term: PI on the quality error. Positive error (quality
-  // below target) pushes the setpoint up.
-  const double error = options_.target_quality - measured_quality_;
-  const double trim = pi_.Update(error);
-
-  // --- Combine, slew-limit, clamp.
-  double target_p = std::clamp(feed_forward + trim, options_.p_min,
-                               options_.p_max);
-  const double step =
-      std::clamp(target_p - p_, -options_.max_step, options_.max_step);
-  p_ += step;
-
-  // --- Translate the quantile setpoint into a concrete slack (clamped so
-  // the control loop cannot request a buffer the cap forbids).
   const DurationUs old_k = k_;
-  k_ = ClampSlack(static_cast<DurationUs>(std::ceil(LatenessQuantile(p_))));
-
+  k_ = ClampSlack(controller_.Step());
   if (observer_ != nullptr) {
     if (k_ != old_k) observer_->OnSlackChanged(old_k, k_);
     observer_->OnAdaptation(AdaptationSample{
-        .tuple_index = tuple_index_,
+        .tuple_index = controller_.tuple_index(),
         .stream_time = now,
-        .measured = measured_quality_,
-        .setpoint = p_,
+        .measured = controller_.measured_quality(),
+        .setpoint = controller_.setpoint(),
         .k = k_,
         .buffer_size = buffer_.size(),
     });
   }
-
-  if (record_trace_) {
-    adaptation_trace_.push_back(AdaptationRecord{
-        .tuple_index = tuple_index_,
-        .stream_time = now,
-        .measured_quality = measured_quality_,
-        .setpoint = p_,
-        .k = k_,
-        .buffer_size = buffer_.size(),
-    });
-  }
-}
-
-void AqKSlack::ObserveLateness(double lateness) {
-  if (options_.estimator == Estimator::kSlidingWindow) {
-    lateness_sketch_.Add(lateness);
-  } else {
-    lateness_reservoir_.Add(lateness);
-  }
-}
-
-double AqKSlack::LatenessQuantile(double p) const {
-  if (options_.estimator == Estimator::kSlidingWindow) {
-    return lateness_sketch_.Quantile(p);
-  }
-  return lateness_reservoir_.Quantile(p);
 }
 
 void AqKSlack::Flush(EventSink* sink) { DrainAll(last_activity_, sink); }

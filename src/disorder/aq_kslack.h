@@ -2,83 +2,31 @@
 #define STREAMQ_DISORDER_AQ_KSLACK_H_
 
 #include <memory>
-#include <vector>
 
-#include "common/stats.h"
-#include "control/pi_controller.h"
+#include "control/quality_controller.h"
 #include "disorder/buffered_handler_base.h"
-#include "disorder/quality_model.h"
 
 namespace streamq {
 
 /// Quality-driven adaptive K-slack — the paper's operator.
 ///
 /// The user specifies a *result quality* target `q*` instead of a buffer
-/// size. The operator:
-///
-///  1. maintains a sliding sketch of observed tuple lateness (the delay
-///     distribution, which may be non-stationary);
-///  2. converts `q*` into a required tuple coverage `c*` via the configured
-///     QualityModel (feed-forward inversion), so the buffer bound becomes a
-///     *delay quantile*: `K = Quantile_lateness(p)`, `p = c* + trim`;
-///  3. measures achieved quality over recently released tuples (late-tuple
-///     rate through the quality model) and closes the loop with a PI
-///     controller on the quality error, producing the `trim` term. The PI
-///     feedback absorbs everything the feed-forward model misses: sketch
-///     staleness during bursts, model mismatch, estimation noise.
-///
-/// Controlling the quantile setpoint `p` rather than `K` directly makes the
-/// loop scale-free: when delays double, `Quantile(p)` doubles with them and
-/// the controller needs no re-tuning.
+/// size. A QualityController turns `q*` into a delay-quantile setpoint `p`
+/// (feed-forward inversion through the QualityModel plus PI feedback on the
+/// measured quality) and the buffer bound becomes `K = Quantile_lateness(p)`.
+/// This handler supplies what the loop measures — tuples that missed the
+/// reorder buffer's watermark are the quality loss — and applies K as the
+/// release threshold `t_max - K`.
 class AqKSlack : public BufferedHandlerBase {
  public:
-  /// Which lateness estimator backs the quantile lookup. The sliding
-  /// window is the default (follows non-stationary delays); the global
-  /// reservoir is an ablation baseline — a uniform sample over all history
-  /// that goes stale after a distribution shift.
-  enum class Estimator { kSlidingWindow, kGlobalReservoir };
-
-  struct Options {
-    /// Target result quality in (0, 1].
-    double target_quality = 0.95;
-
-    /// Lateness estimator backing Quantile()/Cdf() (see Estimator).
-    Estimator estimator = Estimator::kSlidingWindow;
-
-    /// Lateness sketch window (tuples). Larger = smoother estimate, slower
-    /// reaction to distribution shifts. Also the reservoir capacity for
-    /// kGlobalReservoir.
-    size_t sketch_window = 4096;
-
-    /// Re-evaluate the buffer bound every this many tuples.
-    int64_t adaptation_interval = 256;
-
-    /// PI gains on quality error (in quantile-setpoint units).
-    double kp = 0.8;
-    double ki = 0.25;
-
-    /// Trim range: the feedback may move the setpoint at most this far from
-    /// the feed-forward coverage requirement.
-    double trim_limit = 0.25;
-
-    /// Setpoint clamp. The upper bound < 1 keeps K finite under heavy tails:
-    /// p -> 1 would chase the sample maximum.
-    double p_min = 0.05;
-    double p_max = 0.999;
-
-    /// Max setpoint change per adaptation step (slew limiting).
-    double max_step = 0.05;
-
-    /// Half-life of the measured-quality EWMA, in adaptation intervals.
-    double quality_smoothing_alpha = 0.3;
-
-    bool collect_latency_samples = true;
-  };
+  using Estimator = QualityController::Estimator;
+  using Options = QualityController::Options;
 
   /// `quality_model` translates coverage to result quality for the
   /// downstream aggregate (defaults to the identity/coverage model).
   explicit AqKSlack(const Options& options,
-                    std::unique_ptr<QualityModel> quality_model = nullptr);
+                    std::unique_ptr<QualityModel> quality_model = nullptr,
+                    bool collect_latency_samples = true);
 
   std::string_view name() const override { return "aq-kslack"; }
 
@@ -88,60 +36,24 @@ class AqKSlack : public BufferedHandlerBase {
 
   DurationUs current_slack() const override { return k_; }
 
-  /// Current quantile setpoint p (instrumentation).
-  double setpoint() const { return p_; }
-
-  /// Smoothed measured quality (instrumentation; 1.0 before first sample).
-  double measured_quality() const { return measured_quality_; }
-
-  /// One row per adaptation step, for the adaptation-trace experiments.
-  struct AdaptationRecord {
-    int64_t tuple_index;
-    TimestampUs stream_time;
-    double measured_quality;
-    double setpoint;
-    DurationUs k;
-    size_t buffer_size;
-  };
-  const std::vector<AdaptationRecord>& adaptation_trace() const {
-    return adaptation_trace_;
-  }
-
-  /// Enables recording of the adaptation trace (off by default to keep
-  /// production runs allocation-light).
-  void set_record_adaptation_trace(bool on) { record_trace_ = on; }
-
-  const Options& options() const { return options_; }
-  const QualityModel& quality_model() const { return *quality_model_; }
+  /// The quality loop (setpoint, measured quality, options, model).
+  const QualityController& controller() const { return controller_; }
 
  private:
-  /// One control step: update measured quality, run the PI loop, recompute K.
+  /// Feeds the lateness of `e` against the pre-update frontier — exactly
+  /// the buffer size this tuple would have needed — to the controller.
+  void ObserveLateness(const Event& e) {
+    controller_.Observe(t_max_ != kMinTimestamp && e.event_time < t_max_
+                            ? static_cast<double>(t_max_ - e.event_time)
+                            : 0.0);
+  }
+
+  /// One control step: recompute K (clamped so the loop cannot request a
+  /// buffer the cap forbids) and report it.
   void Adapt(TimestampUs now);
 
-  /// Records one lateness observation into the configured estimator.
-  void ObserveLateness(double lateness);
-
-  /// Lateness quantile from the configured estimator.
-  double LatenessQuantile(double p) const;
-
-  Options options_;
-  std::unique_ptr<QualityModel> quality_model_;
-  SlidingWindowQuantile lateness_sketch_;
-  ReservoirSample lateness_reservoir_;
-  PiController pi_;
-
+  QualityController controller_;
   DurationUs k_ = 0;
-  double p_;                       // Current quantile setpoint.
-  double measured_quality_ = 1.0;  // EWMA of per-interval quality.
-  bool have_measurement_ = false;
-
-  // Per-interval counters.
-  int64_t interval_events_ = 0;
-  int64_t interval_late_ = 0;
-  int64_t tuple_index_ = 0;
-
-  bool record_trace_ = false;
-  std::vector<AdaptationRecord> adaptation_trace_;
 };
 
 }  // namespace streamq

@@ -63,37 +63,28 @@ Status DisorderHandlerSpec::Validate() const {
       if (mp.window_size <= 0) {
         return Status::InvalidArgument("mp-kslack: window_size must be > 0");
       }
-      if (mp.safety_factor < 0.0) {
+      if (!(mp.safety_factor >= 0.0)) {
         return Status::InvalidArgument(
             "mp-kslack: safety_factor must be >= 0");
       }
       break;
     case Kind::kAqKSlack:
-      if (aq.target_quality <= 0.0 || aq.target_quality > 1.0) {
+    case Kind::kSpeculative: {
+      const std::string who =
+          kind == Kind::kAqKSlack ? "aq-kslack: " : "speculative: ";
+      const Status status = quality.Validate();
+      if (!status.ok()) return Status::InvalidArgument(who + status.message());
+      if (!(quality_gamma >= 0.0)) {
         return Status::InvalidArgument(
-            "aq-kslack: target_quality must be in (0, 1]");
+            who + "quality gamma must be >= 0 (0 = coverage model)");
       }
-      if (aq.adaptation_interval <= 0) {
+      if (kind == Kind::kSpeculative &&
+          quality.estimator != QualityController::Estimator::kSlidingWindow) {
         return Status::InvalidArgument(
-            "aq-kslack: adaptation_interval must be > 0");
-      }
-      if (aq.p_min <= 0.0 || aq.p_max > 1.0 || aq.p_min >= aq.p_max) {
-        return Status::InvalidArgument(
-            "aq-kslack: need 0 < p_min < p_max <= 1");
-      }
-      if (aq.max_step <= 0.0) {
-        return Status::InvalidArgument("aq-kslack: max_step must be > 0");
-      }
-      if (aq.quality_smoothing_alpha <= 0.0 ||
-          aq.quality_smoothing_alpha > 1.0) {
-        return Status::InvalidArgument(
-            "aq-kslack: quality_smoothing_alpha must be in (0, 1]");
-      }
-      if (aq_quality_gamma < 0.0) {
-        return Status::InvalidArgument(
-            "aq-kslack: quality gamma must be >= 0 (0 = coverage model)");
+            "speculative: the lateness estimator must be the sliding window");
       }
       break;
+    }
     case Kind::kLbKSlack:
       if (lb.latency_budget <= 0) {
         return Status::InvalidArgument(
@@ -103,11 +94,11 @@ Status DisorderHandlerSpec::Validate() const {
         return Status::InvalidArgument(
             "lb-kslack: adaptation_interval must be > 0");
       }
-      if (lb.p_min < 0.0 || lb.p_max > 1.0 || lb.p_min >= lb.p_max) {
+      if (!(lb.p_min >= 0.0 && lb.p_max <= 1.0 && lb.p_min < lb.p_max)) {
         return Status::InvalidArgument(
             "lb-kslack: need 0 <= p_min < p_max <= 1");
       }
-      if (lb.max_step <= 0.0) {
+      if (!(lb.max_step > 0.0)) {
         return Status::InvalidArgument("lb-kslack: max_step must be > 0");
       }
       break;
@@ -122,34 +113,6 @@ Status DisorderHandlerSpec::Validate() const {
       if (wm.allowed_lateness < 0) {
         return Status::InvalidArgument(
             "watermark: allowed_lateness must be >= 0");
-      }
-      break;
-    case Kind::kSpeculative:
-      if (speculative.target_quality <= 0.0 ||
-          speculative.target_quality > 1.0) {
-        return Status::InvalidArgument(
-            "speculative: target_quality must be in (0, 1]");
-      }
-      if (speculative.adaptation_interval <= 0) {
-        return Status::InvalidArgument(
-            "speculative: adaptation_interval must be > 0");
-      }
-      if (speculative.p_min <= 0.0 || speculative.p_max > 1.0 ||
-          speculative.p_min >= speculative.p_max) {
-        return Status::InvalidArgument(
-            "speculative: need 0 < p_min < p_max <= 1");
-      }
-      if (speculative.max_step <= 0.0) {
-        return Status::InvalidArgument("speculative: max_step must be > 0");
-      }
-      if (speculative.quality_smoothing_alpha <= 0.0 ||
-          speculative.quality_smoothing_alpha > 1.0) {
-        return Status::InvalidArgument(
-            "speculative: quality_smoothing_alpha must be in (0, 1]");
-      }
-      if (aq_quality_gamma < 0.0) {
-        return Status::InvalidArgument(
-            "speculative: quality gamma must be >= 0 (0 = coverage model)");
       }
       break;
   }
@@ -167,8 +130,8 @@ DisorderHandlerSpec DisorderHandlerSpec::Aq(const AqKSlack::Options& options,
                                             double quality_gamma) {
   DisorderHandlerSpec s;
   s.kind = Kind::kAqKSlack;
-  s.aq = options;
-  s.aq_quality_gamma = quality_gamma;
+  s.quality = options;
+  s.quality_gamma = quality_gamma;
   return s;
 }
 
@@ -191,8 +154,8 @@ DisorderHandlerSpec DisorderHandlerSpec::Speculative(
     const SpeculativeHandler::Options& options, double quality_gamma) {
   DisorderHandlerSpec s;
   s.kind = Kind::kSpeculative;
-  s.speculative = options;
-  s.aq_quality_gamma = quality_gamma;
+  s.quality = options;
+  s.quality_gamma = quality_gamma;
   return s;
 }
 
@@ -224,7 +187,8 @@ std::string DisorderHandlerSpec::Describe() const {
                     static_cast<long long>(mp.window_size), mp.safety_factor);
       return buf;
     case Kind::kAqKSlack:
-      std::snprintf(buf, sizeof(buf), "aq-kslack(q*=%.3f)", aq.target_quality);
+      std::snprintf(buf, sizeof(buf), "aq-kslack(q*=%.3f)",
+                    quality.target_quality);
       return buf;
     case Kind::kLbKSlack:
       std::snprintf(buf, sizeof(buf), "lb-kslack(L*=%s)",
@@ -237,7 +201,7 @@ std::string DisorderHandlerSpec::Describe() const {
       return buf;
     case Kind::kSpeculative:
       std::snprintf(buf, sizeof(buf), "speculative(q*=%.3f)",
-                    speculative.target_quality);
+                    quality.target_quality);
       return buf;
   }
   return "?";
@@ -260,44 +224,26 @@ std::unique_ptr<DisorderHandler> BuildHandlerInner(
         [inner] { return BuildHandler(inner); });
   }
   const bool samples = spec.collect_latency_samples;
+  const auto model = [&spec]() -> std::unique_ptr<QualityModel> {
+    if (spec.quality_gamma <= 0.0) return nullptr;  // coverage model
+    return MakePowerQualityModel(spec.quality_gamma);
+  };
   switch (spec.kind) {
     case DisorderHandlerSpec::Kind::kPassThrough:
       return std::make_unique<PassThrough>(samples);
     case DisorderHandlerSpec::Kind::kFixedKSlack:
       return std::make_unique<FixedKSlack>(spec.fixed_k, samples);
-    case DisorderHandlerSpec::Kind::kMpKSlack: {
-      MpKSlack::Options options = spec.mp;
-      options.collect_latency_samples &= samples;
-      return std::make_unique<MpKSlack>(options);
-    }
-    case DisorderHandlerSpec::Kind::kAqKSlack: {
-      std::unique_ptr<QualityModel> model;
-      if (spec.aq_quality_gamma > 0.0) {
-        model = MakePowerQualityModel(spec.aq_quality_gamma);
-      }
-      AqKSlack::Options options = spec.aq;
-      options.collect_latency_samples &= samples;
-      return std::make_unique<AqKSlack>(options, std::move(model));
-    }
-    case DisorderHandlerSpec::Kind::kLbKSlack: {
-      LbKSlack::Options options = spec.lb;
-      options.collect_latency_samples &= samples;
-      return std::make_unique<LbKSlack>(options);
-    }
-    case DisorderHandlerSpec::Kind::kWatermark: {
-      WatermarkReorderer::Options options = spec.wm;
-      options.collect_latency_samples &= samples;
-      return std::make_unique<WatermarkReorderer>(options);
-    }
-    case DisorderHandlerSpec::Kind::kSpeculative: {
-      std::unique_ptr<QualityModel> model;
-      if (spec.aq_quality_gamma > 0.0) {
-        model = MakePowerQualityModel(spec.aq_quality_gamma);
-      }
-      SpeculativeHandler::Options options = spec.speculative;
-      options.collect_latency_samples &= samples;
-      return std::make_unique<SpeculativeHandler>(options, std::move(model));
-    }
+    case DisorderHandlerSpec::Kind::kMpKSlack:
+      return std::make_unique<MpKSlack>(spec.mp, samples);
+    case DisorderHandlerSpec::Kind::kAqKSlack:
+      return std::make_unique<AqKSlack>(spec.quality, model(), samples);
+    case DisorderHandlerSpec::Kind::kLbKSlack:
+      return std::make_unique<LbKSlack>(spec.lb, samples);
+    case DisorderHandlerSpec::Kind::kWatermark:
+      return std::make_unique<WatermarkReorderer>(spec.wm, samples);
+    case DisorderHandlerSpec::Kind::kSpeculative:
+      return std::make_unique<SpeculativeHandler>(spec.quality, model(),
+                                                  samples);
   }
   STREAMQ_LOG(Fatal) << "unknown disorder handler kind";
   return nullptr;

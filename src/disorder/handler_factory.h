@@ -33,21 +33,19 @@ struct DisorderHandlerSpec {
   Kind kind = Kind::kAqKSlack;
   DurationUs fixed_k = 0;               // kFixedKSlack
   MpKSlack::Options mp;                 // kMpKSlack
-  AqKSlack::Options aq;                 // kAqKSlack
+  QualityController::Options quality;   // kAqKSlack, kSpeculative
   LbKSlack::Options lb;                 // kLbKSlack
   WatermarkReorderer::Options wm;       // kWatermark
-  SpeculativeHandler::Options speculative;  // kSpeculative
-  /// Optional quality-model exponent for AqKSlack/SpeculativeHandler;
-  /// <= 0 means coverage model.
-  double aq_quality_gamma = 0.0;
+  /// Optional quality-model exponent for the quality loop (kAqKSlack,
+  /// kSpeculative); <= 0 means coverage model.
+  double quality_gamma = 0.0;
 
   /// If true, the configured handler runs *per key* (one instance per key,
   /// merged minimum watermark) via KeyedDisorderHandler. Right choice when
   /// keys have heterogeneous delay distributions. Ignored for kPassThrough.
   bool per_key = false;
 
-  /// Master switch for per-release latency sampling. ANDed with the
-  /// handler-specific Options flag, so setting this false disables the
+  /// The one switch for per-release latency sampling: false disables the
   /// sample vector for every kind — throughput benches use it to keep the
   /// hot path free of sample bookkeeping.
   bool collect_latency_samples = true;

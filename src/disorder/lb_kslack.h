@@ -37,11 +37,10 @@ class LbKSlack : public BufferedHandlerBase {
     double p_min = 0.0;
     double p_max = 0.999;
     double max_step = 0.05;
-
-    bool collect_latency_samples = true;
   };
 
-  explicit LbKSlack(const Options& options);
+  explicit LbKSlack(const Options& options,
+                    bool collect_latency_samples = true);
 
   std::string_view name() const override { return "lb-kslack"; }
 

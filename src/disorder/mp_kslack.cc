@@ -6,8 +6,8 @@
 
 namespace streamq {
 
-MpKSlack::MpKSlack(const Options& options)
-    : BufferedHandlerBase(options.collect_latency_samples),
+MpKSlack::MpKSlack(const Options& options, bool collect_latency_samples)
+    : BufferedHandlerBase(collect_latency_samples),
       options_(options) {
   STREAMQ_CHECK_GT(options.window_size, 0);
   STREAMQ_CHECK_GE(options.safety_factor, 0.0);

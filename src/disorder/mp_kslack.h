@@ -31,10 +31,10 @@ class MpKSlack : public BufferedHandlerBase {
     int64_t window_size = 10000;
     /// Multiplier applied to the tracked bound (>= 0). 1.0 = exact bound.
     double safety_factor = 1.0;
-    bool collect_latency_samples = true;
   };
 
-  explicit MpKSlack(const Options& options);
+  explicit MpKSlack(const Options& options,
+                    bool collect_latency_samples = true);
 
   std::string_view name() const override { return "mp-kslack"; }
 

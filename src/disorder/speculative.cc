@@ -1,52 +1,27 @@
 #include "disorder/speculative.h"
 
 #include <algorithm>
-#include <cmath>
 
-#include "common/logging.h"
 #include "core/pipeline_observer.h"
 
 namespace streamq {
 
 SpeculativeHandler::SpeculativeHandler(
-    const Options& options, std::unique_ptr<QualityModel> quality_model)
-    : DisorderHandler(options.collect_latency_samples),
-      options_(options),
-      quality_model_(quality_model ? std::move(quality_model)
-                                   : MakeCoverageQualityModel()),
-      lateness_sketch_(options.sketch_window),
-      pi_(PiController::Options{
-          .kp = options.kp,
-          .ki = options.ki,
-          .out_min = -options.trim_limit,
-          .out_max = options.trim_limit,
-          .integral_limit = options.trim_limit,
-      }) {
-  STREAMQ_CHECK_GT(options.target_quality, 0.0);
-  STREAMQ_CHECK_LE(options.target_quality, 1.0);
-  STREAMQ_CHECK_GT(options.adaptation_interval, 0);
-  STREAMQ_CHECK_GT(options.p_min, 0.0);
-  STREAMQ_CHECK_LE(options.p_max, 1.0);
-  STREAMQ_CHECK_LT(options.p_min, options.p_max);
-  STREAMQ_CHECK_GT(options.max_step, 0.0);
-  STREAMQ_CHECK_GT(options.quality_smoothing_alpha, 0.0);
-  STREAMQ_CHECK_LE(options.quality_smoothing_alpha, 1.0);
-  p_ = std::clamp(quality_model_->CoverageForQuality(options.target_quality),
-                  options.p_min, options.p_max);
-}
+    const Options& options, std::unique_ptr<QualityModel> quality_model,
+    bool collect_latency_samples)
+    : DisorderHandler(collect_latency_samples),
+      controller_(options, std::move(quality_model)) {}
 
 void SpeculativeHandler::OnEvent(const Event& e, EventSink* sink) {
   ++stats_.events_in;
-  ++tuple_index_;
-  ++interval_events_;
   last_arrival_ = e.arrival_time;
 
   // Observe lateness against the pre-update frontier — the hold a zero-
   // amendment policy would have needed for this tuple.
   if (frontier_ != kMinTimestamp && e.event_time < frontier_) {
-    lateness_sketch_.Add(static_cast<double>(frontier_ - e.event_time));
+    controller_.Observe(static_cast<double>(frontier_ - e.event_time));
   } else {
-    lateness_sketch_.Add(0.0);
+    controller_.Observe(0.0);
     frontier_ = e.event_time;
   }
 
@@ -54,7 +29,7 @@ void SpeculativeHandler::OnEvent(const Event& e, EventSink* sink) {
     // Behind the held watermark: this tuple will amend an already-emitted
     // provisional result (or be a loss beyond allowed lateness).
     ++stats_.events_late;
-    ++interval_late_;
+    controller_.CountLate();
     if (observer_ != nullptr) observer_->OnLateEvent(e);
     sink->OnLateEvent(e);
   } else {
@@ -65,9 +40,7 @@ void SpeculativeHandler::OnEvent(const Event& e, EventSink* sink) {
     sink->OnEvent(e);
   }
 
-  if (interval_events_ >= options_.adaptation_interval) {
-    Adapt(e.arrival_time);
-  }
+  if (controller_.step_due()) Adapt(e.arrival_time);
 
   // Advance the held watermark: trail the frontier by the hold slack,
   // monotone even when the slack widens.
@@ -84,48 +57,17 @@ void SpeculativeHandler::OnEvent(const Event& e, EventSink* sink) {
 }
 
 void SpeculativeHandler::Adapt(TimestampUs now) {
-  const double interval_amend_rate =
-      interval_events_ > 0 ? static_cast<double>(interval_late_) /
-                                 static_cast<double>(interval_events_)
-                           : 0.0;
-  const double interval_quality =
-      quality_model_->QualityFromCoverage(1.0 - interval_amend_rate);
-  if (!have_measurement_) {
-    measured_quality_ = interval_quality;
-    amend_rate_ = interval_amend_rate;
-    have_measurement_ = true;
-  } else {
-    const double a = options_.quality_smoothing_alpha;
-    measured_quality_ = a * interval_quality + (1.0 - a) * measured_quality_;
-    amend_rate_ = a * interval_amend_rate + (1.0 - a) * amend_rate_;
-  }
-  interval_events_ = 0;
-  interval_late_ = 0;
-
-  const double feed_forward = std::clamp(
-      quality_model_->CoverageForQuality(options_.target_quality),
-      options_.p_min, options_.p_max);
-  const double error = options_.target_quality - measured_quality_;
-  const double trim = pi_.Update(error);
-
-  double target_p =
-      std::clamp(feed_forward + trim, options_.p_min, options_.p_max);
-  const double step =
-      std::clamp(target_p - p_, -options_.max_step, options_.max_step);
-  p_ += step;
-
   const DurationUs old_k = k_hold_;
-  k_hold_ =
-      static_cast<DurationUs>(std::ceil(lateness_sketch_.Quantile(p_)));
+  k_hold_ = controller_.Step();
   if (max_slack_ > 0) k_hold_ = std::min(k_hold_, max_slack_);
 
   if (observer_ != nullptr) {
     if (k_hold_ != old_k) observer_->OnSlackChanged(old_k, k_hold_);
     observer_->OnAdaptation(AdaptationSample{
-        .tuple_index = tuple_index_,
+        .tuple_index = controller_.tuple_index(),
         .stream_time = now,
-        .measured = measured_quality_,
-        .setpoint = p_,
+        .measured = controller_.measured_quality(),
+        .setpoint = controller_.setpoint(),
         .k = k_hold_,
         .buffer_size = 0,
     });

@@ -3,10 +3,8 @@
 
 #include <memory>
 
-#include "common/stats.h"
-#include "control/pi_controller.h"
+#include "control/quality_controller.h"
 #include "disorder/disorder_handler.h"
-#include "disorder/quality_model.h"
 
 namespace streamq {
 
@@ -22,16 +20,11 @@ namespace streamq {
 /// hold band simply fold into not-yet-final state. Only tuples behind the
 /// held watermark become amendments (revision emissions) downstream.
 ///
-/// The control loop is the paper's AQ loop re-targeted from buffer slack to
-/// amend rate:
-///
-///  1. sketch observed lateness against the frontier (sliding window);
-///  2. feed-forward: target quality q* -> required coverage c* via the
-///     QualityModel — here coverage is the fraction of tuples that beat the
-///     held watermark, i.e. 1 - amend-rate;
-///  3. feedback: measure the interval amend-rate, convert to quality, and
-///     trim the quantile setpoint with a PI controller on the quality
-///     error. K = Quantile_lateness(p) as in AqKSlack.
+/// The control loop is the paper's AQ loop — the same QualityController
+/// AqKSlack runs — re-targeted from buffer slack to amend rate: coverage is
+/// the fraction of tuples that beat the held watermark (1 - amend-rate),
+/// and K = Quantile_lateness(p) becomes the hold instead of a release
+/// threshold.
 ///
 /// Raising q* trades latency for fewer amendments (a longer hold); lowering
 /// it buys latency and lets the amend engine repair the difference. With
@@ -46,41 +39,16 @@ namespace streamq {
 /// downstream as results_amended, not as loss, when lateness allows).
 class SpeculativeHandler : public DisorderHandler {
  public:
-  struct Options {
-    /// Target provisional-result quality in (0, 1]: the fraction of tuples
-    /// that should land ahead of the held watermark. 1 - target is the
-    /// amend-rate budget.
-    double target_quality = 0.95;
-
-    /// Lateness sketch window (tuples).
-    size_t sketch_window = 4096;
-
-    /// Re-evaluate the hold slack every this many tuples.
-    int64_t adaptation_interval = 256;
-
-    /// PI gains on quality error (quantile-setpoint units).
-    double kp = 0.8;
-    double ki = 0.25;
-
-    /// Trim range around the feed-forward coverage requirement.
-    double trim_limit = 0.25;
-
-    /// Setpoint clamp (upper bound < 1 keeps K finite under heavy tails).
-    double p_min = 0.05;
-    double p_max = 0.999;
-
-    /// Max setpoint change per adaptation step (slew limiting).
-    double max_step = 0.05;
-
-    /// EWMA weight of the per-interval quality measurement.
-    double quality_smoothing_alpha = 0.3;
-
-    bool collect_latency_samples = true;
-  };
+  /// target_quality is the fraction of tuples that should land ahead of
+  /// the held watermark; 1 - target is the amend-rate budget. Runs on the
+  /// sliding lateness sketch (DisorderHandlerSpec::Validate rejects the
+  /// reservoir ablation here).
+  using Options = QualityController::Options;
 
   explicit SpeculativeHandler(const Options& options,
                               std::unique_ptr<QualityModel> quality_model =
-                                  nullptr);
+                                  nullptr,
+                              bool collect_latency_samples = true);
 
   std::string_view name() const override { return "speculative"; }
 
@@ -96,27 +64,11 @@ class SpeculativeHandler : public DisorderHandler {
     max_slack_ = max_slack;
   }
 
-  /// Current quantile setpoint p (instrumentation).
-  double setpoint() const { return p_; }
-
-  /// Smoothed measured quality (1.0 before the first adaptation).
-  double measured_quality() const { return measured_quality_; }
-
-  /// Smoothed fraction of tuples landing behind the held watermark — the
-  /// measured amendment rate the controller trades against latency.
-  double amend_rate() const { return amend_rate_; }
-
-  const Options& options() const { return options_; }
-
  private:
-  /// One control step: measure the interval amend-rate, close the PI loop,
-  /// recompute the hold slack.
+  /// One control step: recompute the hold slack and report it.
   void Adapt(TimestampUs now);
 
-  Options options_;
-  std::unique_ptr<QualityModel> quality_model_;
-  SlidingWindowQuantile lateness_sketch_;
-  PiController pi_;
+  QualityController controller_;
 
   TimestampUs frontier_ = kMinTimestamp;
   TimestampUs watermark_ = kMinTimestamp;  // frontier_ - k_hold_, monotone.
@@ -124,14 +76,6 @@ class SpeculativeHandler : public DisorderHandler {
 
   DurationUs k_hold_ = 0;
   DurationUs max_slack_ = 0;  // 0 = unclamped.
-  double p_;
-  double measured_quality_ = 1.0;
-  double amend_rate_ = 0.0;
-  bool have_measurement_ = false;
-
-  int64_t interval_events_ = 0;
-  int64_t interval_late_ = 0;
-  int64_t tuple_index_ = 0;
 };
 
 }  // namespace streamq

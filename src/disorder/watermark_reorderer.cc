@@ -4,8 +4,9 @@
 
 namespace streamq {
 
-WatermarkReorderer::WatermarkReorderer(const Options& options)
-    : BufferedHandlerBase(options.collect_latency_samples),
+WatermarkReorderer::WatermarkReorderer(const Options& options,
+                                       bool collect_latency_samples)
+    : BufferedHandlerBase(collect_latency_samples),
       options_(options) {
   STREAMQ_CHECK_GE(options.bound, 0);
   STREAMQ_CHECK_GT(options.period_events, 0);

@@ -28,11 +28,10 @@ class WatermarkReorderer : public BufferedHandlerBase {
     /// Late tuples within this much of the watermark are still forwarded
     /// via OnLateEvent; beyond it they are dropped.
     DurationUs allowed_lateness = 0;
-
-    bool collect_latency_samples = true;
   };
 
-  explicit WatermarkReorderer(const Options& options);
+  explicit WatermarkReorderer(const Options& options,
+                              bool collect_latency_samples = true);
 
   std::string_view name() const override { return "watermark"; }
 

@@ -304,9 +304,9 @@ void EncodeSnapshotStats(const SnapshotStats& stats, std::string* out);
 Status DecodeSnapshotStats(std::string_view payload, SnapshotStats* out);
 
 /// Order-sensitive FNV-style fold over a report's results — the same
-/// checksum the R-F19..F22 benches gate on. Two runs with equal checksums
-/// emitted byte-identical result sequences (window bounds, key, value at
-/// fixed precision, tuple count).
+/// checksum the loadgen and the R-F25 bench gate on. Two runs with equal
+/// checksums emitted byte-identical result sequences (window bounds, key,
+/// value at fixed precision, tuple count).
 uint64_t ResultChecksum(const RunReport& report);
 
 /// Builds the wire snapshot for a report (`ingested` from the session,

@@ -20,16 +20,16 @@ namespace streamq {
 /// `seed ^ f(tenant)` and delivered in generated arrival order by a single
 /// writer whenever `clients <= tenants`, so the tenant's final report —
 /// including its result checksum — is byte-identical across runs and across
-/// client counts. That is what lets the R-F22 bench gate on checksum
-/// equality while sweeping concurrency. With `clients > tenants` the extra
-/// clients co-write tenants (batch-striped), which keeps the accounting
-/// identity but makes arrival interleaving timing-dependent; checksums are
-/// then only comparable within a run.
+/// client counts. That is what lets the loadgen smoke and the R-F25 bench
+/// gate on checksum equality while sweeping concurrency. With
+/// `clients > tenants` the extra clients co-write tenants (batch-striped),
+/// which keeps the accounting identity but makes arrival interleaving
+/// timing-dependent; checksums are then only comparable within a run.
 ///
 /// Pacing: `rate_eps` throttles each client to a fixed event rate (open
 /// load). Paced clients spend most wall time asleep, so aggregate
-/// throughput scales with client count by overlap even on a single core —
-/// the honest basis for the f22 scaling gate.
+/// throughput scales with client count by overlap even on a single core:
+/// paced runs measure pacing, not server capacity.
 struct LoadGenOptions {
   /// Server port on 127.0.0.1.
   uint16_t port = 0;

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <vector>
 
+#include "core/pipeline_observer.h"
 #include "disorder/fixed_kslack.h"
 #include "stream/disorder_metrics.h"
 #include "tests/test_util.h"
@@ -16,6 +19,15 @@ AqKSlack::Options WithTarget(double q) {
   o.target_quality = q;
   return o;
 }
+
+/// Records every adaptation step the handler reports.
+class AdaptationCollector : public PipelineObserver {
+ public:
+  void OnAdaptation(const AdaptationSample& sample) override {
+    trace.push_back(sample);
+  }
+  std::vector<AdaptationSample> trace;
+};
 
 /// Achieved coverage over a run: released / total.
 double AchievedCoverage(const DisorderHandlerStats& stats) {
@@ -113,11 +125,12 @@ TEST(AqKSlackTest, AdaptsToStepChangeInDelays) {
   const auto w = GenerateWorkload(cfg);
 
   AqKSlack handler(WithTarget(0.95));
-  handler.set_record_adaptation_trace(true);
+  AdaptationCollector observer;
+  handler.set_observer(&observer);
   CollectingSink sink;
   testutil::RunHandler(&handler, w.arrival_order, &sink);
 
-  const auto& trace = handler.adaptation_trace();
+  const auto& trace = observer.trace;
   ASSERT_GT(trace.size(), 20u);
   // Slack after the step (steady state) must be well above slack before.
   double k_before = 0, k_after = 0;
@@ -150,11 +163,12 @@ TEST(AqKSlackTest, ShrinksWhenDisorderVanishes) {
   const auto w = GenerateWorkload(cfg);
 
   AqKSlack handler(WithTarget(0.95));
-  handler.set_record_adaptation_trace(true);
+  AdaptationCollector observer;
+  handler.set_observer(&observer);
   CollectingSink sink;
   testutil::RunHandler(&handler, w.arrival_order, &sink);
 
-  const auto& trace = handler.adaptation_trace();
+  const auto& trace = observer.trace;
   double k_before = 0, k_after = 0;
   int n_before = 0, n_after = 0;
   for (const auto& rec : trace) {
@@ -197,23 +211,33 @@ TEST(AqKSlackTest, InstrumentationIsPopulated) {
   testutil::RunHandler(&handler, testutil::DisorderedWorkload(5000).arrival_order,
                        &sink);
   EXPECT_GT(handler.current_slack(), 0);
-  EXPECT_GT(handler.setpoint(), 0.0);
-  EXPECT_LE(handler.setpoint(), 1.0);
-  EXPECT_GT(handler.measured_quality(), 0.0);
-  EXPECT_LE(handler.measured_quality(), 1.0);
+  EXPECT_GT(handler.controller().setpoint(), 0.0);
+  EXPECT_LE(handler.controller().setpoint(), 1.0);
+  EXPECT_GT(handler.controller().measured_quality(), 0.0);
+  EXPECT_LE(handler.controller().measured_quality(), 1.0);
 }
 
 TEST(AqKSlackTest, TraceOffByDefault) {
+  // Adaptation steps reach only an installed observer.
+  AdaptationCollector observer;
+  const auto w = testutil::DisorderedWorkload(2000);
+  {
+    AqKSlack handler(WithTarget(0.9));
+    CollectingSink sink;
+    testutil::RunHandler(&handler, w.arrival_order, &sink);
+  }
+  EXPECT_TRUE(observer.trace.empty());
   AqKSlack handler(WithTarget(0.9));
+  handler.set_observer(&observer);
   CollectingSink sink;
-  testutil::RunHandler(&handler, testutil::DisorderedWorkload(2000).arrival_order,
-                       &sink);
-  EXPECT_TRUE(handler.adaptation_trace().empty());
+  testutil::RunHandler(&handler, w.arrival_order, &sink);
+  EXPECT_FALSE(observer.trace.empty());
 }
 
 TEST(AqKSlackTest, RejectsBadOptions) {
   EXPECT_DEATH(AqKSlack handler(WithTarget(0.0)), "Check failed");
   EXPECT_DEATH(AqKSlack handler(WithTarget(1.5)), "Check failed");
+  EXPECT_DEATH(AqKSlack handler(WithTarget(std::nan(""))), "Check failed");
   AqKSlack::Options o = WithTarget(0.9);
   o.adaptation_interval = 0;
   EXPECT_DEATH(AqKSlack handler(o), "Check failed");
@@ -226,7 +250,7 @@ TEST(AqKSlackTest, RejectsBadOptions) {
 TEST(AqKSlackTest, Name) {
   AqKSlack handler(WithTarget(0.9));
   EXPECT_EQ(handler.name(), "aq-kslack");
-  EXPECT_EQ(handler.quality_model().name(), "coverage");
+  EXPECT_EQ(handler.controller().quality_model().name(), "coverage");
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "quality/oracle.h"
 #include "quality/quality_metrics.h"
 #include "stream/generator.h"
@@ -17,7 +19,7 @@ GeneratedWorkload Workload(int64_t n = 10000, uint64_t seed = 42) {
 TEST(QueryBuilderTest, DefaultsToQualityDriven) {
   const ContinuousQuery q = QueryBuilder("q").Tumbling(Seconds(1)).Build();
   EXPECT_EQ(q.handler.kind, DisorderHandlerSpec::Kind::kAqKSlack);
-  EXPECT_DOUBLE_EQ(q.handler.aq.target_quality, 0.95);
+  EXPECT_DOUBLE_EQ(q.handler.quality.target_quality, 0.95);
   EXPECT_TRUE(q.Validate().ok());
 }
 
@@ -27,7 +29,7 @@ TEST(QueryBuilderTest, AggregateGammaIsWiredAutomatically) {
                                 .Aggregate("max")
                                 .QualityTarget(0.9)
                                 .Build();
-  EXPECT_DOUBLE_EQ(q.handler.aq_quality_gamma, DefaultQualityGamma(AggKind::kMax));
+  EXPECT_DOUBLE_EQ(q.handler.quality_gamma, DefaultQualityGamma(AggKind::kMax));
 }
 
 TEST(QueryBuilderTest, ExplicitGammaWins) {
@@ -36,7 +38,7 @@ TEST(QueryBuilderTest, ExplicitGammaWins) {
                                 .Aggregate("max")
                                 .QualityTarget(0.9, /*gamma=*/1.0)
                                 .Build();
-  EXPECT_DOUBLE_EQ(q.handler.aq_quality_gamma, 1.0);
+  EXPECT_DOUBLE_EQ(q.handler.quality_gamma, 1.0);
 }
 
 TEST(QueryBuilderTest, StrategySelection) {
@@ -217,6 +219,24 @@ TEST(HandlerFactoryTest, RejectsInvalidSpecs) {
   bad_aq.target_quality = 1.5;
   EXPECT_FALSE(
       MakeDisorderHandler(DisorderHandlerSpec::Aq(bad_aq), &handler).ok());
+  // NaN fails every range rule rather than slipping past it.
+  bad_aq.target_quality = std::nan("");
+  EXPECT_FALSE(
+      MakeDisorderHandler(DisorderHandlerSpec::Aq(bad_aq), &handler).ok());
+  EXPECT_FALSE(
+      MakeDisorderHandler(DisorderHandlerSpec::Aq({}, std::nan("")), &handler)
+          .ok());
+
+  // The speculative handler runs on the sliding sketch only.
+  SpeculativeHandler::Options reservoir_spec;
+  reservoir_spec.estimator = QualityController::Estimator::kGlobalReservoir;
+  EXPECT_FALSE(MakeDisorderHandler(
+                   DisorderHandlerSpec::Speculative(reservoir_spec), &handler)
+                   .ok());
+  EXPECT_TRUE(MakeDisorderHandler(DisorderHandlerSpec::Speculative({}),
+                                  &handler)
+                  .ok());
+  handler.reset();
 
   MpKSlack::Options bad_mp;
   bad_mp.window_size = 0;
@@ -251,7 +271,7 @@ TEST(HandlerFactoryTest, AqGammaConfiguresPowerModel) {
   auto handler = MakeDisorderHandlerOrDie(DisorderHandlerSpec::Aq({}, 0.5));
   auto* aq = dynamic_cast<AqKSlack*>(handler.get());
   ASSERT_NE(aq, nullptr);
-  EXPECT_EQ(aq->quality_model().name(), "power");
+  EXPECT_EQ(aq->controller().quality_model().name(), "power");
 }
 
 }  // namespace

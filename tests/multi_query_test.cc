@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "quality/oracle.h"
 #include "quality/quality_metrics.h"
 #include "tests/test_util.h"
@@ -25,7 +29,7 @@ TEST(MultiQueryTest, SharedSpecPicksStrictestTarget) {
       MakeQuery("a", 0.85), MakeQuery("b", 0.99), MakeQuery("c", 0.90)};
   const DisorderHandlerSpec spec = MultiQueryRunner::SharedHandlerSpec(queries);
   EXPECT_EQ(spec.kind, DisorderHandlerSpec::Kind::kAqKSlack);
-  EXPECT_DOUBLE_EQ(spec.aq.target_quality, 0.99);
+  EXPECT_DOUBLE_EQ(spec.quality.target_quality, 0.99);
 }
 
 TEST(MultiQueryTest, SharedSpecFallsBackToFirstHandler) {
@@ -157,6 +161,58 @@ TEST(MultiQueryTest, BothPlansReportAmendments) {
     EXPECT_GT(reports[0].window_stats.revisions, 0);
     EXPECT_EQ(reports[0].results_amended, reports[0].window_stats.revisions)
         << "plan " << static_cast<int>(plan);
+  }
+}
+
+TEST(MultiQueryTest, BothPlansValidateIngest) {
+  // One NaN value and one negative timestamp: kDrop rejects both, and the
+  // shared plan must reject them too instead of folding them.
+  std::vector<Event> events = testutil::DisorderedWorkload(5000).arrival_order;
+  events[1000].value = std::numeric_limits<double>::quiet_NaN();
+  events[3000].event_time = -5;
+  const auto query = [](const std::string& name, const char* agg) {
+    return QueryBuilder(name)
+        .Tumbling(Millis(50))
+        .Aggregate(agg)
+        .FixedSlack(Millis(20))
+        .ValidateIngest(IngestValidation::kDrop)
+        .Build();
+  };
+  std::vector<std::vector<RunReport>> by_plan;
+  for (const auto plan : {MultiQueryRunner::Plan::kIndependent,
+                          MultiQueryRunner::Plan::kSharedHandler}) {
+    MultiQueryRunner runner(plan);
+    runner.AddQuery(query("sum", "sum"));
+    runner.AddQuery(query("max", "max"));
+    VectorSource source(events);
+    by_plan.push_back(runner.Run(&source));
+  }
+  const auto& independent = by_plan[0];
+  const auto& shared = by_plan[1];
+  ASSERT_EQ(shared.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(independent[i].events_rejected, 2) << independent[i].query_name;
+    EXPECT_EQ(shared[i].events_rejected, independent[i].events_rejected)
+        << shared[i].query_name;
+    EXPECT_EQ(shared[i].events_processed, independent[i].events_processed);
+    EXPECT_TRUE(shared[i].status.ok());
+    ASSERT_EQ(shared[i].results.size(), independent[i].results.size());
+    for (size_t j = 0; j < shared[i].results.size(); ++j) {
+      EXPECT_EQ(shared[i].results[j].bounds, independent[i].results[j].bounds);
+      EXPECT_EQ(shared[i].results[j].value, independent[i].results[j].value);
+    }
+  }
+
+  // Strict on any query makes the shared feed strict for all of them.
+  MultiQueryRunner runner(MultiQueryRunner::Plan::kSharedHandler);
+  runner.AddQuery(query("drop", "sum"));
+  ContinuousQuery strict = query("strict", "max");
+  strict.validation = IngestValidation::kStrict;
+  runner.AddQuery(strict);
+  VectorSource source(events);
+  for (const RunReport& r : runner.Run(&source)) {
+    EXPECT_EQ(r.events_rejected, 1) << r.query_name;
+    EXPECT_FALSE(r.status.ok()) << r.query_name;
   }
 }
 

@@ -1,4 +1,4 @@
-#include "disorder/quality_model.h"
+#include "control/quality_model.h"
 
 #include <gtest/gtest.h>
 

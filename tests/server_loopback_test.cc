@@ -210,6 +210,7 @@ TEST_F(ServerLoopbackTest, HostileRegisterPayloadsGetErrorReplies) {
       {"--max-slack=9300000000000000", "--max-slack"},
       {"--per-key --threads=100000", "--threads"},
       {"--window=100000 --slide=1", "--window"},
+      {"--quality=nan", "--quality"},
   };
   auto client = Connect();
   uint32_t tenant = 1;
@@ -319,6 +320,33 @@ TEST_F(ServerLoopbackTest, ConcurrentTenantsKeepIndependentAccounts) {
     SessionOptions options;
     options.Name("tenant-" + std::to_string(t)).Window(100);
     EXPECT_EQ(finals[t], SoloBaseline(options, streams[t])) << "tenant " << t;
+  }
+
+  // One connection carrying every tenant, batches interleaved round-robin:
+  // multiplexing must not leak events across tenants either.
+  auto shared = Connect();
+  for (int t = 0; t < kTenants; ++t) {
+    SessionOptions options;
+    options.Name("muxed-" + std::to_string(t)).Window(100);
+    ASSERT_TRUE(
+        shared->RegisterQuery(static_cast<uint32_t>(11 + t), options).ok());
+  }
+  for (size_t i = 0; i < streams[0].size(); i += 512) {
+    for (int t = 0; t < kTenants; ++t) {
+      const size_t n = std::min<size_t>(512, streams[t].size() - i);
+      ASSERT_TRUE(shared
+                      ->Ingest(static_cast<uint32_t>(11 + t),
+                               std::span<const Event>(streams[t].data() + i, n))
+                      .ok());
+    }
+  }
+  for (int t = 0; t < kTenants; ++t) {
+    auto stats = shared->Unregister(static_cast<uint32_t>(11 + t));
+    ASSERT_TRUE(stats.ok());
+    SessionOptions options;
+    options.Name("muxed-" + std::to_string(t)).Window(100);
+    EXPECT_EQ(stats.value(), SoloBaseline(options, streams[t]))
+        << "muxed tenant " << t;
   }
   EXPECT_EQ(server_.stats().protocol_errors, 0);
 }

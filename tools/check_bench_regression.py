@@ -2,8 +2,8 @@
 """Soft throughput-regression guard for the R-F19..R-F25 benchmarks.
 
 Reads a freshly produced benchmark CSV (f19_disorder.csv,
-f20_degradation.csv, f21_runtime.csv, f22_service.csv, f23_amend.csv,
-f24_scheduler.csv or f25_resilience.csv, auto-detected from the header)
+f20_degradation.csv, f21_runtime.csv, f23_amend.csv, f24_scheduler.csv or
+f25_resilience.csv, auto-detected from the header)
 plus the committed baseline and applies per-suite checks:
 
 R-F19 (disorder-stage layout):
@@ -42,16 +42,6 @@ R-F21 (runtime batch memory):
      >= F21_ARENA_TARGET x the malloc path in the same run (per-batch
      allocation dominates there); larger batches must never invert beyond
      F21_NO_INVERSION.
-
-R-F22 (service path: server + load generator over loopback):
-  1. Determinism (hard): the combined per-tenant result checksum must be
-     identical across every client count (single writer per tenant =>
-     byte-identical streams), every row's accounting identity must hold,
-     delivery must be exact and errors zero.
-  2. Scaling (hard): 4 paced client connections must reach >=
-     F22_SCALING_TARGET x the throughput of 1 in the same run -- the
-     pacing sleeps overlap, so this holds even on a single core. 8 falling
-     behind 4 is a soft warning.
 
 R-F23 (amend engine + speculative emit-then-amend):
   1. Final-answer identity (hard): `final_checksum` must agree across all
@@ -141,12 +131,6 @@ OVERHEAD_BOUND = 1.02
 F21_ARENA_TARGET = 1.3
 F21_NO_INVERSION = 0.95   # arena >= 0.95x malloc on non-gated batches.
 
-# f22: 4 paced clients vs 1 over loopback — the sleeps overlap, so the
-# observed ratio is ~4x; 1.3x leaves room for loaded runners. Tail-latency
-# drift against the baseline is machine-dependent, warning only.
-F22_SCALING_TARGET = 1.3
-F22_P99_DRIFT = 3.0
-
 # f24: same-run relative target. Stealing must cut the colocated-hot-shard
 # wall clock by 1.2x (observed ~1.7-2.1x).
 F24_STEAL_TARGET = 1.2
@@ -182,10 +166,8 @@ def sniff_suite(path):
         header = next(csv.reader(f))
     if "amend_rate" in header:
         return "f23"
-    if "fault_pct" in header:  # before f22: both carry clients.
+    if "fault_pct" in header:
         return "f25"
-    if "clients" in header:
-        return "f22"
     if "steals" in header:  # before f21: both carry vshards.
         return "f24"
     if "vshards" in header:
@@ -455,73 +437,6 @@ def check_f24(args):
     return "f24", configs, failures, warnings
 
 
-def check_f22(args):
-    key_cols = ("clients",)
-    current = load(args.current, key_cols)
-    configs = sorted(current, key=lambda k: int(k[0]))
-    failures = []
-    warnings = []
-
-    # 1. Determinism: with a single writer per tenant, every client count
-    # must drive byte-identical tenant streams — the combined checksum is
-    # the same in every row, accounting identities hold, delivery is exact
-    # and no cell saw a single error.
-    checksums = {current[k]["checksum"] for k in configs}
-    if len(checksums) > 1:
-        failures.append(
-            f"checksum differs across client counts: {sorted(checksums)}")
-    for key in configs:
-        row = current[key]
-        if int(row["errors"]) != 0:
-            failures.append(f"clients={key[0]}: {row['errors']} error(s)")
-        if row["identities"] != "1":
-            failures.append(f"clients={key[0]}: accounting identity violated")
-        if row["deliveries"] != "1":
-            failures.append(f"clients={key[0]}: incomplete delivery")
-
-    # 2. Scaling: paced clients overlap their sleeps, so 4 connections must
-    # clearly outrun 1 even on a single core (ideal is ~4x); 8 falling
-    # behind 4 is overhead-bound and soft.
-    c1 = current.get(("1",))
-    c4 = current.get(("4",))
-    if c1 is None or c4 is None:
-        failures.append("missing clients=1 or clients=4 row")
-    else:
-        k1 = float(c1["keps"])
-        k4 = float(c4["keps"])
-        if k4 < k1 * F22_SCALING_TARGET:
-            failures.append(
-                f"clients=4 {k4:.1f} keps vs clients=1 {k1:.1f} "
-                f"({k4 / k1:.2f}x, target {F22_SCALING_TARGET}x)")
-        c8 = current.get(("8",))
-        if c8 is not None and float(c8["keps"]) < k4:
-            warnings.append(
-                f"clients=8 {float(c8['keps']):.1f} keps behind clients=4 "
-                f"{k4:.1f}")
-
-    # 3. Soft drift vs. committed baseline on throughput and tail latency.
-    if args.baseline:
-        baseline = load(args.baseline, key_cols)
-        for key, row in current.items():
-            base = baseline.get(key)
-            if base is None:
-                continue
-            cur_keps = float(row["keps"])
-            base_keps = float(base["keps"])
-            if cur_keps * DRIFT_FACTOR < base_keps:
-                warnings.append(
-                    f"clients={key[0]}: {cur_keps:.1f} keps vs baseline "
-                    f"{base_keps:.1f} ({base_keps / cur_keps:.2f}x slower)")
-            cur_p99 = float(row["rtt_p99_us"])
-            base_p99 = float(base["rtt_p99_us"])
-            if cur_p99 > base_p99 * F22_P99_DRIFT:
-                warnings.append(
-                    f"clients={key[0]}: rtt p99 {cur_p99:.1f} us vs baseline "
-                    f"{base_p99:.1f} ({cur_p99 / base_p99:.2f}x)")
-
-    return "f22", configs, failures, warnings
-
-
 def check_f25(args):
     key_cols = ("section", "fault_pct")
     current = load(args.current, key_cols)
@@ -695,8 +610,6 @@ def main():
         suite, configs, failures, warnings = check_f24(args)
     elif suite == "f23":
         suite, configs, failures, warnings = check_f23(args)
-    elif suite == "f22":
-        suite, configs, failures, warnings = check_f22(args)
     elif suite == "f21":
         suite, configs, failures, warnings = check_f21(args)
     elif suite == "f20":
