@@ -4,6 +4,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <vector>
 
 #include "agg/aggregate.h"
@@ -58,6 +59,32 @@ void BM_SlidingSketchQuantile(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SlidingSketchQuantile)->Arg(1024)->Arg(4096)->Arg(16384);
+
+// The quality controller's cadence: one adaptation interval of adds into a
+// full window (each evicting the oldest value), then one Quantile(0.95).
+// Values are integer microsecond latenesses, a third of them zero.
+void BM_SlidingSketchControlStep(benchmark::State& state) {
+  constexpr int kInterval = 256;
+  const auto capacity = static_cast<size_t>(state.range(0));
+  SlidingWindowQuantile sketch(capacity);
+  Rng rng(6);
+  ExponentialDelay delay(5000.0);
+  std::vector<double> values(capacity + (1 << 16));
+  for (double& v : values) {
+    v = rng.NextBool(1.0 / 3.0) ? 0.0 : std::floor(delay.Sample(&rng));
+  }
+  size_t next = 0;
+  for (size_t i = 0; i < capacity; ++i) sketch.Add(values[next++]);
+  for (auto _ : state) {
+    for (int i = 0; i < kInterval; ++i) {
+      sketch.Add(values[next]);
+      if (++next == values.size()) next = 0;
+    }
+    benchmark::DoNotOptimize(sketch.Quantile(0.95));
+  }
+  state.SetItemsProcessed(state.iterations() * kInterval);
+}
+BENCHMARK(BM_SlidingSketchControlStep)->Arg(1024)->Arg(4096)->Arg(65536);
 
 void BM_P2QuantileAdd(benchmark::State& state) {
   P2Quantile est(0.95);

@@ -1,8 +1,10 @@
 #include "common/stats.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "common/logging.h"
 
@@ -161,34 +163,132 @@ double P2Quantile::value() const {
 SlidingWindowQuantile::SlidingWindowQuantile(size_t capacity)
     : capacity_(capacity) {
   STREAMQ_CHECK_GT(capacity, 0u);
+  block_of_.fill(kNoBlock);
+}
+
+uint32_t SlidingWindowQuantile::Key(double x) {
+  constexpr uint64_t kMask = kOctaves * kSubBuckets - 1;
+  return static_cast<uint32_t>((std::bit_cast<uint64_t>(x) >> 46) & kMask);
+}
+
+void SlidingWindowQuantile::Count(double x) {
+  const uint32_t key = Key(x);
+  const uint32_t octave = key / kSubBuckets;
+  uint16_t& index = block_of_[octave];
+  if (index == kNoBlock) {
+    if (free_blocks_.empty()) {
+      index = static_cast<uint16_t>(blocks_.size());
+      blocks_.emplace_back();
+    } else {
+      index = free_blocks_.back();
+      free_blocks_.pop_back();
+    }
+    occupied_[octave / 64] |= uint64_t{1} << (octave % 64);
+  }
+  Block& block = blocks_[index];
+  ++block.total;
+  ++block.count[key % kSubBuckets];
+}
+
+void SlidingWindowQuantile::Uncount(double x) {
+  const uint32_t key = Key(x);
+  const uint32_t octave = key / kSubBuckets;
+  uint16_t& index = block_of_[octave];
+  Block& block = blocks_[index];
+  --block.count[key % kSubBuckets];
+  if (--block.total == 0) {
+    // Every sub-count is zero again, so the block is ready for reuse.
+    free_blocks_.push_back(index);
+    index = kNoBlock;
+    occupied_[octave / 64] &= ~(uint64_t{1} << (octave % 64));
+  }
 }
 
 void SlidingWindowQuantile::Add(double x) {
+  STREAMQ_DCHECK(x >= 0.0 && !std::signbit(x));
   ++seen_;
-  window_.push_back(x);
-  if (window_.size() > capacity_) window_.pop_front();
+  Count(x);
+  if (ring_.size() < capacity_) {
+    if (ring_.size() == ring_.capacity()) {
+      ring_.reserve(
+          std::min(capacity_, std::max<size_t>(16, 2 * ring_.size())));
+    }
+    ring_.push_back(x);
+    return;
+  }
+  Uncount(ring_[head_]);
+  ring_[head_] = x;
+  if (++head_ == capacity_) head_ = 0;
 }
 
 void SlidingWindowQuantile::Reset() {
-  window_.clear();
+  ring_.clear();
+  head_ = 0;
   seen_ = 0;
+  block_of_.fill(kNoBlock);
+  occupied_ = {};
+  blocks_.clear();
+  free_blocks_.clear();
+}
+
+SlidingWindowQuantile::Position SlidingWindowQuantile::Locate(
+    size_t rank) const {
+  STREAMQ_CHECK_LT(rank, ring_.size());
+  for (size_t word = 0; word < occupied_.size(); ++word) {
+    for (uint64_t bits = occupied_[word]; bits != 0; bits &= bits - 1) {
+      const size_t octave = word * 64 + std::countr_zero(bits);
+      const Block& block = blocks_[block_of_[octave]];
+      if (rank >= block.total) {
+        rank -= block.total;
+        continue;
+      }
+      for (size_t sub = 0; sub < kSubBuckets; ++sub) {
+        if (rank < block.count[sub]) {
+          return {static_cast<uint32_t>(octave * kSubBuckets + sub), rank,
+                  block.count[sub]};
+        }
+        rank -= block.count[sub];
+      }
+    }
+  }
+  STREAMQ_LOG(Fatal) << "bucket counts out of step with the ring";
+  return {};
 }
 
 double SlidingWindowQuantile::Quantile(double q) const {
-  if (window_.empty()) return 0.0;
+  if (ring_.empty()) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
-  scratch_.assign(window_.begin(), window_.end());
-  const double pos = q * static_cast<double>(scratch_.size() - 1);
+  const size_t n = ring_.size();
+  const double pos = q * static_cast<double>(n - 1);
   const auto i = static_cast<size_t>(pos);
   const double frac = pos - static_cast<double>(i);
-  auto nth = scratch_.begin() + static_cast<ptrdiff_t>(i);
+  const bool interpolate = !(frac <= 0.0 || i + 1 >= n);
+  // Buckets partition the values in order, so order statistic i is the
+  // a.rank-th smallest value of its bucket. Order statistic i+1 is the next
+  // one in that bucket or else the smallest of the next non-empty bucket.
+  const Position a = Locate(i);
+  const bool b_in_a = a.rank + 1 < a.count;
+  const uint32_t b_key = interpolate && !b_in_a ? Locate(i + 1).key : a.key;
+
+  scratch_.clear();
+  double b_min = std::numeric_limits<double>::infinity();
+  for (const double v : ring_) {
+    const uint32_t key = Key(v);
+    if (key == a.key) {
+      scratch_.push_back(v);
+    } else if (key == b_key) {
+      b_min = std::min(b_min, v);
+    }
+  }
+  auto nth = scratch_.begin() + static_cast<ptrdiff_t>(a.rank);
   std::nth_element(scratch_.begin(), nth, scratch_.end());
-  const double a = *nth;
-  if (frac <= 0.0 || i + 1 >= scratch_.size()) return a;
-  // nth_element leaves everything after `nth` >= a; the next order
-  // statistic is the minimum of that suffix.
-  const double b = *std::min_element(nth + 1, scratch_.end());
-  return a * (1.0 - frac) + b * frac;
+  const double av = *nth;
+  if (!interpolate) return av;
+  // nth_element leaves everything after `nth` >= av; the next order
+  // statistic within the bucket is the minimum of that suffix.
+  const double bv =
+      b_in_a ? *std::min_element(nth + 1, scratch_.end()) : b_min;
+  return av * (1.0 - frac) + bv * frac;
 }
 
 std::string DistributionSummary::ToString() const {

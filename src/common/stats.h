@@ -1,9 +1,9 @@
 #ifndef STREAMQ_COMMON_STATS_H_
 #define STREAMQ_COMMON_STATS_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <span>
 #include <string>
 #include <vector>
@@ -84,10 +84,18 @@ class P2Quantile {
 };
 
 /// Sliding-window quantile tracker over the last `capacity` samples.
-/// Maintains a ring buffer plus an order-statistics-on-demand query.
 /// This is the delay sketch the quality-driven buffer interrogates; window
 /// semantics (recent samples only) are what let it follow non-stationary
 /// delay distributions.
+///
+/// Exact: Quantile() returns bit for bit what sorting the window and
+/// interpolating between order statistics i and i+1 would. The domain is
+/// x >= +0 (STREAMQ_DCHECK; every caller passes an int64 lateness or 0.0),
+/// where the top bits of the IEEE-754 pattern order the values. A FIFO
+/// ring holds the raw values; counts per log-linear bucket (64 sub-buckets
+/// per octave, pooled blocks for occupied octaves only) make Add and its
+/// eviction O(1). A query walks the counts to the bucket holding the rank
+/// and selects inside that bucket only.
 class SlidingWindowQuantile {
  public:
   explicit SlidingWindowQuantile(size_t capacity);
@@ -95,20 +103,56 @@ class SlidingWindowQuantile {
   void Add(double x);
   void Reset();
 
-  size_t size() const { return window_.size(); }
+  size_t size() const { return ring_.size(); }
   size_t capacity() const { return capacity_; }
   int64_t seen() const { return seen_; }
 
   /// Empirical quantile of the current window, q in [0, 1].
-  /// Returns 0 if the window is empty. O(n) per call (copy into a reused
-  /// scratch buffer + nth_element); callers query at control-loop cadence,
-  /// not per tuple.
+  /// Returns 0 if the window is empty. One pass over the ring plus a
+  /// selection within one or two buckets; callers query at control-loop
+  /// cadence, not per tuple.
   double Quantile(double q) const;
 
  private:
+  static constexpr size_t kOctaves = 2048;  // 11 exponent bits
+  static constexpr size_t kSubBuckets = 64;  // top 6 mantissa bits
+  static constexpr uint16_t kNoBlock = UINT16_MAX;
+
+  /// Sub-bucket counts of one occupied octave.
+  struct Block {
+    size_t total = 0;
+    size_t count[kSubBuckets] = {};
+  };
+
+  /// Where rank r of the window lives: bucket key and rank inside it.
+  struct Position {
+    uint32_t key = 0;
+    size_t rank = 0;
+    size_t count = 0;  // values in the bucket
+  };
+
+  /// Bucket key: exponent and top 6 mantissa bits (sign dropped, so an
+  /// out-of-domain value lands in some bucket rather than out of range).
+  static uint32_t Key(double x);
+
+  /// Counts one value in or out of its bucket.
+  void Count(double x);
+  void Uncount(double x);
+
+  Position Locate(size_t rank) const;
+
   size_t capacity_;
-  std::deque<double> window_;
+  /// The window in arrival order; once full, head_ is the oldest slot.
+  std::vector<double> ring_;
+  size_t head_ = 0;
   int64_t seen_ = 0;
+
+  /// Octave -> index into blocks_, kNoBlock when the octave is empty.
+  std::array<uint16_t, kOctaves> block_of_;
+  std::array<uint64_t, kOctaves / 64> occupied_ = {};
+  std::vector<Block> blocks_;
+  std::vector<uint16_t> free_blocks_;
+
   /// Reused by Quantile() to avoid per-call allocation.
   mutable std::vector<double> scratch_;
 };

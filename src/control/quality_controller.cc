@@ -9,6 +9,14 @@ namespace streamq {
 
 namespace {
 
+// Checks the options before any member is built from them, so a bad
+// sketch_window aborts with the Validate() message.
+const QualityController::Options& Validated(
+    const QualityController::Options& options) {
+  STREAMQ_CHECK_OK(options.Validate());
+  return options;
+}
+
 std::variant<SlidingWindowQuantile, ReservoirSample> MakeEstimator(
     const QualityController::Options& options) {
   if (options.estimator == QualityController::Estimator::kSlidingWindow) {
@@ -23,6 +31,9 @@ std::variant<SlidingWindowQuantile, ReservoirSample> MakeEstimator(
 Status QualityController::Options::Validate() const {
   if (!(target_quality > 0.0 && target_quality <= 1.0)) {
     return Status::InvalidArgument("target_quality must be in (0, 1]");
+  }
+  if (sketch_window == 0) {
+    return Status::InvalidArgument("sketch_window must be > 0");
   }
   if (adaptation_interval <= 0) {
     return Status::InvalidArgument("adaptation_interval must be > 0");
@@ -42,7 +53,7 @@ Status QualityController::Options::Validate() const {
 
 QualityController::QualityController(
     const Options& options, std::unique_ptr<QualityModel> quality_model)
-    : options_(options),
+    : options_(Validated(options)),
       quality_model_(quality_model ? std::move(quality_model)
                                    : MakeCoverageQualityModel()),
       lateness_(MakeEstimator(options)),
@@ -53,7 +64,6 @@ QualityController::QualityController(
           .out_max = options.trim_limit,
           .integral_limit = options.trim_limit,
       }) {
-  STREAMQ_CHECK_OK(options.Validate());
   // Feed-forward initialization: before any measurement, set the quantile
   // setpoint to the coverage the quality model requires.
   p_ = std::clamp(quality_model_->CoverageForQuality(options.target_quality),

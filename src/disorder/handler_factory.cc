@@ -90,6 +90,9 @@ Status DisorderHandlerSpec::Validate() const {
         return Status::InvalidArgument(
             "lb-kslack: latency_budget must be > 0");
       }
+      if (lb.sketch_window == 0) {
+        return Status::InvalidArgument("lb-kslack: sketch_window must be > 0");
+      }
       if (lb.adaptation_interval <= 0) {
         return Status::InvalidArgument(
             "lb-kslack: adaptation_interval must be > 0");

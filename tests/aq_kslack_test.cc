@@ -245,6 +245,9 @@ TEST(AqKSlackTest, RejectsBadOptions) {
   o2.p_min = 0.9;
   o2.p_max = 0.5;
   EXPECT_DEATH(AqKSlack handler(o2), "Check failed");
+  AqKSlack::Options o3 = WithTarget(0.9);
+  o3.sketch_window = 0;
+  EXPECT_DEATH(AqKSlack handler(o3), "sketch_window must be > 0");
 }
 
 TEST(AqKSlackTest, Name) {

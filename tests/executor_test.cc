@@ -227,6 +227,19 @@ TEST(HandlerFactoryTest, RejectsInvalidSpecs) {
       MakeDisorderHandler(DisorderHandlerSpec::Aq({}, std::nan("")), &handler)
           .ok());
 
+  // An empty lateness sketch is an error, not an abort at construction.
+  AqKSlack::Options no_sketch_aq;
+  no_sketch_aq.sketch_window = 0;
+  Status status =
+      MakeDisorderHandler(DisorderHandlerSpec::Aq(no_sketch_aq), &handler);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("sketch_window"), std::string::npos);
+  LbKSlack::Options no_sketch_lb;
+  no_sketch_lb.sketch_window = 0;
+  status = MakeDisorderHandler(DisorderHandlerSpec::Lb(no_sketch_lb), &handler);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("sketch_window"), std::string::npos);
+
   // The speculative handler runs on the sliding sketch only.
   SpeculativeHandler::Options reservoir_spec;
   reservoir_spec.estimator = QualityController::Estimator::kGlobalReservoir;

@@ -119,6 +119,9 @@ TEST(LbKSlackTest, RejectsBadOptions) {
   LbKSlack::Options o = WithBudget(Millis(10));
   o.adaptation_interval = 0;
   EXPECT_DEATH(LbKSlack handler(o), "Check failed");
+  LbKSlack::Options o2 = WithBudget(Millis(10));
+  o2.sketch_window = 0;
+  EXPECT_DEATH(LbKSlack handler(o2), "Check failed");
 }
 
 TEST(LbKSlackTest, BuilderIntegration) {

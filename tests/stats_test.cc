@@ -4,9 +4,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "tests/reference/reference_sliding_quantile.h"
 
 namespace streamq {
 namespace {
@@ -186,6 +189,93 @@ TEST(SlidingWindowQuantileTest, TracksDistributionShift) {
   EXPECT_LT(s.Quantile(0.95), 11.0);
   for (int i = 0; i < 2000; ++i) s.Add(rng.NextUniform(100.0, 110.0));
   EXPECT_GT(s.Quantile(0.5), 99.0);
+}
+
+/// One value mix of the differential test.
+enum class Mix {
+  kExponentialWithZeros,
+  kSmallIntegers,  // heavy ties
+  kExtremes,
+  kFlooredExponential,
+};
+
+double DrawValue(Mix mix, Rng* rng) {
+  ExponentialDelay exponential(5000.0);  // microseconds
+  switch (mix) {
+    case Mix::kExponentialWithZeros:
+      return rng->NextBool(1.0 / 3.0) ? 0.0 : exponential.Sample(rng);
+    case Mix::kSmallIntegers:
+      return static_cast<double>(rng->NextInt(0, 49));
+    case Mix::kExtremes:
+      switch (rng->NextInt(0, 3)) {
+        case 0:
+          return 0.0;
+        case 1:
+          return 5e-324;  // smallest subnormal
+        case 2:
+          return 1e300;
+        default:  // 2^-1000 .. 2^999
+          return std::ldexp(1.0, static_cast<int>(rng->NextInt(-1000, 999)));
+      }
+    case Mix::kFlooredExponential:
+      return std::floor(exponential.Sample(rng));
+  }
+  return 0.0;
+}
+
+void ExpectSameBits(double got, double want, const std::string& where) {
+  EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+      << where << ": got " << got << ", reference " << want;
+}
+
+// Random add/evict/query sequences, with a Reset() halfway, against the
+// deque + nth_element reference: every quantile must match bit for bit.
+TEST(SlidingWindowQuantileDifferential, MatchesReferenceBitForBit) {
+  constexpr double kFixedQ[] = {0.0, 0.5, 0.95, 0.999, 1.0};
+  for (const uint64_t seed : {1u, 2u, 3u}) {
+    for (const size_t capacity : {1u, 2u, 3u, 7u, 64u, 4096u, 65536u}) {
+      for (const Mix mix :
+           {Mix::kExponentialWithZeros, Mix::kSmallIntegers, Mix::kExtremes,
+            Mix::kFlooredExponential}) {
+        Rng rng(seed * 7919 + capacity);
+        SlidingWindowQuantile sketch(capacity);
+        reference::SlidingWindowQuantile oracle(capacity);
+        const size_t adds = std::max<size_t>(2000, 3 * capacity);
+        // Query every few adds (one fixed q in turn plus a random q);
+        // sparser for the largest windows, where each reference query
+        // copies and selects the whole window.
+        const int64_t stride =
+            std::max<int64_t>(8, static_cast<int64_t>(capacity / 16));
+        int64_t next_query = rng.NextInt(1, stride);
+        size_t queries = 0;
+        for (size_t n = 1; n <= adds; ++n) {
+          const double x = DrawValue(mix, &rng);
+          sketch.Add(x);
+          oracle.Add(x);
+          if (n == adds / 2) {
+            sketch.Reset();
+            oracle.Reset();
+          }
+          ASSERT_EQ(sketch.size(), oracle.size());
+          ASSERT_EQ(sketch.seen(), oracle.seen());
+          if (--next_query > 0) continue;
+          next_query = rng.NextInt(1, stride);
+          const std::string where = "seed=" + std::to_string(seed) +
+                                    " capacity=" + std::to_string(capacity) +
+                                    " mix=" +
+                                    std::to_string(static_cast<int>(mix)) +
+                                    " add=" + std::to_string(n);
+          const double fixed_q = kFixedQ[queries++ % std::size(kFixedQ)];
+          const double random_q = rng.NextDouble();
+          for (const double q : {fixed_q, random_q}) {
+            ExpectSameBits(sketch.Quantile(q), oracle.Quantile(q),
+                           where + " q=" + std::to_string(q));
+          }
+          ASSERT_FALSE(HasFailure()) << "stopping at the first mismatch";
+        }
+      }
+    }
+  }
 }
 
 TEST(SummarizeTest, EmptyInput) {
