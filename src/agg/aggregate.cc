@@ -156,45 +156,6 @@ class MinMaxAggregator : public Aggregator {
   int64_t count_ = 0;
 };
 
-/// Exact quantile over every folded value. values_[0, sorted_) is kept
-/// ascending and Add/Merge append to an unsorted tail; Value() sorts only
-/// the tail and merges it in place, so a revision after k new values costs
-/// O(k log k + n) instead of a copy and a full sort.
-class QuantileAggregator : public Aggregator {
- public:
-  explicit QuantileAggregator(double q) : q_(q) {}
-
-  void Add(double v) override { values_.push_back(v); }
-  void Merge(const Aggregator& other) override {
-    const auto& o = CastOrDie<QuantileAggregator>(other, name());
-    values_.insert(values_.end(), o.values_.begin(), o.values_.end());
-  }
-  double Value() const override {
-    if (values_.empty()) return kNan;
-    const auto tail = values_.begin() + static_cast<ptrdiff_t>(sorted_);
-    std::sort(tail, values_.end());
-    std::inplace_merge(values_.begin(), tail, values_.end());
-    sorted_ = values_.size();
-    return InterpolateSorted(values_, q_);
-  }
-  int64_t count() const override {
-    return static_cast<int64_t>(values_.size());
-  }
-  std::unique_ptr<Aggregator> MakeEmpty() const override {
-    return std::make_unique<QuantileAggregator>(q_);
-  }
-  std::string_view name() const override {
-    return q_ == 0.5 ? "median" : "quantile";
-  }
-
- private:
-  double q_;
-  // Value() sorts behind the const interface; every accumulator has a
-  // single owner, so no reader races the in-place sort.
-  mutable std::vector<double> values_;
-  mutable size_t sorted_ = 0;
-};
-
 class DistinctCountAggregator : public Aggregator {
  public:
   void Add(double v) override {
@@ -219,6 +180,28 @@ class DistinctCountAggregator : public Aggregator {
 };
 
 }  // namespace
+
+void QuantileAggregator::Merge(const Aggregator& other) {
+  const auto& o = CastOrDie<QuantileAggregator>(other, name());
+  values_.insert(values_.end(), o.values_.begin(), o.values_.end());
+}
+
+std::span<const double> QuantileAggregator::Sorted() const {
+  const auto tail = values_.begin() + static_cast<ptrdiff_t>(sorted_);
+  std::sort(tail, values_.end());
+  std::inplace_merge(values_.begin(), tail, values_.end());
+  sorted_ = values_.size();
+  return values_;
+}
+
+double QuantileAggregator::Value() const {
+  if (values_.empty()) return kNan;
+  return InterpolateSorted(Sorted(), q_);
+}
+
+std::unique_ptr<Aggregator> QuantileAggregator::MakeEmpty() const {
+  return std::make_unique<QuantileAggregator>(q_);
+}
 
 std::string AggregateSpec::Describe() const {
   switch (kind) {

@@ -3,8 +3,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/status.h"
 
@@ -64,6 +66,38 @@ class Aggregator {
   virtual std::unique_ptr<Aggregator> MakeEmpty() const = 0;
 
   virtual std::string_view name() const = 0;
+};
+
+/// Exact quantile over every folded value (the median and quantile kinds).
+/// values_[0, sorted_) is kept ascending and Add/Merge append to an
+/// unsorted tail; Sorted() sorts only the tail and merges it in place, so
+/// a read after k new values costs O(k log k + n) instead of a copy and a
+/// full sort. The window operator also keeps one of these per pane and
+/// reads Sorted() as that pane's run (window/window_operator.h).
+class QuantileAggregator final : public Aggregator {
+ public:
+  explicit QuantileAggregator(double q) : q_(q) {}
+
+  void Add(double v) override { values_.push_back(v); }
+  void Merge(const Aggregator& other) override;
+  double Value() const override;
+  int64_t count() const override {
+    return static_cast<int64_t>(values_.size());
+  }
+  std::unique_ptr<Aggregator> MakeEmpty() const override;
+  std::string_view name() const override {
+    return q_ == 0.5 ? "median" : "quantile";
+  }
+
+  /// Every folded value, ascending. Valid until the next Add or Merge.
+  std::span<const double> Sorted() const;
+
+ private:
+  double q_;
+  // Sorted() sorts behind the const interface; every accumulator has a
+  // single owner, so no reader races the in-place sort.
+  mutable std::vector<double> values_;
+  mutable size_t sorted_ = 0;
 };
 
 /// Instantiates an accumulator. Aborts on invalid spec (Validate() first

@@ -15,7 +15,9 @@ namespace streamq {
 /// aggregate kinds: count, sum, mean, min, max, variance, stddev. The
 /// per-tuple fold is a handful of inlined flops — no heap allocation, no
 /// virtual dispatch. Heavy kinds (median/quantile/distinct) store values and
-/// stay behind the polymorphic Aggregator interface.
+/// stay behind the polymorphic Aggregator interface: one accumulator per
+/// window, except median and quantile over tiling windows, which keep one
+/// value run per pane (window/window_operator.h).
 ///
 /// Field meaning depends on the kind (the tag lives at the operator level —
 /// one operator instance aggregates one kind, so states carry no tag byte):
@@ -62,8 +64,11 @@ constexpr bool IsInlineAggKind(AggKind kind) {
 /// values one at a time, for any grouping: integer counting and min/max
 /// selection are grouping-insensitive; compensated sums and Welford moments
 /// are not (regrouping changes rounding in the last ulps). Pane-shared
-/// folding is only enabled by default for kinds where this holds, which is
-/// what keeps the pane path byte-identical to the per-tuple path.
+/// folding of inline states is only enabled for kinds where this holds,
+/// which is what keeps the pane path byte-identical to the per-tuple path.
+/// Median and quantile share panes without any merge: a window selects its
+/// order statistic across the sorted runs of its panes (InterpolateRuns in
+/// common/stats.h), which reads the same multiset for any grouping.
 constexpr bool PaneMergeIsExact(AggKind kind) {
   switch (kind) {
     case AggKind::kCount:

@@ -327,15 +327,74 @@ double ExactQuantile(std::vector<double> values, double q) {
 
 namespace {
 
-/// sorted[j], except that inside the run of zeros the sign is the one the
-/// order "every -0 before every +0" puts at j.
-double CanonicalAt(std::span<const double> sorted, size_t j) {
-  if (sorted[j] != 0.0) return sorted[j];
-  const auto [lo, hi] = std::equal_range(sorted.begin(), sorted.end(), 0.0);
-  const auto negative = std::count_if(
-      lo, hi, [](double z) { return std::signbit(z); });
-  return static_cast<ptrdiff_t>(j) - (lo - sorted.begin()) < negative ? -0.0
-                                                                      : 0.0;
+/// `v`, the value at rank j of the sorted concatenation of `runs`, except
+/// that inside the run of zeros the sign is the one the order "every -0
+/// before every +0" puts at j.
+double CanonicalAt(std::span<const std::span<const double>> runs, size_t j,
+                   double v) {
+  if (v != 0.0) return v;
+  ptrdiff_t below = 0;
+  ptrdiff_t negative = 0;
+  for (std::span<const double> r : runs) {
+    const auto [lo, hi] = std::equal_range(r.begin(), r.end(), 0.0);
+    below += lo - r.begin();
+    negative += std::count_if(lo, hi, [](double z) { return std::signbit(z); });
+  }
+  return static_cast<ptrdiff_t>(j) - below < negative ? -0.0 : 0.0;
+}
+
+/// The part of one run a selection has not ruled out yet, and where the
+/// current pivot splits it.
+struct ActiveRun {
+  const double* lo;
+  const double* hi;
+  const double* below_pivot_end = nullptr;  // First value >= pivot.
+  const double* pivot_end = nullptr;        // First value > pivot.
+};
+
+/// Value of rank `k` (0-based) in the union of the ascending runs
+/// `act[0, n)`, all non-empty, k < their total size. Narrows `act` in
+/// place. Each step splits every run at the middle value of the widest
+/// one: a rank below the count of smaller values keeps the lower parts, a
+/// rank past the count of values not greater keeps the upper parts, and a
+/// rank in between is the pivot.
+double SelectRank(ActiveRun* act, size_t n, size_t k) {
+  while (true) {
+    size_t w = 0;
+    for (size_t r = 1; r < n; ++r) {
+      if (act[r].hi - act[r].lo > act[w].hi - act[w].lo) w = r;
+    }
+    const double* mid = act[w].lo + (act[w].hi - act[w].lo) / 2;
+    const double pivot = *mid;
+    size_t less = 0;
+    size_t not_greater = 0;
+    for (size_t r = 0; r < n; ++r) {
+      ActiveRun& a = act[r];
+      a.below_pivot_end = std::lower_bound(a.lo, a.hi, pivot);
+      a.pivot_end = std::upper_bound(a.below_pivot_end, a.hi, pivot);
+      if (r == w) {
+        // So already in an ascending run; a NaN breaks the order, and this
+        // keeps the widest run shrinking regardless.
+        a.below_pivot_end = std::min(a.below_pivot_end, mid);
+        a.pivot_end = std::max(a.pivot_end, mid + 1);
+      }
+      less += static_cast<size_t>(a.below_pivot_end - a.lo);
+      not_greater += static_cast<size_t>(a.pivot_end - a.lo);
+    }
+    if (k < less) {
+      for (size_t r = 0; r < n; ++r) act[r].hi = act[r].below_pivot_end;
+    } else if (k >= not_greater) {
+      k -= not_greater;
+      for (size_t r = 0; r < n; ++r) act[r].lo = act[r].pivot_end;
+    } else {
+      return pivot;
+    }
+    size_t live = 0;
+    for (size_t r = 0; r < n; ++r) {
+      if (act[r].lo != act[r].hi) act[live++] = act[r];
+    }
+    n = live;
+  }
 }
 
 }  // namespace
@@ -345,9 +404,52 @@ double InterpolateSorted(std::span<const double> sorted, double q) {
   const double pos = q * static_cast<double>(sorted.size() - 1);
   const auto i = static_cast<size_t>(pos);
   const double frac = pos - static_cast<double>(i);
-  if (i + 1 >= sorted.size()) return CanonicalAt(sorted, sorted.size() - 1);
-  return CanonicalAt(sorted, i) * (1.0 - frac) +
-         CanonicalAt(sorted, i + 1) * frac;
+  const std::span<const double> runs[] = {sorted};
+  const size_t last = sorted.size() - 1;
+  if (i + 1 >= sorted.size()) return CanonicalAt(runs, last, sorted[last]);
+  return CanonicalAt(runs, i, sorted[i]) * (1.0 - frac) +
+         CanonicalAt(runs, i + 1, sorted[i + 1]) * frac;
+}
+
+double InterpolateRuns(std::span<const std::span<const double>> runs,
+                       double q) {
+  size_t total = 0;
+  for (std::span<const double> r : runs) total += r.size();
+  if (total == 0) return 0.0;
+  const double pos = q * static_cast<double>(total - 1);
+  const auto i = static_cast<size_t>(pos);
+  const double frac = pos - static_cast<double>(i);
+  const bool last = i + 1 >= total;
+
+  constexpr size_t kInlineRuns = 16;
+  ActiveRun inline_act[kInlineRuns];
+  std::vector<ActiveRun> heap_act;
+  ActiveRun* act = inline_act;
+  if (runs.size() > kInlineRuns) {
+    heap_act.resize(runs.size());
+    act = heap_act.data();
+  }
+  size_t n = 0;
+  for (std::span<const double> r : runs) {
+    if (!r.empty()) act[n++] = ActiveRun{r.data(), r.data() + r.size()};
+  }
+  const size_t k = last ? total - 1 : i;
+  const double x = SelectRank(act, n, k);
+  if (last) return CanonicalAt(runs, k, x);
+
+  // Rank i + 1 holds x again while copies of x remain, else the smallest
+  // value above x.
+  size_t not_greater = 0;
+  const double* next = nullptr;
+  for (std::span<const double> r : runs) {
+    const double* end = r.data() + r.size();
+    const double* ub = std::upper_bound(r.data(), end, x);
+    not_greater += static_cast<size_t>(ub - r.data());
+    if (ub != end && (next == nullptr || *ub < *next)) next = ub;
+  }
+  const double y = (i + 1 < not_greater || next == nullptr) ? x : *next;
+  return CanonicalAt(runs, i, x) * (1.0 - frac) +
+         CanonicalAt(runs, i + 1, y) * frac;
 }
 
 }  // namespace streamq

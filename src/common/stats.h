@@ -185,6 +185,16 @@ double ExactQuantile(std::vector<double> values, double q);
 /// how the range was sorted. Returns 0 for an empty range.
 double InterpolateSorted(std::span<const double> sorted, double q);
 
+/// InterpolateSorted over the sorted concatenation of ascending `runs`,
+/// without merging or copying them: the two order statistics it reads are
+/// found by multi-sequence selection (a pivot from the widest remaining
+/// run, two binary searches per run and step). Bit for bit the same result,
+/// zeros included (every -0 read before every +0). A NaN in a run gives an
+/// unspecified value but still returns: every step strictly shrinks the
+/// widest remaining run. Returns 0 when all runs are empty.
+double InterpolateRuns(std::span<const std::span<const double>> runs,
+                       double q);
+
 }  // namespace streamq
 
 #endif  // STREAMQ_COMMON_STATS_H_

@@ -223,8 +223,10 @@ std::unique_ptr<DisorderHandler> BuildHandlerInner(
     // The keyed wrapper enforces the cap as one global budget across all
     // keys; shards stay uncapped (max_slack still reaches them below).
     inner.max_buffered_events = 0;
+    // The wrapper records every release itself; shard series go unread.
+    inner.collect_latency_samples = false;
     return std::make_unique<KeyedDisorderHandler>(
-        [inner] { return BuildHandler(inner); });
+        [inner] { return BuildHandler(inner); }, spec.collect_latency_samples);
   }
   const bool samples = spec.collect_latency_samples;
   const auto model = [&spec]() -> std::unique_ptr<QualityModel> {

@@ -120,8 +120,9 @@ struct KeyedDisorderHandler::Shard {
   Intercept intercept;
 };
 
-KeyedDisorderHandler::KeyedDisorderHandler(HandlerFactory factory)
-    : factory_(std::move(factory)) {
+KeyedDisorderHandler::KeyedDisorderHandler(HandlerFactory factory,
+                                           bool collect_latency_samples)
+    : DisorderHandler(collect_latency_samples), factory_(std::move(factory)) {
   STREAMQ_CHECK(factory_ != nullptr);
 }
 

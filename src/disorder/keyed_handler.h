@@ -41,7 +41,11 @@ class KeyedDisorderHandler : public DisorderHandler {
   /// Builds one inner handler per key on first sight of that key.
   using HandlerFactory = std::function<std::unique_ptr<DisorderHandler>()>;
 
-  explicit KeyedDisorderHandler(HandlerFactory factory);
+  /// `collect_latency_samples` governs this handler's own release series,
+  /// the one reported in stats(); build the inner handlers without samples,
+  /// since nothing reads theirs.
+  explicit KeyedDisorderHandler(HandlerFactory factory,
+                                bool collect_latency_samples = true);
   ~KeyedDisorderHandler() override;
 
   std::string_view name() const override { return "keyed"; }

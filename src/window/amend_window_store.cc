@@ -29,7 +29,11 @@ AmendWindowStore::LowerBound(Leaf& leaf, TimestampUs start) {
   return std::lower_bound(
       leaf.buckets.begin(), leaf.buckets.end(), start,
       [](const std::unique_ptr<Bucket>& b, TimestampUs s) {
-        return b->start() < s;
+        // A bucket purged by the running Scan is null until its leaf is
+        // compacted. Purged buckets all precede the visited one, and
+        // lookups during a scan ask for it or a later start, so a null
+        // sorts first.
+        return b == nullptr || b->start() < s;
       });
 }
 

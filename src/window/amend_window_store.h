@@ -59,14 +59,16 @@ class AmendWindowStore {
   /// new (the caller initializes heavy accumulators).
   Slot* GetOrCreate(TimestampUs start, int64_t key, bool* created);
 
-  /// Lookup without creation; nullptr if absent.
+  /// Lookup without creation; nullptr if absent. Safe inside a Scan
+  /// visitor for the visited bucket's start or any later one.
   Slot* Find(TimestampUs start, int64_t key);
 
   /// Visits live buckets with start >= `from` (kMinTimestamp: all of
   /// them) in ascending window-start order; a bound inside the stored
   /// range costs one root and one leaf binary search. The visitor returns
   /// a Visit action; kPurge removals are batched per leaf (bulk
-  /// eviction), kStop ends the scan after the current bucket.
+  /// eviction), kStop ends the scan after the current bucket. The visitor
+  /// may Find buckets at or after the visited one; it must not insert.
   template <typename Fn>
   void Scan(TimestampUs from, Fn&& fn) {
     if (bucket_count_ == 0) return;

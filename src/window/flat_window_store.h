@@ -106,7 +106,7 @@ class FlatWindowStore {
   /// Visits live buckets with start >= `from` (kMinTimestamp: all of
   /// them) in ascending window-start order. The visitor returns a Visit
   /// action; purged buckets are removed mid-scan (their slots die with
-  /// them).
+  /// them). The visitor may Find any live bucket; it must not insert.
   template <typename Fn>
   void Scan(TimestampUs from, Fn&& fn) {
     if (live_buckets_ == 0) return;

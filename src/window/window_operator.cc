@@ -1,10 +1,22 @@
 #include "window/window_operator.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/logging.h"
+#include "common/stats.h"
 
 namespace streamq {
+
+namespace {
+
+/// The value run of a pane slot (pane-run mode: every heavy slot holds a
+/// QuantileAggregator).
+QuantileAggregator& RunOf(const FlatWindowStore::Slot& slot) {
+  return static_cast<QuantileAggregator&>(*slot.acc);
+}
+
+}  // namespace
 
 WindowedAggregation::WindowedAggregation(const Options& options,
                                          WindowResultSink* sink)
@@ -29,6 +41,12 @@ WindowedAggregation::WindowedAggregation(const Options& options,
   const bool tiling_sliding = w.slide < w.size && w.size % w.slide == 0;
   pane_active_ =
       inline_kind_ && tiling_sliding && PaneMergeIsExact(agg_spec_.kind);
+  // Order statistics need no merge: a window reads the sorted runs of its
+  // panes in place, so each value is stored and sorted once.
+  pane_runs_ = (agg_spec_.kind == AggKind::kMedian ||
+                agg_spec_.kind == AggKind::kQuantile) &&
+               w.size % w.slide == 0;
+  run_q_ = agg_spec_.kind == AggKind::kMedian ? 0.5 : agg_spec_.quantile_q;
   if (options_.engine == Engine::kAmend) {
     BindEngine<AmendWindowStore>();
   } else {
@@ -64,8 +82,13 @@ void WindowedAggregation::BindEngine() {
       BindHotFns<AggKind::kStdDev, Store>();
       break;
     default:
-      one_fn_ = &WindowedAggregation::FoldEventHeavy<Store>;
-      batch_fn_ = &WindowedAggregation::FoldBatchHeavy<Store>;
+      if (pane_runs_) {
+        one_fn_ = &WindowedAggregation::FoldEventRun<Store>;
+        batch_fn_ = &WindowedAggregation::FoldBatchRun<Store>;
+      } else {
+        one_fn_ = &WindowedAggregation::FoldEventHeavy<Store>;
+        batch_fn_ = &WindowedAggregation::FoldBatchHeavy<Store>;
+      }
       break;
   }
 }
@@ -214,6 +237,30 @@ void WindowedAggregation::FoldBatchHeavy(std::span<const Event> events) {
   for (const Event& e : events) FoldEventHeavy<Store>(e);
 }
 
+template <class Store>
+void WindowedAggregation::FoldEventRun(const Event& e) {
+  Store* store = GetStore<Store>();
+  ++stats_.events;
+  if (!PlanHits(e, store->epoch())) RebuildPlan(store, e.event_time, e.key);
+  // Every covering window gets its slot, as on the other paths; the value
+  // goes into the last one only, the slot of the pane holding e.
+  Slot* pane = nullptr;
+  if (plan_.num >= 0) {
+    pane = plan_.slots[plan_.num - 1];  // Tiling: num == size/slide >= 1.
+  } else {
+    ForEachWindow(options_.window, e.event_time,
+                  [this, store, &e, &pane](const WindowBounds& w) {
+                    pane = GetOrCreateSlot(store, w.start, e.key);
+                  });
+  }
+  RunOf(*pane).Add(e.value);
+}
+
+template <class Store>
+void WindowedAggregation::FoldBatchRun(std::span<const Event> events) {
+  for (const Event& e : events) FoldEventRun<Store>(e);
+}
+
 void WindowedAggregation::FoldValueDyn(Slot& slot, double v) {
   if (inline_kind_) {
     InlineFoldDyn(agg_spec_.kind, slot.state, v);
@@ -222,14 +269,37 @@ void WindowedAggregation::FoldValueDyn(Slot& slot, double v) {
   }
 }
 
-void WindowedAggregation::EmitSlot(TimestampUs window_start, Slot& slot,
-                                   TimestampUs now, bool revision) {
+template <class Store>
+int64_t WindowedAggregation::GatherRuns(Store* store, TimestampUs window_start,
+                                        const Slot& slot) {
+  runs_.clear();
+  int64_t total = 0;
+  const TimestampUs end = window_start + options_.window.size;
+  for (TimestampUs p = window_start; p < end; p += options_.window.slide) {
+    // A later pane without a slot holds no values of this key: its slot,
+    // once created, retires after this window's.
+    const Slot* s = p == window_start ? &slot : store->Find(p, slot.key);
+    if (s == nullptr) continue;
+    const std::span<const double> run = RunOf(*s).Sorted();
+    total += static_cast<int64_t>(run.size());
+    runs_.push_back(run);
+  }
+  return total;
+}
+
+template <class Store>
+void WindowedAggregation::EmitSlot(Store* store, TimestampUs window_start,
+                                   Slot& slot, TimestampUs now, bool revision) {
   WindowResult r;
   r.bounds = WindowBounds{window_start, window_start + options_.window.size};
   r.key = slot.key;
   if (inline_kind_) {
     r.value = InlineValueDyn(agg_spec_.kind, slot.state);
     r.tuple_count = slot.state.n;
+  } else if (pane_runs_) {
+    r.tuple_count = GatherRuns(store, window_start, slot);
+    r.value = r.tuple_count == 0 ? std::numeric_limits<double>::quiet_NaN()
+                                 : InterpolateRuns(runs_, run_q_);
   } else {
     r.value = slot.acc->Value();
     r.tuple_count = slot.acc->count();
@@ -289,16 +359,16 @@ void WindowedAggregation::HotOnWatermark(TimestampUs watermark,
     for (uint32_t idx : b.SortedByKey()) {
       Slot& s = b.slot(idx);
       if (can_fire && !s.fired) {
-        EmitSlot(b.start(), s, stream_time, /*revision=*/false);
+        EmitSlot(store, b.start(), s, stream_time, /*revision=*/false);
       }
       if (purge) {
         if (s.fired && s.dirty_since_fire) {
           // Batch-refinement mode: flush pending amendments as one revision.
-          EmitSlot(b.start(), s, stream_time, /*revision=*/true);
+          EmitSlot(store, b.start(), s, stream_time, /*revision=*/true);
         } else if (!s.fired) {
           // Terminal-watermark purge of a window that never saw its end
           // watermark; fire it now.
-          EmitSlot(b.start(), s, stream_time, /*revision=*/false);
+          EmitSlot(store, b.start(), s, stream_time, /*revision=*/false);
         }
         --live;
         if (observer_ != nullptr) observer_->OnWindowPurged(end, live);
@@ -323,7 +393,7 @@ void WindowedAggregation::HotOnKeyedWatermark(int64_t key,
     if (end > watermark) return Store::Visit::kStop;
     Slot* s = b.Find(key);
     if (s != nullptr && !s->fired) {
-      EmitSlot(b.start(), *s, stream_time, /*revision=*/false);
+      EmitSlot(store, b.start(), *s, stream_time, /*revision=*/false);
     }
     return Store::Visit::kKeep;
   });
@@ -332,35 +402,57 @@ void WindowedAggregation::HotOnKeyedWatermark(int64_t key,
 template <class Store>
 void WindowedAggregation::HotOnLateEvent(const Event& e) {
   Store* store = GetStore<Store>();
+  const DurationUs lateness = options_.allowed_lateness;
+  auto accepts = [this, lateness](TimestampUs end) {
+    return end > last_watermark_ ||
+           (lateness > 0 && end + lateness > last_watermark_);
+  };
+  // Pane runs: the value goes once into its pane's slot, before any
+  // covering window reads it. That slot is window p's, the last covering
+  // window to retire: if it is gone and window p no longer accepts the
+  // value, no covering window does. A slot created here counts as fresh
+  // below, like any window a late tuple creates.
+  TimestampUs pane_start = 0;
+  bool pane_created = false;
+  if (pane_runs_) {
+    pane_start = window_internal::FloorDiv(e.event_time,
+                                           options_.window.slide) *
+                 options_.window.slide;
+    Slot* pane = store->Find(pane_start, e.key);
+    if (pane == nullptr && accepts(pane_start + options_.window.size)) {
+      pane = GetOrCreateSlot(store, pane_start, e.key);
+      pane_created = true;
+    }
+    if (pane != nullptr) RunOf(*pane).Add(e.value);
+  }
   ForEachWindow(options_.window, e.event_time, [&](const WindowBounds& w) {
     Slot* s = store->Find(w.start, e.key);
+    const bool fresh = s == nullptr || (pane_created && w.start == pane_start);
     if (s == nullptr) {
-      const bool window_open = w.end > last_watermark_;
-      if (window_open ||
-          (options_.allowed_lateness > 0 &&
-           w.end + options_.allowed_lateness > last_watermark_)) {
-        s = GetOrCreateSlot(store, w.start, e.key);
-        FoldValueDyn(*s, e.value);
-        ++stats_.late_applied;
-        if (w.end <= last_watermark_) {
-          if (options_.emit_revision_per_update) {
-            EmitSlot(w.start, *s, e.arrival_time, /*revision=*/false);
-          } else {
-            s->dirty_since_fire = true;
-            s->fired = true;
-          }
-        }
+      if (!accepts(w.end)) {
+        ++stats_.late_dropped;
+        if (observer_ != nullptr) observer_->OnWindowLateDropped(e);
         return;
       }
-      ++stats_.late_dropped;
-      if (observer_ != nullptr) observer_->OnWindowLateDropped(e);
+      s = GetOrCreateSlot(store, w.start, e.key);
+    }
+    if (!pane_runs_) FoldValueDyn(*s, e.value);
+    ++stats_.late_applied;
+    if (fresh) {
+      if (w.end <= last_watermark_) {
+        // Already closed: a first firing with the late value included.
+        if (options_.emit_revision_per_update) {
+          EmitSlot(store, w.start, *s, e.arrival_time, /*revision=*/false);
+        } else {
+          s->dirty_since_fire = true;
+          s->fired = true;
+        }
+      }
       return;
     }
-    FoldValueDyn(*s, e.value);
-    ++stats_.late_applied;
     if (s->fired) {
       if (options_.emit_revision_per_update) {
-        EmitSlot(w.start, *s, e.arrival_time, /*revision=*/true);
+        EmitSlot(store, w.start, *s, e.arrival_time, /*revision=*/true);
       } else {
         s->dirty_since_fire = true;
       }

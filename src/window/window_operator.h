@@ -55,8 +55,13 @@ class CollectingResultSink : public WindowResultSink {
 ///    Fold dispatch is resolved once per batch, and for exactly-tiling
 ///    sliding windows each batch is folded once per pane run and merged
 ///    into the covering windows when that is bit-exact (count/min/max).
-///    Heavy kinds (median/quantile/distinct) keep the polymorphic
-///    accumulator inside the flat store.
+///    Median and quantile windows whose size is a multiple of the slide
+///    (tumbling included) keep one sorted value run per (pane, key): the
+///    slot at (start p, key) holds only the values with event time in
+///    [p, p + slide), and a window's value is the order statistic selected
+///    across the runs of its size/slide panes (InterpolateRuns), with no
+///    merge and no copy. Other heavy cases (distinct, non-tiling
+///    quantiles) keep one polymorphic accumulator per window slot.
 ///  * kAmend — the same inline-state hot path over an `AmendWindowStore`
 ///    (finger-hinted B-tree over window starts) instead of the slide-
 ///    aligned ring: tuples may reach OnEvent *out of order* and amend
@@ -134,6 +139,11 @@ class WindowedAggregation : public EventSink {
   /// exactly-tiling sliding window.
   bool uses_pane_sharing() const { return pane_active_; }
 
+  /// True when each value is stored once, in its pane's sorted run, and
+  /// windows select their order statistic across runs: median or quantile
+  /// with size a multiple of the slide.
+  bool uses_pane_runs() const { return pane_runs_; }
+
   /// Installs a read-only instrumentation observer (nullptr = none). Same
   /// zero-cost-when-off contract as DisorderHandler::set_observer.
   void set_observer(PipelineObserver* observer) { observer_ = observer; }
@@ -182,8 +192,14 @@ class WindowedAggregation : public EventSink {
   void RebuildPlan(Store* store, TimestampUs ts, int64_t key);
   template <class Store>
   Slot* GetOrCreateSlot(Store* store, TimestampUs window_start, int64_t key);
-  void EmitSlot(TimestampUs window_start, Slot& slot, TimestampUs now,
-                bool revision);
+  template <class Store>
+  void EmitSlot(Store* store, TimestampUs window_start, Slot& slot,
+                TimestampUs now, bool revision);
+  /// Fills runs_ with the sorted runs of the panes of window
+  /// [window_start, window_start + size) for `slot`'s key; returns their
+  /// total size. `slot` is the window's own (first) pane.
+  template <class Store>
+  int64_t GatherRuns(Store* store, TimestampUs window_start, const Slot& slot);
   /// Folds one value into a slot with runtime kind dispatch (cold paths:
   /// late events, plan-miss fallbacks for heavy kinds).
   void FoldValueDyn(Slot& slot, double v);
@@ -198,6 +214,10 @@ class WindowedAggregation : public EventSink {
   void FoldEventHeavy(const Event& e);
   template <class Store>
   void FoldBatchHeavy(std::span<const Event> events);
+  template <class Store>
+  void FoldEventRun(const Event& e);
+  template <class Store>
+  void FoldBatchRun(std::span<const Event> events);
   template <AggKind K, class Store>
   void BindHotFns();
   /// Resolves all engine entry points for one store type (kind switch for
@@ -235,6 +255,9 @@ class WindowedAggregation : public EventSink {
   std::unique_ptr<AmendWindowStore> amend_store_;  // kAmend only.
   bool inline_kind_ = false;
   bool pane_active_ = false;
+  bool pane_runs_ = false;
+  double run_q_ = 0.5;  // Quantile selected across pane runs.
+  std::vector<std::span<const double>> runs_;  // GatherRuns scratch.
   FoldPlan plan_;
   void (WindowedAggregation::*one_fn_)(const Event&) = nullptr;
   void (WindowedAggregation::*batch_fn_)(std::span<const Event>) = nullptr;

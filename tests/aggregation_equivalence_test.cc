@@ -100,12 +100,20 @@ ContinuousQuery MakeQuery(AggKind kind, const WindowSpec& shape,
   return q;
 }
 
-RunReport RunQuery(const ContinuousQuery& q, bool batched) {
+/// TestStream with heavy ties and zeros of both signs.
+const std::vector<Event>& TiedStream() {
+  static const std::vector<Event>* events =
+      new std::vector<Event>(testutil::WithTiesAndSignedZeros(TestStream()));
+  return *events;
+}
+
+RunReport RunQuery(const ContinuousQuery& q, bool batched,
+                   std::span<const Event> events = TestStream()) {
   QueryExecutor exec(q);
   if (batched) {
-    exec.FeedBatch(std::span<const Event>(TestStream()));
+    exec.FeedBatch(events);
   } else {
-    for (const Event& e : TestStream()) exec.Feed(e);
+    for (const Event& e : events) exec.Feed(e);
   }
   exec.Finish();
   return exec.Report();
@@ -185,6 +193,81 @@ INSTANTIATE_TEST_SUITE_P(
       name += Shapes()[static_cast<size_t>(std::get<1>(info.param))].name;
       return name;
     });
+
+// Many panes per window: median and quantile(0.9) select across 8 sorted
+// pane runs, and across 65, past the fold plan's memo of 64 slots, over
+// heavy ties and zeros of both signs. Bit for bit against the reference
+// under every handler spec, both revision modes, per-event and batched.
+const std::vector<Shape>& ManyPaneShapes() {
+  static const std::vector<Shape> shapes = {
+      {"tiling8", WindowSpec::Sliding(Millis(80), Millis(10))},
+      {"tiling65", WindowSpec::Sliding(Millis(130), Millis(2))},
+  };
+  return shapes;
+}
+
+class ManyPaneQuantileTest : public ::testing::TestWithParam<Param> {};
+
+TEST_P(ManyPaneQuantileTest, MatchesReferenceBitwise) {
+  const auto [kind_index, shape_index] = GetParam();
+  const AggKind kind = kind_index == 0 ? AggKind::kMedian : AggKind::kQuantile;
+  const Shape& shape = ManyPaneShapes()[static_cast<size_t>(shape_index)];
+  for (const DisorderHandlerSpec& handler : HandlerSpecs()) {
+    for (bool per_update : {true, false}) {
+      SCOPED_TRACE(handler.Describe() +
+                   (per_update ? " perupdate" : " batchrev"));
+      const ContinuousQuery q =
+          MakeQuery(kind, shape.spec, handler, per_update);
+      const RunReport reference =
+          RunReference(q, TiedStream(), /*batched=*/false);
+      EXPECT_GT(reference.window_stats.late_applied, 0);
+      for (bool batched : {false, true}) {
+        ExpectBitIdentical(reference, RunQuery(q, batched, TiedStream()));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    QuantileKinds, ManyPaneQuantileTest,
+    ::testing::Combine(::testing::Range(0, 2), ::testing::Range(0, 2)),
+    [](const ::testing::TestParamInfo<Param>& info) {
+      std::string name =
+          std::get<0>(info.param) == 0 ? "median_" : "quantile090_";
+      name += ManyPaneShapes()[static_cast<size_t>(std::get<1>(info.param))]
+                  .name;
+      return name;
+    });
+
+// Which windows store one sorted run per pane: median and quantile whose
+// size is a multiple of the slide, tumbling included.
+TEST(EngineSelectionTest, PaneRunsForTilingQuantiles) {
+  CollectingResultSink sink;
+  struct Case {
+    AggKind kind;
+    WindowSpec window;
+    bool pane_runs;
+  };
+  const Case cases[] = {
+      {AggKind::kMedian, WindowSpec::Tumbling(Millis(100)), true},
+      {AggKind::kQuantile, WindowSpec::Sliding(Millis(100), Millis(25)), true},
+      {AggKind::kMedian, WindowSpec::Sliding(Millis(100), Millis(30)), false},
+      {AggKind::kMedian, WindowSpec::Sliding(Millis(20), Millis(50)), false},
+      {AggKind::kDistinctCount, WindowSpec::Sliding(Millis(100), Millis(25)),
+       false},
+      {AggKind::kMax, WindowSpec::Sliding(Millis(100), Millis(25)), false},
+  };
+  for (const Case& c : cases) {
+    WindowedAggregation::Options o;
+    o.window = c.window;
+    o.aggregate.kind = c.kind;
+    if (c.kind == AggKind::kQuantile) o.aggregate.quantile_q = 0.9;
+    WindowedAggregation op(o, &sink);
+    EXPECT_EQ(op.uses_pane_runs(), c.pane_runs)
+        << o.aggregate.Describe() << " " << c.window.size << "/"
+        << c.window.slide;
+  }
+}
 
 // Engine/pane plumbing sanity.
 TEST(EngineSelectionTest, DefaultsAndGates) {

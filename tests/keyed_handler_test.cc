@@ -335,5 +335,36 @@ TEST(KeyedHandlerTest, EndToEndKeyedQueryMatchesOracleAtFullSlack) {
   EXPECT_NEAR(quality.value_quality.mean, 1.0, 1e-9);
 }
 
+// The latency-sample switch reaches the per-key wrapper, whose release
+// series is the one a run reports. Off, it stays empty; on, it holds one
+// sample per release. Either way the shards keep no series of their own.
+TEST(KeyedHandlerTest, LatencySampleSwitchReachesKeyedWrapper) {
+  WorkloadConfig cfg;
+  cfg.num_events = 5000;
+  cfg.num_keys = 4;
+  cfg.seed = 31;
+  const auto w = GenerateWorkload(cfg);
+  for (const bool samples : {false, true}) {
+    SCOPED_TRACE(samples ? "samples on" : "samples off");
+    auto handler = MakeDisorderHandlerOrDie(
+        DisorderHandlerSpec::Fixed(Millis(30)).PerKey().WithLatencySamples(
+            samples));
+    CollectingSink sink;
+    for (const Event& e : w.arrival_order) handler->OnEvent(e, &sink);
+    handler->Flush(&sink);
+    const DisorderHandlerStats& stats = handler->stats();
+    EXPECT_GT(stats.events_out, 0);
+    EXPECT_EQ(static_cast<int64_t>(stats.latency_samples.size()),
+              samples ? stats.events_out : 0);
+    const auto* keyed =
+        dynamic_cast<const KeyedDisorderHandler*>(handler.get());
+    ASSERT_NE(keyed, nullptr);
+    for (int64_t key = 0; key < cfg.num_keys; ++key) {
+      ASSERT_NE(keyed->shard(key), nullptr);
+      EXPECT_TRUE(keyed->shard(key)->stats().latency_samples.empty());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace streamq

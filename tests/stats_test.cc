@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -275,6 +277,121 @@ TEST(SlidingWindowQuantileDifferential, MatchesReferenceBitForBit) {
         }
       }
     }
+  }
+}
+
+/// A value for the run-selection tests: mixed-sign zeros, small integers
+/// (heavy ties), fractions, wide magnitudes of either sign, infinities.
+double DrawRunValue(Rng* rng) {
+  switch (rng->NextInt(0, 5)) {
+    case 0:
+      return rng->NextBool(0.5) ? -0.0 : 0.0;
+    case 1:
+      return static_cast<double>(rng->NextInt(-3, 3));
+    case 2:
+      return rng->NextUniform(-1.0, 1.0);
+    case 3:
+      return std::ldexp(rng->NextBool(0.5) ? -1.0 : 1.0,
+                        static_cast<int>(rng->NextInt(-1000, 999)));
+    case 4:
+      return rng->NextBool(0.9) ? 0.5
+                                : (rng->NextBool(0.5) ? 1.0 : -1.0) *
+                                      std::numeric_limits<double>::infinity();
+    default:
+      return rng->NextGaussian();
+  }
+}
+
+std::vector<std::span<const double>> Views(
+    const std::vector<std::vector<double>>& runs) {
+  return std::vector<std::span<const double>>(runs.begin(), runs.end());
+}
+
+// Selection across sorted runs against InterpolateSorted over their sorted
+// concatenation, bit for bit: 1 to 100 runs, empty and single-value runs
+// among them, heavy ties and zeros of both signs.
+TEST(InterpolateRunsTest, MatchesSortedConcatenationBitForBit) {
+  constexpr double kFixedQ[] = {0.0, 0.5, 0.9, 1.0};
+  for (const uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    Rng rng(seed);
+    for (int trial = 0; trial < 200; ++trial) {
+      const auto num_runs = static_cast<size_t>(
+          trial % 4 == 0 ? rng.NextInt(1, 4) : rng.NextInt(1, 100));
+      std::vector<std::vector<double>> runs(num_runs);
+      std::vector<double> all;
+      for (std::vector<double>& run : runs) {
+        int64_t len = 0;
+        switch (rng.NextInt(0, 3)) {
+          case 0:
+            break;  // Empty run.
+          case 1:
+            len = 1;
+            break;
+          case 2:
+            len = rng.NextInt(2, 8);
+            break;
+          default:
+            len = rng.NextInt(9, 200);
+            break;
+        }
+        for (int64_t j = 0; j < len; ++j) run.push_back(DrawRunValue(&rng));
+        std::sort(run.begin(), run.end());
+        all.insert(all.end(), run.begin(), run.end());
+      }
+      std::sort(all.begin(), all.end());
+      const std::vector<std::span<const double>> views = Views(runs);
+      for (const double q : {kFixedQ[0], kFixedQ[1], kFixedQ[2], kFixedQ[3],
+                             rng.NextDouble()}) {
+        ExpectSameBits(InterpolateRuns(views, q), InterpolateSorted(all, q),
+                       "seed=" + std::to_string(seed) +
+                           " trial=" + std::to_string(trial) +
+                           " runs=" + std::to_string(num_runs) +
+                           " n=" + std::to_string(all.size()) +
+                           " q=" + std::to_string(q));
+      }
+      ASSERT_FALSE(HasFailure()) << "stopping at the first mismatch";
+    }
+  }
+}
+
+TEST(InterpolateRunsTest, EmptyAndSingleRun) {
+  EXPECT_EQ(InterpolateRuns({}, 0.5), 0.0);
+  const std::vector<std::vector<double>> empties(3);
+  EXPECT_EQ(InterpolateRuns(Views(empties), 0.5), 0.0);
+  const std::vector<std::vector<double>> one = {{-0.0, 0.0, 0.0}};
+  for (const double q : {0.0, 0.5, 1.0}) {
+    ExpectSameBits(InterpolateRuns(Views(one), q),
+                   InterpolateSorted(one[0], q), "q=" + std::to_string(q));
+  }
+}
+
+// A NaN (it can reach a window when ingest validation is off) breaks the
+// runs' order. The result is unspecified, but selection must return: each
+// step strictly shrinks the widest remaining run.
+TEST(InterpolateRunsTest, NaNReturnsWithoutHanging) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::vector<double>> fixed = {
+      {1.0, 2.0, nan, 4.0}, {nan},      {0.5, nan, 3.0},
+      {},                   {-1.0, 5.0}, {nan, nan},
+      {1.0, 2.0, 3.0, 2.0, 3.0, 1.0, nan}};  // Out of order, not just NaN.
+  for (const double q : {0.0, 0.25, 0.5, 0.9, 1.0}) {
+    (void)InterpolateRuns(Views(fixed), q);
+  }
+  Rng rng(11);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<std::vector<double>> runs(
+        static_cast<size_t>(rng.NextInt(1, 20)));
+    for (std::vector<double>& run : runs) {
+      const int64_t len = rng.NextInt(0, 30);
+      for (int64_t j = 0; j < len; ++j) run.push_back(DrawRunValue(&rng));
+      std::sort(run.begin(), run.end());
+      // NaNs anywhere, as an order-breaking sort could leave them.
+      for (int64_t j = rng.NextInt(0, 3); j > 0; --j) {
+        const int64_t at = rng.NextInt(0, static_cast<int64_t>(run.size()));
+        run.insert(run.begin() + at, nan);
+      }
+    }
+    (void)InterpolateRuns(Views(runs), rng.NextDouble());
   }
 }
 

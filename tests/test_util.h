@@ -1,6 +1,7 @@
 #ifndef STREAMQ_TESTS_TEST_UTIL_H_
 #define STREAMQ_TESTS_TEST_UTIL_H_
 
+#include <cmath>
 #include <vector>
 
 #include "disorder/disorder_handler.h"
@@ -40,6 +41,17 @@ inline GeneratedWorkload DisorderedWorkload(int64_t n = 5000,
   cfg.delay.a = 20000.0;  // 20ms mean delay at 100us mean gap: heavy disorder.
   cfg.seed = seed;
   return GenerateWorkload(cfg);
+}
+
+/// `events` with values remapped to small integers (heavy ties) and zeros
+/// of both signs: uniform [0, 1) values become -3..2, every other zero -0.
+inline std::vector<Event> WithTiesAndSignedZeros(std::vector<Event> events) {
+  int64_t zeros = 0;
+  for (Event& e : events) {
+    e.value = std::floor(e.value * 6.0) - 3.0;
+    if (e.value == 0.0 && ++zeros % 2 == 0) e.value = -0.0;
+  }
+  return events;
 }
 
 /// Checks the EventSink ordering contract: OnEvent sequence is event-time
