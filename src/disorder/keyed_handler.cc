@@ -38,8 +38,15 @@ struct KeyedDisorderHandler::Shard {
       out_->OnEvent(e);
     }
 
+    /// A forwarded run from a non-buffering inner handler (speculative):
+    /// the tuples never occupied a buffer, so each is released at its own
+    /// arrival, exactly as the per-tuple OnEvent above accounts it. The
+    /// buffering handlers release through the stream-time overload.
     void OnEvents(std::span<const Event> events) override {
-      OnEvents(events, now_);
+      for (const Event& e : events) {
+        outer_->RecordRelease(e, use_fixed_now_ ? now_ : e.arrival_time);
+      }
+      out_->OnEvents(events);
     }
 
     void OnEvents(std::span<const Event> events,

@@ -125,8 +125,8 @@ WindowedAggregation::Slot* WindowedAggregation::GetOrCreateSlot(
 }
 
 template <class Store>
-void WindowedAggregation::RebuildPlan(Store* store, TimestampUs ts,
-                                      int64_t key) {
+void WindowedAggregation::RebuildPlan(FoldPlan& plan, Store* store,
+                                      TimestampUs ts, int64_t key) {
   const DurationUs size = options_.window.size;
   const DurationUs slide = options_.window.slide;
   const int64_t q_last = window_internal::FloorDiv(ts, slide);
@@ -134,31 +134,41 @@ void WindowedAggregation::RebuildPlan(Store* store, TimestampUs ts,
   // The covering set {q_first..q_last} is constant while both quotients
   // are: intersect the two preimage intervals. For sampling gaps
   // (q_first > q_last) this yields the gap itself and num == 0.
-  plan_.valid_begin = std::max(q_last * slide, (q_first - 1) * slide + size);
-  plan_.valid_end = std::min((q_last + 1) * slide, q_first * slide + size);
-  plan_.key = key;
+  plan.valid_begin = std::max(q_last * slide, (q_first - 1) * slide + size);
+  plan.valid_end = std::min((q_last + 1) * slide, q_first * slide + size);
+  plan.key = key;
   const int64_t num = q_last - q_first + 1;
   if (num > FoldPlan::kMaxWindows) {
     // Extreme size/slide fanout: fold via ForEachWindow, no slot memo (and
     // so no epoch dependency).
-    plan_.num = FoldPlan::kOversized;
+    plan.num = FoldPlan::kOversized;
     return;
   }
-  plan_.num = static_cast<int>(std::max<int64_t>(num, 0));
-  for (int i = 0; i < plan_.num; ++i) {
-    plan_.slots[i] = GetOrCreateSlot(store, (q_first + i) * slide, key);
+  plan.num = static_cast<int>(std::max<int64_t>(num, 0));
+  for (int i = 0; i < plan.num; ++i) {
+    plan.slots[i] = GetOrCreateSlot(store, (q_first + i) * slide, key);
   }
-  plan_.epoch = store->epoch();  // After creation-driven bumps.
+  plan.epoch = store->epoch();  // After creation-driven bumps.
+}
+
+template <class Store>
+WindowedAggregation::FoldPlan& WindowedAggregation::PlanOf(Store* store,
+                                                           const Event& e) {
+  FoldPlan& plan = plans_[PlanWayOf(e.key)];
+  if (!PlanHits(plan, e, store->epoch())) {
+    RebuildPlan(plan, store, e.event_time, e.key);
+  }
+  return plan;
 }
 
 template <AggKind K, class Store>
 void WindowedAggregation::FoldEventHot(const Event& e) {
   Store* store = GetStore<Store>();
   ++stats_.events;
-  if (!PlanHits(e, store->epoch())) RebuildPlan(store, e.event_time, e.key);
-  if (plan_.num >= 0) {
-    for (int i = 0; i < plan_.num; ++i) {
-      InlineFold<K>(plan_.slots[i]->state, e.value);
+  const FoldPlan& plan = PlanOf(store, e);
+  if (plan.num >= 0) {
+    for (int i = 0; i < plan.num; ++i) {
+      InlineFold<K>(plan.slots[i]->state, e.value);
     }
     return;
   }
@@ -185,10 +195,8 @@ void WindowedAggregation::FoldBatchPaned(std::span<const Event> events) {
   while (i < events.size()) {
     const Event& head = events[i];
     ++stats_.events;
-    if (!PlanHits(head, store->epoch())) {
-      RebuildPlan(store, head.event_time, head.key);
-    }
-    if (plan_.num < 0) {  // Oversized fanout: per-tuple fallback.
+    const FoldPlan& plan = PlanOf(store, head);
+    if (plan.num < 0) {  // Oversized fanout: per-tuple fallback.
       ForEachWindow(options_.window, head.event_time,
                     [this, store, &head](const WindowBounds& w) {
                       InlineFold<K>(
@@ -203,15 +211,15 @@ void WindowedAggregation::FoldBatchPaned(std::span<const Event> events) {
     size_t j = i + 1;
     // No store mutation inside the run, so the plan stays valid; PlanHits
     // is interval + key only from here.
-    while (j < events.size() && events[j].key == plan_.key &&
-           events[j].event_time >= plan_.valid_begin &&
-           events[j].event_time < plan_.valid_end) {
+    while (j < events.size() && events[j].key == plan.key &&
+           events[j].event_time >= plan.valid_begin &&
+           events[j].event_time < plan.valid_end) {
       InlineFold<K>(partial, events[j].value);
       ++stats_.events;
       ++j;
     }
-    for (int k = 0; k < plan_.num; ++k) {
-      InlineMerge<K>(plan_.slots[k]->state, partial);
+    for (int k = 0; k < plan.num; ++k) {
+      InlineMerge<K>(plan.slots[k]->state, partial);
     }
     i = j;
   }
@@ -221,9 +229,9 @@ template <class Store>
 void WindowedAggregation::FoldEventHeavy(const Event& e) {
   Store* store = GetStore<Store>();
   ++stats_.events;
-  if (!PlanHits(e, store->epoch())) RebuildPlan(store, e.event_time, e.key);
-  if (plan_.num >= 0) {
-    for (int i = 0; i < plan_.num; ++i) plan_.slots[i]->acc->Add(e.value);
+  const FoldPlan& plan = PlanOf(store, e);
+  if (plan.num >= 0) {
+    for (int i = 0; i < plan.num; ++i) plan.slots[i]->acc->Add(e.value);
     return;
   }
   ForEachWindow(options_.window, e.event_time,
@@ -241,12 +249,13 @@ template <class Store>
 void WindowedAggregation::FoldEventRun(const Event& e) {
   Store* store = GetStore<Store>();
   ++stats_.events;
-  if (!PlanHits(e, store->epoch())) RebuildPlan(store, e.event_time, e.key);
+  const FoldPlan& plan = PlanOf(store, e);
   // Every covering window gets its slot, as on the other paths; the value
-  // goes into the last one only, the slot of the pane holding e.
+  // goes into the last one only, the slot of the pane holding e. On a plan
+  // hit that is the only slot touched.
   Slot* pane = nullptr;
-  if (plan_.num >= 0) {
-    pane = plan_.slots[plan_.num - 1];  // Tiling: num == size/slide >= 1.
+  if (plan.num >= 0) {
+    pane = plan.slots[plan.num - 1];  // Tiling: num == size/slide >= 1.
   } else {
     ForEachWindow(options_.window, e.event_time,
                   [this, store, &e, &pane](const WindowBounds& w) {
@@ -332,7 +341,7 @@ template <class Store>
 void WindowedAggregation::HotOnWatermark(TimestampUs watermark,
                                          TimestampUs stream_time) {
   Store* store = GetStore<Store>();
-  plan_.num = FoldPlan::kInvalid;  // Purges below invalidate slot pointers.
+  // The fold plans need no reset: each purge below bumps the store epoch.
   // Buckets ascend by start and SortedByKey ascends by key: results leave
   // in (start, key) order. `live` tracks the post-erase store size each
   // purge notification reports.

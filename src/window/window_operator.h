@@ -148,6 +148,21 @@ class WindowedAggregation : public EventSink {
   /// zero-cost-when-off contract as DisorderHandler::set_observer.
   void set_observer(PipelineObserver* observer) { observer_ = observer; }
 
+  /// Fold-plan table ways: each key memoizes its covering-window slots in
+  /// one of these, so up to this many interleaved keys keep their plans
+  /// (fewer when keys share a way).
+  static constexpr int kPlanWayBits = 4;
+  static constexpr int kPlanWays = 1 << kPlanWayBits;
+
+  /// The plan way of `key`: the top bits of a Fibonacci multiplicative
+  /// hash. Keys of one shard share their low bits, so `key & mask` would
+  /// collide.
+  static size_t PlanWayOf(int64_t key) {
+    return static_cast<size_t>(
+        (static_cast<uint64_t>(key) * 0x9E3779B97F4A7C15ull) >>
+        (64 - kPlanWayBits));
+  }
+
  private:
   // One body of code, two stores: the fold, watermark and late paths are
   // templated on the store type (FlatWindowStore for kHot, AmendWindowStore
@@ -156,13 +171,14 @@ class WindowedAggregation : public EventSink {
 
   using Slot = FlatWindowStore::Slot;
 
-  /// Memo of the covering-window slots for the last (timestamp, key)
-  /// resolved. All events with event_time in [valid_begin, valid_end) and
-  /// the same key share the same covering-window set, so consecutive
-  /// tuples skip window assignment and state lookup entirely. Slot
-  /// pointers are revalidated against the store's epoch: any insertion or
-  /// purge (late events, watermarks) invalidates the plan instead of
-  /// leaving it dangling.
+  /// Memo of one key's covering-window slots. All events with event_time
+  /// in [valid_begin, valid_end) and the same key share the same
+  /// covering-window set, so they skip window assignment and state lookup
+  /// entirely. Plans live in a direct-mapped table of kPlanWays, indexed
+  /// by PlanWayOf(key), so interleaved keys each keep their own memo.
+  /// Slot pointers are revalidated against the store's epoch: any
+  /// insertion or purge (late events, watermarks, another key's rebuild)
+  /// invalidates the slots of every plan instead of leaving them dangling.
   struct FoldPlan {
     static constexpr int kMaxWindows = 64;
     static constexpr int kInvalid = -1;
@@ -178,18 +194,22 @@ class WindowedAggregation : public EventSink {
     Slot* slots[kMaxWindows];
   };
 
-  bool PlanHits(const Event& e, uint64_t store_epoch) const {
-    return e.event_time >= plan_.valid_begin &&
-           e.event_time < plan_.valid_end && e.key == plan_.key &&
-           plan_.num != FoldPlan::kInvalid &&
-           (plan_.num == FoldPlan::kOversized || plan_.epoch == store_epoch);
+  static bool PlanHits(const FoldPlan& plan, const Event& e,
+                       uint64_t store_epoch) {
+    return e.event_time >= plan.valid_begin &&
+           e.event_time < plan.valid_end && e.key == plan.key &&
+           plan.num != FoldPlan::kInvalid &&
+           (plan.num == FoldPlan::kOversized || plan.epoch == store_epoch);
   }
+  /// `e`'s plan, rebuilt first if it misses.
+  template <class Store>
+  FoldPlan& PlanOf(Store* store, const Event& e);
   /// The engine's store instance (FlatWindowStore under kHot,
   /// AmendWindowStore under kAmend).
   template <class Store>
   Store* GetStore();
   template <class Store>
-  void RebuildPlan(Store* store, TimestampUs ts, int64_t key);
+  void RebuildPlan(FoldPlan& plan, Store* store, TimestampUs ts, int64_t key);
   template <class Store>
   Slot* GetOrCreateSlot(Store* store, TimestampUs window_start, int64_t key);
   template <class Store>
@@ -258,7 +278,7 @@ class WindowedAggregation : public EventSink {
   bool pane_runs_ = false;
   double run_q_ = 0.5;  // Quantile selected across pane runs.
   std::vector<std::span<const double>> runs_;  // GatherRuns scratch.
-  FoldPlan plan_;
+  FoldPlan plans_[kPlanWays];
   void (WindowedAggregation::*one_fn_)(const Event&) = nullptr;
   void (WindowedAggregation::*batch_fn_)(std::span<const Event>) = nullptr;
   void (WindowedAggregation::*wm_fn_)(TimestampUs, TimestampUs) = nullptr;

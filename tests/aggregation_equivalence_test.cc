@@ -310,6 +310,21 @@ TEST(EngineSelectionTest, DefaultsAndGates) {
   }
 }
 
+std::string KindName(AggKind kind) {
+  AggregateSpec spec;
+  spec.kind = kind;
+  return spec.Describe();
+}
+
+Event MakeEvent(TimestampUs ts, int64_t key, double v) {
+  Event e;
+  e.event_time = ts;
+  e.arrival_time = ts;
+  e.key = key;
+  e.value = v;
+  return e;
+}
+
 // Regression for the fold-plan dangling-pointer hazard: a late event that
 // inserts a NEW key into buckets the plan memo is caching reallocates those
 // buckets' slot arrays. The epoch check must force a plan rebuild — under
@@ -324,26 +339,17 @@ TEST(FoldPlanInvalidationTest, LateInsertIntoCachedBucketForcesRebuild) {
     o.engine = engine;
     CollectingResultSink sink;
     WindowedAggregation op(o, &sink);
-
-    auto ev = [](TimestampUs ts, int64_t key, double v) {
-      Event e;
-      e.event_time = ts;
-      e.arrival_time = ts;
-      e.key = key;
-      e.value = v;
-      return e;
-    };
     // Prime the plan memo for key 0 in the pane at t=10s. No watermark in
     // between: only the store's epoch stands between the memo and the
     // reallocation below.
-    op.OnEvent(ev(Seconds(10), 0, 1.0));
+    op.OnEvent(MakeEvent(Seconds(10), 0, 1.0));
     // Late tuples for a DIFFERENT key land in the same buckets the plan is
     // caching and grow their slot tables (several keys to force realloc).
     for (int64_t k = 1; k <= 8; ++k) {
-      op.OnLateEvent(ev(Seconds(10) + k, k, 100.0));
+      op.OnLateEvent(MakeEvent(Seconds(10) + k, k, 100.0));
     }
     // Same pane, same key as the primed plan: must fold into valid slots.
-    op.OnEvent(ev(Seconds(10) + 1, 0, 2.0));
+    op.OnEvent(MakeEvent(Seconds(10) + 1, 0, 2.0));
     op.OnWatermark(kMaxTimestamp, Seconds(20));
 
     double key0_window_sum = 0.0;
@@ -356,6 +362,118 @@ TEST(FoldPlanInvalidationTest, LateInsertIntoCachedBucketForcesRebuild) {
     }
     EXPECT_EQ(key0_results, 1);
     EXPECT_EQ(key0_window_sum, 3.0);  // Both folds survived the realloc.
+  }
+}
+
+// A watermark keeps every plan: only the store epoch, which each purge
+// bumps, stands between a plan and the slots a purge frees. Key 0's plan
+// caches the four windows covering t=10s; a watermark with allowed
+// lateness 0 fires and purges all of them. The next tuple for the same
+// pane and key must rebuild the plan and fold into fresh windows — under
+// ASan a stale plan here is a use-after-free.
+TEST(FoldPlanInvalidationTest, PurgeOfCachedWindowsForcesRebuild) {
+  for (Engine engine : {Engine::kHot, Engine::kAmend}) {
+    for (AggKind kind : {AggKind::kSum, AggKind::kMedian}) {
+      SCOPED_TRACE(std::string(engine == Engine::kHot ? "hot " : "amend ") +
+                   KindName(kind));
+      WindowedAggregation::Options o;
+      o.window = WindowSpec::Sliding(Seconds(4), Seconds(1));
+      o.aggregate.kind = kind;
+      o.allowed_lateness = 0;
+      o.engine = engine;
+      CollectingResultSink sink;
+      WindowedAggregation op(o, &sink);
+
+      op.OnEvent(MakeEvent(Seconds(10), 0, 1.0));
+      op.OnWatermark(Seconds(20), Seconds(20));
+      ASSERT_EQ(op.live_windows(), 0u);
+      op.OnEvent(MakeEvent(Seconds(10) + 1, 0, 2.0));
+      EXPECT_EQ(op.live_windows(), 4u);
+      op.OnWatermark(kMaxTimestamp, Seconds(21));
+
+      std::vector<double> window7;
+      for (const WindowResult& r : sink.results) {
+        if (r.key == 0 && r.bounds.start == Seconds(7)) {
+          window7.push_back(r.value);
+        }
+      }
+      EXPECT_EQ(window7, (std::vector<double>{1.0, 2.0}));
+    }
+  }
+}
+
+/// `events` with keys reassigned round-robin from `keys`, in arrival
+/// order: consecutive tuples never share a key.
+std::vector<Event> Interleaved(std::span<const Event> events,
+                               const std::vector<int64_t>& keys) {
+  std::vector<Event> out(events.begin(), events.end());
+  for (size_t i = 0; i < out.size(); ++i) out[i].key = keys[i % keys.size()];
+  return out;
+}
+
+/// Engine results on `stream` against the reference (kHot under the
+/// speculative handler, whose out-of-order folds the reference does not
+/// model), both engines, per-event and batched.
+void ExpectEnginesMatchReference(const ContinuousQuery& query,
+                                 std::span<const Event> stream) {
+  const bool speculative =
+      query.handler.kind == DisorderHandlerSpec::Kind::kSpeculative;
+  ContinuousQuery hot_q = query;
+  hot_q.window.engine = Engine::kHot;
+  ContinuousQuery amend_q = query;
+  amend_q.window.engine = Engine::kAmend;
+  const RunReport reference =
+      speculative ? RunQuery(hot_q, /*batched=*/false, stream)
+                  : RunReference(hot_q, stream, /*batched=*/false);
+  for (bool batched : {false, true}) {
+    SCOPED_TRACE(batched ? "batched" : "per-event");
+    ExpectBitIdentical(reference, RunQuery(hot_q, batched, stream));
+    ExpectBitIdentical(reference, RunQuery(amend_q, batched, stream));
+  }
+}
+
+// Two keys sharing one plan way, interleaved tuple by tuple: every tuple
+// evicts the other key's plan. Each fold path (inline, pane-shared, pane
+// runs, heavy accumulators) must still match the reference bit for bit.
+TEST(FoldPlanTableTest, KeysSharingAWayMatchReference) {
+  int64_t other = 1;
+  while (WindowedAggregation::PlanWayOf(other) !=
+         WindowedAggregation::PlanWayOf(0)) {
+    ++other;
+  }
+  const std::vector<Event> stream = Interleaved(TestStream(), {0, other});
+  for (AggKind kind : {AggKind::kSum, AggKind::kMax, AggKind::kMedian,
+                       AggKind::kDistinctCount}) {
+    for (const DisorderHandlerSpec& handler :
+         {DisorderHandlerSpec::PassThrough(),
+          DisorderHandlerSpec::Fixed(Millis(30))}) {
+      SCOPED_TRACE(KindName(kind) + " " + handler.Describe());
+      ExpectEnginesMatchReference(
+          MakeQuery(kind, WindowSpec::Sliding(Millis(50), Millis(10)),
+                    handler, /*emit_revision_per_update=*/true),
+          stream);
+    }
+  }
+}
+
+// Eight keys interleaved tuple by tuple, each on its own plan, over five
+// panes per window: median and sum against the reference under every
+// handler spec, and under the speculative handler.
+TEST(FoldPlanTableTest, EightInterleavedKeysMatchReference) {
+  const std::vector<Event> stream =
+      Interleaved(TestStream(), {0, 1, 2, 3, 4, 5, 6, 7});
+  std::vector<DisorderHandlerSpec> handlers = HandlerSpecs();
+  SpeculativeHandler::Options sp;
+  sp.target_quality = 0.95;
+  handlers.push_back(DisorderHandlerSpec::Speculative(sp));
+  for (AggKind kind : {AggKind::kMedian, AggKind::kSum}) {
+    for (const DisorderHandlerSpec& handler : handlers) {
+      SCOPED_TRACE(KindName(kind) + " " + handler.Describe());
+      ExpectEnginesMatchReference(
+          MakeQuery(kind, WindowSpec::Sliding(Millis(50), Millis(10)),
+                    handler, /*emit_revision_per_update=*/true),
+          stream);
+    }
   }
 }
 

@@ -15,6 +15,7 @@
 
 #include "core/continuous_query.h"
 #include "core/executor.h"
+#include "disorder/speculative.h"
 #include "stream/generator.h"
 #include "tests/test_util.h"
 #include "window/window.h"
@@ -59,6 +60,12 @@ std::vector<DisorderHandlerSpec> AllSpecs() {
     aq.target_quality = 0.95;
     specs.push_back(DisorderHandlerSpec::Aq(aq).PerKey());
   }
+  {
+    SpeculativeHandler::Options sp;
+    sp.target_quality = 0.95;
+    specs.push_back(DisorderHandlerSpec::Speculative(sp));
+    specs.push_back(DisorderHandlerSpec::Speculative(sp).PerKey());
+  }
   return specs;
 }
 
@@ -70,6 +77,9 @@ ContinuousQuery QueryFor(const DisorderHandlerSpec& spec) {
   q.window.aggregate.kind = AggKind::kSum;
   q.window.allowed_lateness = Millis(20);
   q.window.per_key_watermarks = spec.per_key;
+  if (spec.kind == DisorderHandlerSpec::Kind::kSpeculative) {
+    q.window.engine = WindowedAggregation::Engine::kAmend;
+  }
   return q;
 }
 
@@ -152,7 +162,7 @@ TEST_P(BatchEquivalenceTest, BatchedRunMatchesPerEventRun) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllHandlersAllBatchSizes, BatchEquivalenceTest,
-    ::testing::Combine(::testing::Range(0, 9),
+    ::testing::Combine(::testing::Range(0, 11),
                        ::testing::Values<size_t>(1, 3, 16, 257, 0)),
     [](const ::testing::TestParamInfo<Param>& info) {
       const size_t b = std::get<1>(info.param);
@@ -171,6 +181,47 @@ TEST(BatchEquivalenceWorkload, ExercisesLatenessAndBuffering) {
   EXPECT_GT(r.handler_stats.max_buffer_size, 0);
   EXPECT_GT(r.window_stats.revisions + r.window_stats.late_applied, 0);
   EXPECT_FALSE(r.handler_stats.latency_samples.empty());
+}
+
+/// Logs every sink call in order, a forwarded run as its tuples: the
+/// sequence a window operator folds and fires by.
+class CallLogSink : public EventSink {
+ public:
+  void OnEvent(const Event& e) override {
+    log.emplace_back('e', e.id, e.event_time);
+  }
+  void OnEvents(std::span<const Event> events) override {
+    ++runs;
+    for (const Event& e : events) OnEvent(e);
+  }
+  void OnWatermark(TimestampUs watermark, TimestampUs stream_time) override {
+    log.emplace_back('w', watermark, stream_time);
+  }
+  void OnLateEvent(const Event& e) override {
+    log.emplace_back('l', e.id, e.event_time);
+  }
+
+  std::vector<std::tuple<char, int64_t, int64_t>> log;
+  int64_t runs = 0;
+};
+
+// The speculative handler's OnBatch forwards runs of in-band tuples, cut
+// at every late tuple and every watermark move: its sink sees exactly the
+// per-event call sequence, in fewer calls.
+TEST(SpeculativeRunForwarding, SinkSeesThePerEventCallSequence) {
+  SpeculativeHandler::Options sp;
+  sp.target_quality = 0.95;
+  SpeculativeHandler per_event(sp);
+  SpeculativeHandler batched(sp);
+  CallLogSink a;
+  CallLogSink b;
+  for (const Event& e : TestStream()) per_event.OnEvent(e, &a);
+  batched.OnBatch(TestStream(), &b);
+  per_event.Flush(&a);
+  batched.Flush(&b);
+  EXPECT_EQ(a.log, b.log);
+  EXPECT_GT(batched.stats().events_late, 0);
+  EXPECT_LT(b.runs, batched.stats().events_out / 2);
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 // thread-safety under concurrent record + snapshot, Series gating, and
 // golden Prometheus/JSON exports (the exporters are deterministic by
 // construction — name-sorted maps, fixed number formatting — which is what
-// makes exact-string goldens possible).
+// makes exact-string goldens possible). Also pins the speculative
+// handler's release and watermark reports to its own accounting.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,11 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "core/continuous_query.h"
+#include "core/executor.h"
+#include "core/metrics_observer.h"
+#include "disorder/speculative.h"
+#include "stream/generator.h"
 
 namespace streamq {
 namespace {
@@ -221,6 +227,72 @@ TEST(MetricsSnapshotTest, JsonEscapesNames) {
   reg.counter("weird\"name")->Increment();
   const std::string json = reg.Snapshot().ToJson();
   EXPECT_NE(json.find("\"weird\\\"name\": 1"), std::string::npos);
+}
+
+std::vector<Event> DisorderedStream() {
+  WorkloadConfig cfg;
+  cfg.num_events = 3000;
+  cfg.events_per_second = 10000.0;
+  cfg.num_keys = 8;
+  cfg.delay.model = DelayModel::kExponential;
+  cfg.delay.a = 20000.0;
+  cfg.seed = 7;
+  return GenerateWorkload(cfg).arrival_order;
+}
+
+// Every tuple the speculative handler forwards is reported as released,
+// flat and per key, per-event and batched.
+TEST(SpeculativeObserverTest, ReleasedEventsMatchEventsOut) {
+  const std::vector<Event> stream = DisorderedStream();
+  for (bool per_key : {false, true}) {
+    for (bool batched : {false, true}) {
+      SCOPED_TRACE(std::string(per_key ? "keyed" : "flat") +
+                   (batched ? " batched" : " per-event"));
+      SpeculativeHandler::Options sp;
+      sp.target_quality = 0.95;
+      ContinuousQuery q;
+      q.handler = DisorderHandlerSpec::Speculative(sp).PerKey(per_key);
+      q.window.window = WindowSpec::Sliding(Millis(50), Millis(25));
+      q.window.allowed_lateness = Millis(20);
+      q.window.engine = WindowedAggregation::Engine::kAmend;
+      MetricsObserver observer;
+      QueryExecutor exec(q);
+      exec.SetObserver(&observer);
+      if (batched) {
+        exec.FeedBatch(stream);
+      } else {
+        for (const Event& e : stream) exec.Feed(e);
+      }
+      exec.Finish();
+      const RunReport r = exec.Report();
+      ASSERT_GT(r.handler_stats.events_late, 0);
+      const MetricsSnapshot snap = observer.Snapshot();
+      EXPECT_EQ(snap.counters.at("streamq.handler.released_events_total"),
+                r.handler_stats.events_out);
+      EXPECT_EQ(snap.counters.at("streamq.handler.late_events_total"),
+                r.handler_stats.events_late);
+    }
+  }
+}
+
+// A heartbeat that releases the hold moves the watermark gauge with it.
+TEST(SpeculativeObserverTest, HeartbeatUpdatesWatermarkGauge) {
+  SpeculativeHandler::Options sp;
+  sp.target_quality = 0.95;
+  SpeculativeHandler handler(sp);
+  MetricsObserver observer;
+  handler.set_observer(&observer);
+  CollectingSink sink;
+  const std::vector<Event> stream = DisorderedStream();
+  handler.OnBatch(stream, &sink);
+  const TimestampUs bound = sink.watermarks.back() + Seconds(1);
+  handler.OnHeartbeat(bound, stream.back().arrival_time + 1, &sink);
+  ASSERT_EQ(sink.watermarks.back(), bound);
+  const MetricsSnapshot snap = observer.Snapshot();
+  EXPECT_EQ(snap.gauges.at("streamq.handler.watermark_us"),
+            static_cast<double>(bound));
+  EXPECT_EQ(snap.counters.at("streamq.handler.released_events_total"),
+            handler.stats().events_out);
 }
 
 }  // namespace

@@ -57,6 +57,12 @@ std::vector<DisorderHandlerSpec> AllSpecs() {
     aq.target_quality = 0.95;
     specs.push_back(DisorderHandlerSpec::Aq(aq).PerKey());
   }
+  {
+    SpeculativeHandler::Options sp;
+    sp.target_quality = 0.95;
+    specs.push_back(DisorderHandlerSpec::Speculative(sp));
+    specs.push_back(DisorderHandlerSpec::Speculative(sp).PerKey());
+  }
   return specs;
 }
 
@@ -68,6 +74,9 @@ ContinuousQuery QueryFor(const DisorderHandlerSpec& spec) {
   q.window.aggregate.kind = AggKind::kSum;
   q.window.allowed_lateness = Millis(20);
   q.window.per_key_watermarks = spec.per_key;
+  if (spec.kind == DisorderHandlerSpec::Kind::kSpeculative) {
+    q.window.engine = WindowedAggregation::Engine::kAmend;
+  }
   return q;
 }
 
@@ -157,7 +166,7 @@ TEST_P(ObserverEquivalenceTest, ObserverDoesNotPerturbResults) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllHandlers, ObserverEquivalenceTest,
-                         ::testing::Range(0, 9),
+                         ::testing::Range(0, 11),
                          [](const ::testing::TestParamInfo<int>& info) {
                            return "spec" + std::to_string(info.param);
                          });
