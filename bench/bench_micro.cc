@@ -62,8 +62,8 @@ BENCHMARK(BM_SlidingSketchQuantile)->Arg(1024)->Arg(4096)->Arg(16384);
 
 // The quality controller's cadence: one adaptation interval of adds into a
 // full window (each evicting the oldest value), then one Quantile(0.95).
-// Values are integer microsecond latenesses, a third of them zero.
-void BM_SlidingSketchControlStep(benchmark::State& state) {
+// Values are integer microsecond latenesses, `zero_share` of them zero.
+void RunSketchControlStep(benchmark::State& state, double zero_share) {
   constexpr int kInterval = 256;
   const auto capacity = static_cast<size_t>(state.range(0));
   SlidingWindowQuantile sketch(capacity);
@@ -71,7 +71,7 @@ void BM_SlidingSketchControlStep(benchmark::State& state) {
   ExponentialDelay delay(5000.0);
   std::vector<double> values(capacity + (1 << 16));
   for (double& v : values) {
-    v = rng.NextBool(1.0 / 3.0) ? 0.0 : std::floor(delay.Sample(&rng));
+    v = rng.NextBool(zero_share) ? 0.0 : std::floor(delay.Sample(&rng));
   }
   size_t next = 0;
   for (size_t i = 0; i < capacity; ++i) sketch.Add(values[next++]);
@@ -84,7 +84,18 @@ void BM_SlidingSketchControlStep(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kInterval);
 }
+
+void BM_SlidingSketchControlStep(benchmark::State& state) {
+  RunSketchControlStep(state, 1.0 / 3.0);
+}
 BENCHMARK(BM_SlidingSketchControlStep)->Arg(1024)->Arg(4096)->Arg(65536);
+
+// A nearly in-order stream: 97% of the latenesses are zero, so the 0.95
+// quantile lies in the zero bucket, which holds most of the window.
+void BM_SlidingSketchControlStepInOrder(benchmark::State& state) {
+  RunSketchControlStep(state, 0.97);
+}
+BENCHMARK(BM_SlidingSketchControlStepInOrder)->Arg(4096);
 
 void BM_P2QuantileAdd(benchmark::State& state) {
   P2Quantile est(0.95);

@@ -163,6 +163,8 @@ double P2Quantile::value() const {
 SlidingWindowQuantile::SlidingWindowQuantile(size_t capacity)
     : capacity_(capacity) {
   STREAMQ_CHECK_GT(capacity, 0u);
+  // Slots, links and counts are 32-bit.
+  STREAMQ_CHECK_LT(static_cast<uint64_t>(capacity), uint64_t{1} << 32);
   block_of_.fill(kNoBlock);
 }
 
@@ -171,58 +173,82 @@ uint32_t SlidingWindowQuantile::Key(double x) {
   return static_cast<uint32_t>((std::bit_cast<uint64_t>(x) >> 46) & kMask);
 }
 
-void SlidingWindowQuantile::Count(double x) {
-  const uint32_t key = Key(x);
-  const uint32_t octave = key / kSubBuckets;
-  uint16_t& index = block_of_[octave];
-  if (index == kNoBlock) {
-    if (free_blocks_.empty()) {
-      index = static_cast<uint16_t>(blocks_.size());
-      blocks_.emplace_back();
-    } else {
-      index = free_blocks_.back();
-      free_blocks_.pop_back();
-    }
-    occupied_[octave / 64] |= uint64_t{1} << (octave % 64);
+uint16_t SlidingWindowQuantile::AllocBlock(uint32_t octave) {
+  uint16_t index;
+  if (free_blocks_.empty()) {
+    index = static_cast<uint16_t>(blocks_.size());
+    blocks_.emplace_back();
+  } else {
+    index = free_blocks_.back();
+    free_blocks_.pop_back();
   }
-  Block& block = blocks_[index];
-  ++block.total;
-  ++block.count[key % kSubBuckets];
+  occupied_[octave / 64] |= uint64_t{1} << (octave % 64);
+  return index;
 }
 
-void SlidingWindowQuantile::Uncount(double x) {
-  const uint32_t key = Key(x);
+void SlidingWindowQuantile::FreeBlock(uint32_t octave) {
+  // Every sub-count is zero again, so the block is ready for reuse.
+  free_blocks_.push_back(block_of_[octave]);
+  block_of_[octave] = kNoBlock;
+  occupied_[octave / 64] &= ~(uint64_t{1} << (octave % 64));
+}
+
+// Link and Unlink run once each per Add; `inline` (with the pool's slow
+// paths kept out of line) lets the compiler fold them into Add.
+inline void SlidingWindowQuantile::Link(uint32_t slot) {
+  const uint32_t key = Key(ring_[slot]);
   const uint32_t octave = key / kSubBuckets;
   uint16_t& index = block_of_[octave];
+  if (index == kNoBlock) index = AllocBlock(octave);
   Block& block = blocks_[index];
-  --block.count[key % kSubBuckets];
-  if (--block.total == 0) {
-    // Every sub-count is zero again, so the block is ready for reuse.
-    free_blocks_.push_back(index);
-    index = kNoBlock;
-    occupied_[octave / 64] &= ~(uint64_t{1} << (octave % 64));
+  ++block.total;
+  Bucket& bucket = block.bucket[key % kSubBuckets];
+  if (bucket.count++ == 0) {
+    bucket.head = slot;
+  } else {
+    next_[bucket.tail] = slot;
   }
+  bucket.tail = slot;
+}
+
+inline void SlidingWindowQuantile::Unlink(uint32_t slot) {
+  const uint32_t key = Key(ring_[slot]);
+  const uint32_t octave = key / kSubBuckets;
+  Block& block = blocks_[block_of_[octave]];
+  Bucket& bucket = block.bucket[key % kSubBuckets];
+  STREAMQ_DCHECK_EQ(bucket.head, slot);
+  bucket.head = next_[slot];
+  --bucket.count;
+  if (--block.total == 0) FreeBlock(octave);
 }
 
 void SlidingWindowQuantile::Add(double x) {
   STREAMQ_DCHECK(x >= 0.0 && !std::signbit(x));
   ++seen_;
-  Count(x);
+  uint32_t slot;
   if (ring_.size() < capacity_) {
     if (ring_.size() == ring_.capacity()) {
-      ring_.reserve(
-          std::min(capacity_, std::max<size_t>(16, 2 * ring_.size())));
+      const size_t grown =
+          std::min(capacity_, std::max<size_t>(16, 2 * ring_.size()));
+      ring_.reserve(grown);
+      next_.reserve(grown);
     }
+    slot = static_cast<uint32_t>(ring_.size());
     ring_.push_back(x);
-    return;
+    next_.push_back(0);
+  } else {
+    // The oldest slot of the ring is the oldest of its bucket too.
+    slot = static_cast<uint32_t>(head_);
+    Unlink(slot);
+    ring_[slot] = x;
+    if (++head_ == capacity_) head_ = 0;
   }
-  Uncount(ring_[head_]);
-  ring_[head_] = x;
-  if (++head_ == capacity_) head_ = 0;
+  Link(slot);
 }
 
 void SlidingWindowQuantile::Reset() {
   ring_.clear();
+  next_.clear();
   head_ = 0;
   seen_ = 0;
   block_of_.fill(kNoBlock);
@@ -242,12 +268,11 @@ SlidingWindowQuantile::Position SlidingWindowQuantile::Locate(
         rank -= block.total;
         continue;
       }
-      for (size_t sub = 0; sub < kSubBuckets; ++sub) {
-        if (rank < block.count[sub]) {
-          return {static_cast<uint32_t>(octave * kSubBuckets + sub), rank,
-                  block.count[sub]};
+      for (const Bucket& bucket : block.bucket) {
+        if (rank < bucket.count) {
+          return {bucket.head, bucket.count, static_cast<uint32_t>(rank)};
         }
-        rank -= block.count[sub];
+        rank -= bucket.count;
       }
     }
   }
@@ -266,28 +291,36 @@ double SlidingWindowQuantile::Quantile(double q) const {
   // Buckets partition the values in order, so order statistic i is the
   // a.rank-th smallest value of its bucket. Order statistic i+1 is the next
   // one in that bucket or else the smallest of the next non-empty bucket.
+  // Neither depends on the order the chain yields the values in.
   const Position a = Locate(i);
-  const bool b_in_a = a.rank + 1 < a.count;
-  const uint32_t b_key = interpolate && !b_in_a ? Locate(i + 1).key : a.key;
-
-  scratch_.clear();
-  double b_min = std::numeric_limits<double>::infinity();
-  for (const double v : ring_) {
-    const uint32_t key = Key(v);
-    if (key == a.key) {
-      scratch_.push_back(v);
-    } else if (key == b_key) {
-      b_min = std::min(b_min, v);
-    }
+  scratch_.resize(a.count);
+  uint32_t slot = a.head;
+  const double first = ring_[slot];
+  bool tied = true;
+  for (double& v : scratch_) {
+    v = ring_[slot];
+    tied &= v == first;
+    slot = next_[slot];
   }
+  // A bucket of equal values (the zero latenesses of a mostly in-order
+  // stream fill one bucket with most of the window) needs no selection.
   auto nth = scratch_.begin() + static_cast<ptrdiff_t>(a.rank);
-  std::nth_element(scratch_.begin(), nth, scratch_.end());
+  if (!tied) std::nth_element(scratch_.begin(), nth, scratch_.end());
   const double av = *nth;
   if (!interpolate) return av;
-  // nth_element leaves everything after `nth` >= av; the next order
-  // statistic within the bucket is the minimum of that suffix.
-  const double bv =
-      b_in_a ? *std::min_element(nth + 1, scratch_.end()) : b_min;
+  double bv = std::numeric_limits<double>::infinity();
+  if (a.rank + 1 < a.count) {
+    // nth_element leaves everything after `nth` >= av; the next order
+    // statistic within the bucket is the minimum of that suffix.
+    bv = tied ? av : *std::min_element(nth + 1, scratch_.end());
+  } else {
+    const Position b = Locate(i + 1);
+    slot = b.head;
+    for (uint32_t left = b.count; left > 0; --left) {
+      bv = std::min(bv, ring_[slot]);
+      slot = next_[slot];
+    }
+  }
   return av * (1.0 - frac) + bv * frac;
 }
 

@@ -93,9 +93,13 @@ class P2Quantile {
 /// x >= +0 (STREAMQ_DCHECK; every caller passes an int64 lateness or 0.0),
 /// where the top bits of the IEEE-754 pattern order the values. A FIFO
 /// ring holds the raw values; counts per log-linear bucket (64 sub-buckets
-/// per octave, pooled blocks for occupied octaves only) make Add and its
-/// eviction O(1). A query walks the counts to the bucket holding the rank
-/// and selects inside that bucket only.
+/// per octave, pooled blocks for occupied octaves only) let a query walk to
+/// the bucket holding the rank. A 4-byte link per ring slot threads each
+/// bucket's slots into a FIFO chain in arrival order. The slot Add evicts
+/// is the ring's oldest, hence the head of its bucket's chain, so Add and
+/// its eviction are O(1), and a query reads one or two chains, never the
+/// whole ring. Links are slot indices, so they survive the ring's growth.
+/// Capacity must be below 2^32.
 class SlidingWindowQuantile {
  public:
   explicit SlidingWindowQuantile(size_t capacity);
@@ -108,9 +112,11 @@ class SlidingWindowQuantile {
   int64_t seen() const { return seen_; }
 
   /// Empirical quantile of the current window, q in [0, 1].
-  /// Returns 0 if the window is empty. One pass over the ring plus a
-  /// selection within one or two buckets; callers query at control-loop
-  /// cadence, not per tuple.
+  /// Returns 0 if the window is empty. Walks the occupied buckets' counts
+  /// to the rank, then selects among the values of one bucket's chain (no
+  /// selection when they are all equal) and takes the minimum of the next
+  /// bucket's chain when interpolating, so the cost follows the bucket
+  /// size, not the window size.
   double Quantile(double q) const;
 
  private:
@@ -118,32 +124,51 @@ class SlidingWindowQuantile {
   static constexpr size_t kSubBuckets = 64;  // top 6 mantissa bits
   static constexpr uint16_t kNoBlock = UINT16_MAX;
 
-  /// Sub-bucket counts of one occupied octave.
-  struct Block {
-    size_t total = 0;
-    size_t count[kSubBuckets] = {};
+  /// One sub-bucket: its count and its chain's oldest and newest ring slot.
+  /// head and tail mean something only while count is non-zero (a reused
+  /// block keeps stale ones).
+  struct Bucket {
+    uint32_t count = 0;
+    uint32_t head = 0;
+    uint32_t tail = 0;
   };
 
-  /// Where rank r of the window lives: bucket key and rank inside it.
+  /// The sub-buckets of one occupied octave.
+  struct Block {
+    uint32_t total = 0;
+    Bucket bucket[kSubBuckets] = {};
+  };
+
+  /// Where rank r of the window lives: its bucket's chain and the rank
+  /// inside it.
   struct Position {
-    uint32_t key = 0;
-    size_t rank = 0;
-    size_t count = 0;  // values in the bucket
+    uint32_t head = 0;   // oldest slot of the bucket
+    uint32_t count = 0;  // values in the bucket
+    uint32_t rank = 0;
   };
 
   /// Bucket key: exponent and top 6 mantissa bits (sign dropped, so an
-  /// out-of-domain value lands in some bucket rather than out of range).
+  /// out-of-domain value lands in some bucket rather than out of range;
+  /// Link and Unlink compute the same key, so the chains stay consistent).
   static uint32_t Key(double x);
 
-  /// Counts one value in or out of its bucket.
-  void Count(double x);
-  void Uncount(double x);
+  /// Takes a pooled block for an octave that just became occupied, and
+  /// returns the block of one that just emptied to the pool.
+  uint16_t AllocBlock(uint32_t octave);
+  void FreeBlock(uint32_t octave);
+
+  /// Appends `slot` to the tail of its value's bucket chain.
+  inline void Link(uint32_t slot);
+  /// Pops `slot`, which must be its bucket's head, from that chain.
+  inline void Unlink(uint32_t slot);
 
   Position Locate(size_t rank) const;
 
   size_t capacity_;
   /// The window in arrival order; once full, head_ is the oldest slot.
   std::vector<double> ring_;
+  /// next_[slot]: the next-newer slot of the same bucket (stale at a tail).
+  std::vector<uint32_t> next_;
   size_t head_ = 0;
   int64_t seen_ = 0;
 

@@ -50,8 +50,9 @@ class QualityController {
     Estimator estimator = Estimator::kSlidingWindow;
 
     /// Lateness sketch window (tuples). Larger = smoother estimate, slower
-    /// reaction to distribution shifts. Also the reservoir capacity for
-    /// kGlobalReservoir.
+    /// reaction to distribution shifts. A query's cost does not grow with
+    /// the window (it reads one bucket's chain); only memory does, 12 B
+    /// per slot. Also the reservoir capacity for kGlobalReservoir.
     size_t sketch_window = 4096;
 
     /// Re-evaluate the setpoint every this many tuples.

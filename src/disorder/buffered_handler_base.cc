@@ -89,6 +89,13 @@ void BufferedHandlerBase::DrainAll(TimestampUs now, EventSink* sink) {
   if (buffer_.DrainInto(&release_scratch_) > 0) {
     for (const Event& e : release_scratch_) RecordRelease(e, now);
     sink->OnEvents(release_scratch_, now);
+    if (observer_ != nullptr) {
+      // The last drained event time, not kMaxTimestamp: the watermark
+      // gauge keeps a real time.
+      observer_->OnHandlerRelease(
+          static_cast<int64_t>(release_scratch_.size()), 0,
+          release_scratch_.back().event_time);
+    }
   }
   emitted_frontier_ = kMaxTimestamp;
   sink->OnWatermark(kMaxTimestamp, now);

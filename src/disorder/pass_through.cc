@@ -17,6 +17,7 @@ void PassThrough::OnEvent(const Event& e, EventSink* sink) {
   frontier_ = e.event_time;
   last_arrival_ = e.arrival_time;
   RecordRelease(e, e.arrival_time);  // Zero buffering latency by definition.
+  if (observer_ != nullptr) observer_->OnHandlerRelease(1, 0, frontier_);
   sink->OnEvent(e);
   sink->OnWatermark(frontier_, e.arrival_time);
 }

@@ -150,6 +150,8 @@ TEST_P(ObserverEquivalenceTest, ObserverDoesNotPerturbResults) {
   const MetricsSnapshot snap = observer.Snapshot();
   EXPECT_EQ(snap.counters.at("streamq.source.events_total"),
             observed.events_processed);
+  EXPECT_EQ(snap.counters.at("streamq.handler.released_events_total"),
+            observed.handler_stats.events_out);
   EXPECT_EQ(snap.counters.at("streamq.handler.late_events_total"),
             observed.handler_stats.events_late);
   EXPECT_EQ(snap.counters.at("streamq.handler.dropped_events_total"),

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -277,6 +278,88 @@ TEST(SlidingWindowQuantileDifferential, MatchesReferenceBitForBit) {
         }
       }
     }
+  }
+}
+
+/// Feeds `values` to a fresh sketch and the reference and compares a few
+/// quantiles bit for bit after every add (every `stride`-th add when
+/// stride > 1). `reset_at` (0 for never) resets both before that add.
+void ExpectMatchesAfterAdds(size_t capacity, const std::vector<double>& values,
+                            const std::string& label, size_t stride = 1,
+                            size_t reset_at = 0) {
+  constexpr double kQ[] = {0.0, 0.3, 0.5, 0.95, 0.999, 1.0};
+  SlidingWindowQuantile sketch(capacity);
+  reference::SlidingWindowQuantile oracle(capacity);
+  for (size_t n = 0; n < values.size(); ++n) {
+    if (reset_at != 0 && n == reset_at) {
+      sketch.Reset();
+      oracle.Reset();
+    }
+    sketch.Add(values[n]);
+    oracle.Add(values[n]);
+    ASSERT_EQ(sketch.size(), oracle.size());
+    if ((n + 1) % stride != 0) continue;
+    for (const double q : kQ) {
+      ExpectSameBits(sketch.Quantile(q), oracle.Quantile(q),
+                     label + " capacity=" + std::to_string(capacity) +
+                         " add=" + std::to_string(n + 1) +
+                         " q=" + std::to_string(q));
+    }
+    ASSERT_FALSE(::testing::Test::HasFailure())
+        << "stopping at the first mismatch";
+  }
+}
+
+// One bucket holds the whole window, so one chain spans every slot and
+// each eviction pops its head: all values equal, or distinct values that
+// share the 18 top bits the bucket key reads.
+TEST(SlidingWindowQuantileChains, OneBucketSpansTheWindow) {
+  for (const size_t capacity : {1u, 2u, 7u, 64u, 4096u}) {
+    const size_t adds = 3 * capacity + 5;
+    const size_t stride = capacity > 64 ? 61 : 1;
+    ExpectMatchesAfterAdds(capacity, std::vector<double>(adds, 1234.0),
+                           "equal", stride);
+    Rng rng(capacity);
+    std::vector<double> shared_top_bits(adds);
+    const uint64_t top = std::bit_cast<uint64_t>(1234.0) >> 46 << 46;
+    for (double& v : shared_top_bits) {
+      v = std::bit_cast<double>(
+          top | (rng.NextUint64() & ((uint64_t{1} << 46) - 1)));
+    }
+    ExpectMatchesAfterAdds(capacity, shared_top_bits, "shared-top-bits",
+                           stride);
+  }
+}
+
+// A query after every add from the first: the ring (and its links) grows
+// while chains point at slots, then wraps and evicts.
+TEST(SlidingWindowQuantileChains, QueriesThroughTheFillPhase) {
+  for (size_t capacity = 1; capacity <= 64; ++capacity) {
+    Rng rng(capacity + 100);
+    std::vector<double> values(2 * capacity + 20);
+    for (double& v : values) v = DrawValue(Mix::kSmallIntegers, &rng);
+    ExpectMatchesAfterAdds(capacity, values, "fill-small-integers");
+    for (double& v : values) v = DrawValue(Mix::kExtremes, &rng);
+    ExpectMatchesAfterAdds(capacity, values, "fill-extremes");
+  }
+}
+
+// Octaves empty out and fill again, so pooled blocks come back with stale
+// head and tail slots, before and after a Reset() that moves the values to
+// other octaves.
+TEST(SlidingWindowQuantileChains, ReusedBlocksAfterReset) {
+  for (const size_t capacity : {1u, 5u, 64u, 300u}) {
+    Rng rng(capacity + 200);
+    std::vector<double> values;
+    // Each phase fills the window from one octave, evicting the previous
+    // phase entirely; the last phases revisit octaves of earlier ones.
+    for (const int exponent : {0, 10, -20, 0, 10, 40, -20, 3, 60, 3}) {
+      for (size_t i = 0; i < capacity + capacity / 2 + 1; ++i) {
+        values.push_back(std::ldexp(rng.NextUniform(1.0, 2.0), exponent));
+      }
+    }
+    const size_t reset_at = values.size() / 2;
+    ExpectMatchesAfterAdds(capacity, values, "octave-phases", 1, reset_at);
   }
 }
 
