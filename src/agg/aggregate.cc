@@ -1,13 +1,12 @@
 #include "agg/aggregate.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <unordered_set>
-#include <vector>
 
+#include "agg/aggregate_state.h"
 #include "common/logging.h"
 #include "common/stats.h"
 
@@ -15,164 +14,29 @@ namespace streamq {
 
 namespace {
 
-constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
-
-/// Downcasts `other` to `T`, aborting on mismatch.
-template <typename T>
-const T& CastOrDie(const Aggregator& other, std::string_view name) {
-  const T* cast = dynamic_cast<const T*>(&other);
-  STREAMQ_CHECK(cast != nullptr)
-      << "Merge type mismatch: expected " << name << ", got " << other.name();
-  return *cast;
-}
-
-class CountAggregator : public Aggregator {
+/// A light kind's accumulator: the window operator's inline state and
+/// fold behind the Aggregator interface.
+template <AggKind K>
+class InlineAggregator final : public Aggregator {
  public:
-  void Add(double) override { ++count_; }
-  void Merge(const Aggregator& other) override {
-    count_ += CastOrDie<CountAggregator>(other, name()).count_;
-  }
-  double Value() const override { return static_cast<double>(count_); }
-  int64_t count() const override { return count_; }
-  std::unique_ptr<Aggregator> MakeEmpty() const override {
-    return std::make_unique<CountAggregator>();
-  }
-  std::string_view name() const override { return "count"; }
+  void Add(double v) override { InlineFold<K>(state_, v); }
+  double Value() const override { return InlineValue<K>(state_); }
+  int64_t count() const override { return state_.n; }
 
  private:
-  int64_t count_ = 0;
+  AggregateState state_;
 };
 
-class SumAggregator : public Aggregator {
- public:
-  void Add(double v) override {
-    // Kahan-compensated sum: windows can be long-lived and values small.
-    const double y = v - compensation_;
-    const double t = sum_ + y;
-    compensation_ = (t - sum_) - y;
-    sum_ = t;
-    ++count_;
-  }
-  void Merge(const Aggregator& other) override {
-    const auto& o = CastOrDie<SumAggregator>(other, name());
-    Addend(o.sum_);
-    count_ += o.count_;
-  }
-  double Value() const override { return sum_; }
-  int64_t count() const override { return count_; }
-  std::unique_ptr<Aggregator> MakeEmpty() const override {
-    return std::make_unique<SumAggregator>();
-  }
-  std::string_view name() const override { return "sum"; }
-
- private:
-  void Addend(double v) {
-    const double y = v - compensation_;
-    const double t = sum_ + y;
-    compensation_ = (t - sum_) - y;
-    sum_ = t;
-  }
-  double sum_ = 0.0;
-  double compensation_ = 0.0;
-  int64_t count_ = 0;
-};
-
-class MomentsAggregator : public Aggregator {
- public:
-  enum class Stat { kMean, kVariance, kStdDev };
-  explicit MomentsAggregator(Stat stat) : stat_(stat) {}
-
-  void Add(double v) override { moments_.Add(v); }
-  void Merge(const Aggregator& other) override {
-    moments_.Merge(CastOrDie<MomentsAggregator>(other, name()).moments_);
-  }
-  double Value() const override {
-    if (moments_.count() == 0) return kNan;
-    switch (stat_) {
-      case Stat::kMean:
-        return moments_.mean();
-      case Stat::kVariance:
-        return moments_.variance();
-      case Stat::kStdDev:
-        return moments_.stddev();
-    }
-    return kNan;
-  }
-  int64_t count() const override { return moments_.count(); }
-  std::unique_ptr<Aggregator> MakeEmpty() const override {
-    return std::make_unique<MomentsAggregator>(stat_);
-  }
-  std::string_view name() const override {
-    switch (stat_) {
-      case Stat::kMean:
-        return "mean";
-      case Stat::kVariance:
-        return "variance";
-      case Stat::kStdDev:
-        return "stddev";
-    }
-    return "?";
-  }
-
- private:
-  Stat stat_;
-  RunningMoments moments_;
-};
-
-class MinMaxAggregator : public Aggregator {
- public:
-  explicit MinMaxAggregator(bool is_min) : is_min_(is_min) {}
-
-  void Add(double v) override {
-    if (count_ == 0) {
-      extreme_ = v;
-    } else {
-      extreme_ = is_min_ ? std::min(extreme_, v) : std::max(extreme_, v);
-    }
-    ++count_;
-  }
-  void Merge(const Aggregator& other) override {
-    const auto& o = CastOrDie<MinMaxAggregator>(other, name());
-    STREAMQ_CHECK_EQ(is_min_, o.is_min_);
-    if (o.count_ == 0) return;
-    if (count_ == 0) {
-      extreme_ = o.extreme_;
-    } else {
-      extreme_ =
-          is_min_ ? std::min(extreme_, o.extreme_) : std::max(extreme_, o.extreme_);
-    }
-    count_ += o.count_;
-  }
-  double Value() const override { return count_ > 0 ? extreme_ : kNan; }
-  int64_t count() const override { return count_; }
-  std::unique_ptr<Aggregator> MakeEmpty() const override {
-    return std::make_unique<MinMaxAggregator>(is_min_);
-  }
-  std::string_view name() const override { return is_min_ ? "min" : "max"; }
-
- private:
-  bool is_min_;
-  double extreme_ = 0.0;
-  int64_t count_ = 0;
-};
-
-class DistinctCountAggregator : public Aggregator {
+/// Exact distinct count: values equal under == count once (so -0 and +0
+/// are one value, and every NaN is a value of its own).
+class DistinctCountAggregator final : public Aggregator {
  public:
   void Add(double v) override {
     ++count_;
     seen_.insert(v);
   }
-  void Merge(const Aggregator& other) override {
-    const auto& o = CastOrDie<DistinctCountAggregator>(other, name());
-    seen_.insert(o.seen_.begin(), o.seen_.end());
-    count_ += o.count_;
-  }
   double Value() const override { return static_cast<double>(seen_.size()); }
   int64_t count() const override { return count_; }
-  std::unique_ptr<Aggregator> MakeEmpty() const override {
-    return std::make_unique<DistinctCountAggregator>();
-  }
-  std::string_view name() const override { return "distinct"; }
 
  private:
   std::unordered_set<double> seen_;
@@ -180,11 +44,6 @@ class DistinctCountAggregator : public Aggregator {
 };
 
 }  // namespace
-
-void QuantileAggregator::Merge(const Aggregator& other) {
-  const auto& o = CastOrDie<QuantileAggregator>(other, name());
-  values_.insert(values_.end(), o.values_.begin(), o.values_.end());
-}
 
 std::span<const double> QuantileAggregator::Sorted() const {
   const auto tail = values_.begin() + static_cast<ptrdiff_t>(sorted_);
@@ -195,12 +54,8 @@ std::span<const double> QuantileAggregator::Sorted() const {
 }
 
 double QuantileAggregator::Value() const {
-  if (values_.empty()) return kNan;
+  if (values_.empty()) return std::numeric_limits<double>::quiet_NaN();
   return InterpolateSorted(Sorted(), q_);
-}
-
-std::unique_ptr<Aggregator> QuantileAggregator::MakeEmpty() const {
-  return std::make_unique<QuantileAggregator>(q_);
 }
 
 std::string AggregateSpec::Describe() const {
@@ -279,22 +134,19 @@ std::unique_ptr<Aggregator> MakeAggregator(const AggregateSpec& spec) {
   STREAMQ_CHECK_OK(spec.Validate());
   switch (spec.kind) {
     case AggKind::kCount:
-      return std::make_unique<CountAggregator>();
+      return std::make_unique<InlineAggregator<AggKind::kCount>>();
     case AggKind::kSum:
-      return std::make_unique<SumAggregator>();
+      return std::make_unique<InlineAggregator<AggKind::kSum>>();
     case AggKind::kMean:
-      return std::make_unique<MomentsAggregator>(
-          MomentsAggregator::Stat::kMean);
+      return std::make_unique<InlineAggregator<AggKind::kMean>>();
     case AggKind::kMin:
-      return std::make_unique<MinMaxAggregator>(/*is_min=*/true);
+      return std::make_unique<InlineAggregator<AggKind::kMin>>();
     case AggKind::kMax:
-      return std::make_unique<MinMaxAggregator>(/*is_min=*/false);
+      return std::make_unique<InlineAggregator<AggKind::kMax>>();
     case AggKind::kVariance:
-      return std::make_unique<MomentsAggregator>(
-          MomentsAggregator::Stat::kVariance);
+      return std::make_unique<InlineAggregator<AggKind::kVariance>>();
     case AggKind::kStdDev:
-      return std::make_unique<MomentsAggregator>(
-          MomentsAggregator::Stat::kStdDev);
+      return std::make_unique<InlineAggregator<AggKind::kStdDev>>();
     case AggKind::kMedian:
       return std::make_unique<QuantileAggregator>(0.5);
     case AggKind::kQuantile:

@@ -5,7 +5,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -23,7 +22,7 @@ enum class AggKind {
   kStdDev,
   kMedian,
   kQuantile,       // Arbitrary q, exact (stores values).
-  kDistinctCount,  // Exact distinct count of (bit-exact) values.
+  kDistinctCount,  // Exact distinct count of values (equal under ==).
 };
 
 /// Parameterized aggregate selection.
@@ -42,8 +41,11 @@ struct AggregateSpec {
 /// "stddev", "median", "quantile:<q>" (e.g. "quantile:0.9"), "distinct".
 Result<AggregateSpec> ParseAggregateSpec(const std::string& text);
 
-/// Incremental accumulator for one window instance. Implementations are
-/// mergeable so partial (pre-)aggregation and tests can combine them.
+/// Incremental accumulator for one window instance: the cold-path face of
+/// an aggregate (oracle, value-error model, session windows, heavy window
+/// slots). The window operator folds the light kinds straight into
+/// AggregateState (agg/aggregate_state.h); MakeAggregator wraps the same
+/// state, so both paths run one implementation.
 class Aggregator {
  public:
   virtual ~Aggregator() = default;
@@ -51,45 +53,31 @@ class Aggregator {
   /// Folds one value in.
   virtual void Add(double v) = 0;
 
-  /// Merges another accumulator of the same concrete type. Aborts on type
-  /// mismatch (programming error).
-  virtual void Merge(const Aggregator& other) = 0;
-
   /// Current aggregate value. Result for an empty window is
-  /// aggregate-specific (0 for count/sum, NaN for mean/min/max/quantiles).
+  /// aggregate-specific (0 for count/sum/distinct, NaN otherwise).
   virtual double Value() const = 0;
 
   /// Number of values folded in.
   virtual int64_t count() const = 0;
-
-  /// Fresh empty accumulator of the same kind.
-  virtual std::unique_ptr<Aggregator> MakeEmpty() const = 0;
-
-  virtual std::string_view name() const = 0;
 };
 
 /// Exact quantile over every folded value (the median and quantile kinds).
-/// values_[0, sorted_) is kept ascending and Add/Merge append to an
-/// unsorted tail; Sorted() sorts only the tail and merges it in place, so
-/// a read after k new values costs O(k log k + n) instead of a copy and a
-/// full sort. The window operator also keeps one of these per pane and
-/// reads Sorted() as that pane's run (window/window_operator.h).
+/// values_[0, sorted_) is kept ascending and Add appends to an unsorted
+/// tail; Sorted() sorts only the tail and merges it in place, so a read
+/// after k new values costs O(k log k + n) instead of a copy and a full
+/// sort. The window operator also keeps one of these per pane and reads
+/// Sorted() as that pane's run (window/window_operator.h).
 class QuantileAggregator final : public Aggregator {
  public:
   explicit QuantileAggregator(double q) : q_(q) {}
 
   void Add(double v) override { values_.push_back(v); }
-  void Merge(const Aggregator& other) override;
   double Value() const override;
   int64_t count() const override {
     return static_cast<int64_t>(values_.size());
   }
-  std::unique_ptr<Aggregator> MakeEmpty() const override;
-  std::string_view name() const override {
-    return q_ == 0.5 ? "median" : "quantile";
-  }
 
-  /// Every folded value, ascending. Valid until the next Add or Merge.
+  /// Every folded value, ascending. Valid until the next Add.
   std::span<const double> Sorted() const;
 
  private:

@@ -15,9 +15,9 @@ namespace streamq {
 /// aggregate kinds: count, sum, mean, min, max, variance, stddev. The
 /// per-tuple fold is a handful of inlined flops — no heap allocation, no
 /// virtual dispatch. Heavy kinds (median/quantile/distinct) store values and
-/// stay behind the polymorphic Aggregator interface: one accumulator per
-/// window, except median and quantile over tiling windows, which keep one
-/// value run per pane (window/window_operator.h).
+/// stay behind the Aggregator interface: one accumulator per window, except
+/// median and quantile over tiling windows, which keep one value run per
+/// pane (window/window_operator.h).
 ///
 /// Field meaning depends on the kind (the tag lives at the operator level —
 /// one operator instance aggregates one kind, so states carry no tag byte):
@@ -28,11 +28,14 @@ namespace streamq {
 ///   mean/var/stddev    Welford mean  Welford M2      count
 ///   min/max            extreme       —               count
 ///
-/// Equivalence contract: every fold/merge/value below replicates the
-/// corresponding polymorphic Aggregator (agg/aggregate.cc) operation
-/// for operation, in the same order — Kahan-compensated sum, Welford
-/// update, Chan merge — so a sequence of folds produces bit-identical
-/// results on either implementation (agg_state_test pins this).
+/// This is the only production implementation of the light kinds: the
+/// window operator folds these states directly, and MakeAggregator wraps
+/// them for the cold paths (oracle, value-error model, session windows).
+/// Equivalence contract: every fold/merge/value below matches the
+/// hand-written reference aggregators (tests/reference/reference_aggregate.h)
+/// operation for operation, in the same order — Kahan-compensated sum,
+/// Welford update, Chan merge — so a sequence of folds produces
+/// bit-identical results on either (aggregate_state_test pins this).
 struct AggregateState {
   double f0 = 0.0;
   double f1 = 0.0;
@@ -84,7 +87,7 @@ namespace agg_internal {
 constexpr double kStateNan = std::numeric_limits<double>::quiet_NaN();
 }
 
-/// Folds one value in. Replicates the matching Aggregator::Add bit-for-bit.
+/// Folds one value in.
 template <AggKind K>
 inline void InlineFold(AggregateState& s, double v) {
   static_assert(IsInlineAggKind(K));
@@ -112,8 +115,8 @@ inline void InlineFold(AggregateState& s, double v) {
   }
 }
 
-/// Merges a partial state in. Replicates Aggregator::Merge bit-for-bit
-/// (Kahan add of the partial sum, Chan et al. moment combination).
+/// Merges a partial state in (Kahan add of the partial sum, Chan et al.
+/// moment combination).
 template <AggKind K>
 inline void InlineMerge(AggregateState& s, const AggregateState& o) {
   static_assert(IsInlineAggKind(K));
@@ -150,8 +153,8 @@ inline void InlineMerge(AggregateState& s, const AggregateState& o) {
   }
 }
 
-/// Current aggregate value; same empty-window conventions as the
-/// polymorphic Aggregators (0 for count/sum, NaN otherwise).
+/// Current aggregate value: 0 for an empty count/sum window, NaN for the
+/// other kinds.
 template <AggKind K>
 inline double InlineValue(const AggregateState& s) {
   static_assert(IsInlineAggKind(K));

@@ -34,6 +34,12 @@ std::string RunReport::ToString() const {
   return out;
 }
 
+void RunReport::SetWallSeconds(double seconds) {
+  wall_seconds = seconds;
+  throughput_eps =
+      seconds > 0.0 ? static_cast<double>(events_processed) / seconds : 0.0;
+}
+
 void ValidatedFeed::Feed(const Event& e, DisorderHandler* handler,
                          EventSink* sink) {
   if (validation_ != IngestValidation::kOff) [[unlikely]] {
@@ -103,25 +109,17 @@ void QueryExecutor::FeedHeartbeat(TimestampUs event_time_bound,
 
 void QueryExecutor::Finish() { handler_->Flush(window_op_.get()); }
 
-RunReport QueryExecutor::Run(EventSource* source, size_t batch_size) {
+RunReport QueryExecutor::Run(EventSource* source) {
   const TimestampUs start = WallClockMicros();
-  if (batch_size == 0) {
-    Event e;
-    while (source->Next(&e)) {
-      Feed(e);
-      if (!feed_.status().ok()) break;
+  std::vector<Event> chunk;
+  chunk.reserve(kDefaultRunBatchSize);
+  while (source->NextBatch(&chunk, kDefaultRunBatchSize) > 0) {
+    FeedBatch(chunk);
+    if (observer_ != nullptr) {
+      observer_->OnSourceBatch(static_cast<int64_t>(chunk.size()));
     }
-  } else {
-    std::vector<Event> chunk;
-    chunk.reserve(batch_size);
-    while (source->NextBatch(&chunk, batch_size) > 0) {
-      FeedBatch(chunk);
-      if (observer_ != nullptr) {
-        observer_->OnSourceBatch(static_cast<int64_t>(chunk.size()));
-      }
-      chunk.clear();
-      if (!feed_.status().ok()) break;  // strict validation tripped
-    }
+    chunk.clear();
+    if (!feed_.status().ok()) break;  // strict validation tripped
   }
   Finish();
   wall_seconds_ = ToSeconds(WallClockMicros() - start);
@@ -132,21 +130,27 @@ RunReport QueryExecutor::Run(EventSource* source, size_t batch_size) {
 }
 
 RunReport QueryExecutor::Report() const {
+  return BuildRunReport(query_.name, feed_, *handler_, *window_op_,
+                        result_sink_.results, wall_seconds_);
+}
+
+RunReport BuildRunReport(const std::string& query_name,
+                         const ValidatedFeed& feed,
+                         const DisorderHandler& handler,
+                         const WindowedAggregation& window,
+                         const std::vector<WindowResult>& results,
+                         double wall_seconds) {
   RunReport report;
-  report.query_name = query_.name;
-  report.events_processed = feed_.events_processed();
-  report.events_rejected = feed_.events_rejected();
-  report.status = feed_.status();
-  report.wall_seconds = wall_seconds_;
-  report.throughput_eps =
-      wall_seconds_ > 0.0
-          ? static_cast<double>(report.events_processed) / wall_seconds_
-          : 0.0;
-  report.handler_stats = handler_->stats();
-  report.window_stats = window_op_->stats();
+  report.query_name = query_name;
+  report.events_processed = feed.events_processed();
+  report.events_rejected = feed.events_rejected();
+  report.status = feed.status();
+  report.SetWallSeconds(wall_seconds);
+  report.handler_stats = handler.stats();
+  report.window_stats = window.stats();
   report.results_amended = report.window_stats.revisions;
-  report.results = result_sink_.results;
-  report.final_slack = handler_->current_slack();
+  report.results = results;
+  report.final_slack = handler.current_slack();
   return report;
 }
 

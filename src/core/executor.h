@@ -65,6 +65,9 @@ struct RunReport {
   /// plain sequential runs.
   std::string runtime_config;
 
+  /// Sets wall_seconds and the throughput_eps it implies.
+  void SetWallSeconds(double seconds);
+
   std::string ToString() const;
 };
 
@@ -112,6 +115,16 @@ class ValidatedFeed {
   Status status_;
 };
 
+/// Assembles one query's report from its pipeline: `feed`'s counts and
+/// status, `handler`'s stats and slack, `window`'s stats, its results and
+/// the run's wall time.
+RunReport BuildRunReport(const std::string& query_name,
+                         const ValidatedFeed& feed,
+                         const DisorderHandler& handler,
+                         const WindowedAggregation& window,
+                         const std::vector<WindowResult>& results,
+                         double wall_seconds);
+
 /// Single-query pipeline: EventSource -> DisorderHandler ->
 /// WindowedAggregation -> results. Use Run() for whole-stream execution or
 /// the Feed()/Finish() pair to drive it incrementally (e.g. interleaved with
@@ -140,10 +153,9 @@ class QueryExecutor {
   /// enough to stay cache-resident (512 events * 40 B = 20 KiB).
   static constexpr size_t kDefaultRunBatchSize = 512;
 
-  /// Feed-everything convenience; calls Finish() and returns the report.
-  /// Pulls `batch_size` events at a time through FeedBatch; pass 0 for the
-  /// legacy one-event-at-a-time loop.
-  RunReport Run(EventSource* source, size_t batch_size = kDefaultRunBatchSize);
+  /// Feed-everything convenience: pulls kDefaultRunBatchSize events at a
+  /// time through FeedBatch, calls Finish() and returns the report.
+  RunReport Run(EventSource* source);
 
   /// Results collected so far (also included in the RunReport).
   const std::vector<WindowResult>& results() const {

@@ -82,11 +82,7 @@ std::vector<RunReport> MultiQueryRunner::RunIndependent(EventSource* source) {
     RunReport r = exec->Report();
     // The executors were driven externally; charge the shared loop's wall
     // time to every report (Feed/Finish do not time themselves).
-    r.wall_seconds = wall_seconds;
-    r.throughput_eps = wall_seconds > 0.0
-                           ? static_cast<double>(r.events_processed) /
-                                 wall_seconds
-                           : 0.0;
+    r.SetWallSeconds(wall_seconds);
     reports.push_back(std::move(r));
   }
   return reports;
@@ -127,22 +123,9 @@ std::vector<RunReport> MultiQueryRunner::RunShared(EventSource* source) {
   std::vector<RunReport> reports;
   reports.reserve(queries_.size());
   for (size_t i = 0; i < queries_.size(); ++i) {
-    RunReport r;
-    r.query_name = queries_[i].name;
-    r.events_processed = feed.events_processed();
-    r.events_rejected = feed.events_rejected();
-    r.status = feed.status();
-    r.wall_seconds = wall_seconds;
-    r.throughput_eps = wall_seconds > 0.0
-                           ? static_cast<double>(r.events_processed) /
-                                 wall_seconds
-                           : 0.0;
-    r.handler_stats = handler->stats();
-    r.window_stats = window_ops[i]->stats();
-    r.results_amended = r.window_stats.revisions;
-    r.results = result_sinks[i]->results;
-    r.final_slack = handler->current_slack();
-    reports.push_back(std::move(r));
+    reports.push_back(BuildRunReport(queries_[i].name, feed, *handler,
+                                     *window_ops[i], result_sinks[i]->results,
+                                     wall_seconds));
   }
   return reports;
 }

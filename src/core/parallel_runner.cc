@@ -355,11 +355,7 @@ std::vector<RunReport> RunIndependent(const std::vector<ContinuousQuery>& querie
   for (size_t i = 0; i < n; ++i) {
     RunReport r = run.Report(i);
     // Workers do not time themselves; charge the shared parallel wall time.
-    r.wall_seconds = wall_seconds;
-    r.throughput_eps =
-        wall_seconds > 0.0
-            ? static_cast<double>(r.events_processed) / wall_seconds
-            : 0.0;
+    r.SetWallSeconds(wall_seconds);
     r.runtime_config = cfg;
     reports.push_back(std::move(r));
   }
@@ -588,7 +584,6 @@ KeyedOutcome RunSharded(const ContinuousQuery& query, size_t num_workers,
   // Merge shard reports into one.
   RunReport& merged = out.merged;
   merged.query_name = query.name;
-  merged.wall_seconds = wall_seconds;
   merged.runtime_config = cfg;
   for (size_t v = 0; v < V; ++v) {
     RunReport r = run.Report(v);
@@ -623,10 +618,7 @@ KeyedOutcome RunSharded(const ContinuousQuery& query, size_t num_workers,
                           std::make_move_iterator(r.results.end()));
   }
   merged.segments_stolen = out.steals;
-  merged.throughput_eps =
-      wall_seconds > 0.0
-          ? static_cast<double>(merged.events_processed) / wall_seconds
-          : 0.0;
+  merged.SetWallSeconds(wall_seconds);
   std::stable_sort(merged.results.begin(), merged.results.end(),
                    [](const WindowResult& a, const WindowResult& b) {
                      return std::tie(a.bounds.start, a.key, a.revision_index) <

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <map>
-#include <memory>
-#include <utility>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -29,22 +27,19 @@ double ProbeCoverage(const std::vector<Event>& events,
                      int trials, Rng* rng) {
   double total_quality = 0.0;
   int64_t total_windows = 0;
+  std::vector<Event> thinned;
   for (int trial = 0; trial < trials; ++trial) {
-    std::map<std::pair<TimestampUs, int64_t>, std::unique_ptr<Aggregator>>
-        accs;
+    thinned.clear();
     for (const Event& e : events) {
-      if (!rng->NextBool(coverage)) continue;
-      for (const WindowBounds& w : AssignWindows(window, e.event_time)) {
-        auto& acc = accs[{w.start, e.key}];
-        if (!acc) acc = MakeAggregator(aggregate);
-        acc->Add(e.value);
-      }
+      if (rng->NextBool(coverage)) thinned.push_back(e);
     }
+    const OracleEvaluator thinned_results(thinned, window, aggregate);
     for (const WindowResult& truth : oracle.results()) {
-      const auto it = accs.find({truth.bounds.start, truth.key});
+      const WindowResult* r =
+          thinned_results.Lookup(truth.bounds.start, truth.key);
       double quality = 0.0;  // Fully-missed window.
-      if (it != accs.end()) {
-        const double produced = it->second->Value();
+      if (r != nullptr) {
+        const double produced = r->value;
         if (std::isnan(truth.value) && std::isnan(produced)) {
           quality = 1.0;
         } else if (std::isnan(produced) || std::isnan(truth.value)) {

@@ -1,7 +1,8 @@
-// Pins the inline AggregateState fold/merge/value against the polymorphic
-// Aggregators bit-for-bit: the hot window engine relies on this equivalence
-// to produce byte-identical results to the std::map reference engine in
-// tests/reference/.
+// Pins the inline AggregateState fold/merge/value, and the production
+// MakeAggregator that wraps it, against the hand-written reference
+// aggregators (tests/reference/reference_aggregate.h) bit-for-bit: the hot
+// window engine relies on this equivalence to produce byte-identical
+// results to the std::map reference engine in tests/reference/.
 
 #include <bit>
 #include <cmath>
@@ -13,6 +14,8 @@
 
 #include "agg/aggregate.h"
 #include "agg/aggregate_state.h"
+#include "tests/reference/reference_aggregate.h"
+#include "tests/test_util.h"
 
 namespace streamq {
 namespace {
@@ -20,6 +23,14 @@ namespace {
 const std::vector<AggKind> kInlineKinds = {
     AggKind::kCount, AggKind::kSum,      AggKind::kMean,  AggKind::kMin,
     AggKind::kMax,   AggKind::kVariance, AggKind::kStdDev};
+
+const std::vector<AggKind> kAllKinds = {
+    AggKind::kCount,    AggKind::kSum,    AggKind::kMean,
+    AggKind::kMin,      AggKind::kMax,    AggKind::kVariance,
+    AggKind::kStdDev,   AggKind::kMedian, AggKind::kQuantile,
+    AggKind::kDistinctCount};
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
 
 std::vector<double> RandomValues(size_t n, uint64_t seed) {
   std::mt19937_64 rng(seed);
@@ -48,29 +59,52 @@ TEST(AggregateStateTest, KindTables) {
   EXPECT_FALSE(PaneMergeIsExact(AggKind::kStdDev));
 }
 
-// Folding any value sequence must match Aggregator::Add bitwise — at every
-// prefix, not just the end (the operator emits at arbitrary points).
+// Folding any value sequence must give the reference's value bitwise, at
+// every prefix, not just the end (the operator emits at arbitrary points):
+// through AggregateState for the inline kinds, and through the production
+// MakeAggregator for every kind, so a kind it mis-dispatches fails here.
 TEST(AggregateStateTest, FoldMatchesAggregatorBitwiseAtEveryPrefix) {
-  const std::vector<double> values = RandomValues(500, 7);
-  for (AggKind kind : kInlineKinds) {
+  // One long stream of mixed magnitudes, then many short ones with heavy
+  // ties and zeros of both signs (testutil::WithTiesAndSignedZeros): a
+  // sum, extreme or order statistic that lands on a zero must carry the
+  // reference's sign, and an extreme is zero only early in a stream.
+  std::vector<std::vector<double>> streams = {RandomValues(500, 7)};
+  std::mt19937_64 rng(8);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (int i = 0; i < 40; ++i) {
+    std::vector<Event> events(30);
+    for (Event& e : events) e.value = unit(rng);
+    std::vector<double>& values = streams.emplace_back();
+    for (const Event& e : testutil::WithTiesAndSignedZeros(events)) {
+      values.push_back(e.value);
+    }
+  }
+  for (AggKind kind : kAllKinds) {
     SCOPED_TRACE(static_cast<int>(kind));
     AggregateSpec spec;
     spec.kind = kind;
-    auto acc = MakeAggregator(spec);
-    AggregateState s;
-    for (double v : values) {
-      InlineFoldDyn(kind, s, v);
-      acc->Add(v);
-      EXPECT_EQ(acc->count(), s.n);
-      const double got = InlineValueDyn(kind, s);
-      const double want = acc->Value();
-      // Bitwise, not EXPECT_DOUBLE_EQ: the engines must be exchangeable.
-      EXPECT_EQ(std::bit_cast<uint64_t>(want), std::bit_cast<uint64_t>(got));
+    spec.quantile_q = 0.9;
+    for (const std::vector<double>& values : streams) {
+      auto want_acc = reference::MakeReferenceAggregator(spec);
+      auto acc = MakeAggregator(spec);
+      AggregateState s;
+      for (double v : values) {
+        want_acc->Add(v);
+        acc->Add(v);
+        const double want = want_acc->Value();
+        // Bitwise, not EXPECT_DOUBLE_EQ: the engines must be exchangeable.
+        ASSERT_EQ(Bits(want), Bits(acc->Value()));
+        ASSERT_EQ(want_acc->count(), acc->count());
+        if (!IsInlineAggKind(kind)) continue;
+        InlineFoldDyn(kind, s, v);
+        ASSERT_EQ(want_acc->count(), s.n);
+        ASSERT_EQ(Bits(want), Bits(InlineValueDyn(kind, s)));
+      }
     }
   }
 }
 
-// Merging split partials must match Aggregator::Merge bitwise.
+// Merging split partials must match the reference Merge bitwise.
 TEST(AggregateStateTest, MergeMatchesAggregatorMergeBitwise) {
   const std::vector<double> values = RandomValues(400, 11);
   for (AggKind kind : kInlineKinds) {
@@ -78,8 +112,8 @@ TEST(AggregateStateTest, MergeMatchesAggregatorMergeBitwise) {
     AggregateSpec spec;
     spec.kind = kind;
     for (size_t split : {size_t{0}, size_t{1}, size_t{137}, values.size()}) {
-      auto a = MakeAggregator(spec);
-      auto b = MakeAggregator(spec);
+      auto a = reference::MakeReferenceAggregator(spec);
+      auto b = reference::MakeReferenceAggregator(spec);
       AggregateState sa, sb;
       for (size_t i = 0; i < values.size(); ++i) {
         if (i < split) {
@@ -93,8 +127,7 @@ TEST(AggregateStateTest, MergeMatchesAggregatorMergeBitwise) {
       a->Merge(*b);
       InlineMergeDyn(kind, sa, sb);
       EXPECT_EQ(a->count(), sa.n);
-      EXPECT_EQ(std::bit_cast<uint64_t>(a->Value()),
-                std::bit_cast<uint64_t>(InlineValueDyn(kind, sa)));
+      EXPECT_EQ(Bits(a->Value()), Bits(InlineValueDyn(kind, sa)));
     }
   }
 }
@@ -135,7 +168,7 @@ TEST(AggregateStateTest, EmptyStateConventionsMatchAggregators) {
     SCOPED_TRACE(static_cast<int>(kind));
     AggregateSpec spec;
     spec.kind = kind;
-    auto acc = MakeAggregator(spec);
+    auto acc = reference::MakeReferenceAggregator(spec);
     AggregateState s;
     const double want = acc->Value();
     const double got = InlineValueDyn(kind, s);

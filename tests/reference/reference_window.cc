@@ -1,60 +1,13 @@
 #include "tests/reference/reference_window.h"
 
 #include <algorithm>
-#include <limits>
-#include <vector>
 
 #include "common/logging.h"
-#include "common/stats.h"
 #include "disorder/handler_factory.h"
+#include "tests/reference/reference_aggregate.h"
 
 namespace streamq {
 namespace reference {
-
-namespace {
-
-/// Exact quantile the plain way: keep every value, copy and fully sort on
-/// each read. The library's quantile aggregate keeps its values
-/// incrementally sorted, so the equivalence suites check that state
-/// against a full sort instead of against itself.
-class CopySortQuantile : public Aggregator {
- public:
-  explicit CopySortQuantile(double q) : q_(q) {}
-
-  void Add(double v) override { values_.push_back(v); }
-  void Merge(const Aggregator& other) override {
-    const auto& o = dynamic_cast<const CopySortQuantile&>(other);
-    values_.insert(values_.end(), o.values_.begin(), o.values_.end());
-  }
-  double Value() const override {
-    if (values_.empty()) return std::numeric_limits<double>::quiet_NaN();
-    return ExactQuantile(values_, q_);
-  }
-  int64_t count() const override {
-    return static_cast<int64_t>(values_.size());
-  }
-  std::unique_ptr<Aggregator> MakeEmpty() const override {
-    return std::make_unique<CopySortQuantile>(q_);
-  }
-  std::string_view name() const override { return "reference_quantile"; }
-
- private:
-  double q_;
-  std::vector<double> values_;
-};
-
-std::unique_ptr<Aggregator> MakeReferenceAggregator(const AggregateSpec& spec) {
-  switch (spec.kind) {
-    case AggKind::kMedian:
-      return std::make_unique<CopySortQuantile>(0.5);
-    case AggKind::kQuantile:
-      return std::make_unique<CopySortQuantile>(spec.quantile_q);
-    default:
-      return MakeAggregator(spec);
-  }
-}
-
-}  // namespace
 
 ReferenceWindowedAggregation::ReferenceWindowedAggregation(
     const Options& options, WindowResultSink* sink)

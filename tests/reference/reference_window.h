@@ -2,11 +2,10 @@
 #define STREAMQ_TESTS_REFERENCE_REFERENCE_WINDOW_H_
 
 // Reference window operator for equivalence tests: the plain std::map over
-// (window start, key) with one polymorphic Aggregator per window (median
-// and quantile use a copy-and-ExactQuantile accumulator of its own, not
-// the library's incrementally sorted one). Slow and obviously correct;
-// WindowedAggregation's engines (kHot, kAmend) are pinned byte-for-byte
-// against it. Not part of the library.
+// (window start, key) with one reference accumulator per window
+// (reference_aggregate.h; none of the library's accumulators). Slow and
+// obviously correct; WindowedAggregation's engines (kHot, kAmend) are
+// pinned byte-for-byte against it. Not part of the library.
 
 #include <cstdint>
 #include <map>
