@@ -2,6 +2,7 @@
 #define STREAMQ_AGG_AGGREGATE_H_
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -66,7 +67,8 @@ class Aggregator {
 /// tail; Sorted() sorts only the tail and merges it in place, so a read
 /// after k new values costs O(k log k + n) instead of a copy and a full
 /// sort. The window operator also keeps one of these per pane and reads
-/// Sorted() as that pane's run (window/window_operator.h).
+/// Sorted() as that pane's run (window/window_operator.h), and the first
+/// pane of a window keeps that window's selection hint.
 class QuantileAggregator final : public Aggregator {
  public:
   explicit QuantileAggregator(double q) : q_(q) {}
@@ -80,8 +82,14 @@ class QuantileAggregator final : public Aggregator {
   /// Every folded value, ascending. Valid until the next Add.
   std::span<const double> Sorted() const;
 
+  /// The value the window starting at this pane last selected across its
+  /// panes' runs (InterpolateRuns' hint); NaN before its first emission.
+  double selection_hint() const { return selection_hint_; }
+  void set_selection_hint(double v) { selection_hint_ = v; }
+
  private:
   double q_;
+  double selection_hint_ = std::numeric_limits<double>::quiet_NaN();
   // Sorted() sorts behind the const interface; every accumulator has a
   // single owner, so no reader races the in-place sort.
   mutable std::vector<double> values_;

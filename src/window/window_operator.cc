@@ -307,8 +307,13 @@ void WindowedAggregation::EmitSlot(Store* store, TimestampUs window_start,
     r.tuple_count = slot.state.n;
   } else if (pane_runs_) {
     r.tuple_count = GatherRuns(store, window_start, slot);
-    r.value = r.tuple_count == 0 ? std::numeric_limits<double>::quiet_NaN()
-                                 : InterpolateRuns(runs_, run_q_);
+    // Selection starts from the value this window selected last. A
+    // revision follows one late value, so its answer is a step or two away.
+    QuantileAggregator& own = RunOf(slot);
+    r.value = r.tuple_count == 0
+                  ? std::numeric_limits<double>::quiet_NaN()
+                  : InterpolateRuns(runs_, run_q_, own.selection_hint());
+    own.set_selection_hint(r.value);
   } else {
     r.value = slot.acc->Value();
     r.tuple_count = slot.acc->count();

@@ -60,8 +60,10 @@ class CollectingResultSink : public WindowResultSink {
 ///    slot at (start p, key) holds only the values with event time in
 ///    [p, p + slide), and a window's value is the order statistic selected
 ///    across the runs of its size/slide panes (InterpolateRuns), with no
-///    merge and no copy. Other heavy cases (distinct, non-tiling
-///    quantiles) keep one polymorphic accumulator per window slot.
+///    merge and no copy. The window's own pane keeps the value it last
+///    selected, and a revision selects again starting from it. Other
+///    heavy cases (distinct, non-tiling quantiles) keep one polymorphic
+///    accumulator per window slot.
 ///  * kAmend — the same inline-state hot path over an `AmendWindowStore`
 ///    (finger-hinted B-tree over window starts) instead of the slide-
 ///    aligned ring: tuples may reach OnEvent *out of order* and amend
