@@ -33,15 +33,10 @@ namespace {
 constexpr int kReps = 3;  // Best-of-N wall time per configuration.
 
 DisorderHandlerSpec BenchSpec(bool adaptive) {
-  DisorderHandlerSpec s;
-  if (adaptive) {
-    AqKSlack::Options aq;
-    aq.target_quality = 0.95;
-    s = DisorderHandlerSpec::Aq(aq);
-  } else {
-    s = DisorderHandlerSpec::Fixed(Millis(30));
-  }
-  return s.WithLatencySamples(false);
+  if (!adaptive) return DisorderHandlerSpec::Fixed(Millis(30));
+  AqKSlack::Options aq;
+  aq.target_quality = 0.95;
+  return DisorderHandlerSpec::Aq(aq);
 }
 
 ContinuousQuery BenchQuery(const std::string& name, bool adaptive) {
@@ -175,8 +170,7 @@ void ParallelQueries(const GeneratedWorkload& w) {
 void ShardedKeyed(const GeneratedWorkload& w) {
   ContinuousQuery q;
   q.name = "keyed";
-  q.handler =
-      DisorderHandlerSpec::Fixed(Millis(30)).PerKey().WithLatencySamples(false);
+  q.handler = DisorderHandlerSpec::Fixed(Millis(30)).PerKey();
   q.window.window = WindowSpec::Tumbling(Millis(50));
   q.window.aggregate.kind = AggKind::kSum;
   q.window.per_key_watermarks = true;

@@ -129,8 +129,7 @@ std::vector<Event> KeyedStream(size_t n, int64_t num_keys, bool bursty) {
 /// numbers) but its releases still fold into the checksum.
 RunOutcome RunKeyed(const DisorderHandlerSpec& spec,
                     const std::vector<Event>& events, size_t batch) {
-  std::unique_ptr<DisorderHandler> handler =
-      MakeDisorderHandlerOrDie(spec.WithLatencySamples(false));
+  std::unique_ptr<DisorderHandler> handler = MakeDisorderHandlerOrDie(spec);
   ChecksumSink sink;
   const std::span<const Event> stream(events);
   const auto t0 = std::chrono::steady_clock::now();

@@ -107,8 +107,7 @@ struct RunOutcome {
 /// outside the timer but inside the checksum.
 RunOutcome RunOnce(const DisorderHandlerSpec& spec,
                    const std::vector<Event>& events) {
-  std::unique_ptr<DisorderHandler> handler =
-      MakeDisorderHandlerOrDie(spec.WithLatencySamples(false));
+  std::unique_ptr<DisorderHandler> handler = MakeDisorderHandlerOrDie(spec);
   ChecksumSink sink;
   const std::span<const Event> stream(events);
   constexpr size_t kBatch = 256;

@@ -50,12 +50,11 @@ void Run() {
 
   const int64_t kSampleEvery = 2000;
 
-  FixedKSlack fixed(Millis(30), /*collect_latency_samples=*/false);
-  MpKSlack mp(MpKSlack::Options{}, /*collect_latency_samples=*/false);
+  FixedKSlack fixed(Millis(30));
+  MpKSlack mp(MpKSlack::Options{});
   AqKSlack::Options aq_options;
   aq_options.target_quality = 0.95;
-  AqKSlack aq(aq_options, /*quality_model=*/nullptr,
-              /*collect_latency_samples=*/false);
+  AqKSlack aq(aq_options);
 
   const auto fixed_trace = TraceSlack(&fixed, w.arrival_order, kSampleEvery);
   const auto mp_trace = TraceSlack(&mp, w.arrival_order, kSampleEvery);

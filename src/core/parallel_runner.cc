@@ -601,10 +601,6 @@ KeyedOutcome RunSharded(const ContinuousQuery& query, size_t num_workers,
     merged.handler_stats.max_buffer_size += r.handler_stats.max_buffer_size;
     merged.handler_stats.buffering_latency_us.Merge(
         r.handler_stats.buffering_latency_us);
-    merged.handler_stats.latency_samples.insert(
-        merged.handler_stats.latency_samples.end(),
-        r.handler_stats.latency_samples.begin(),
-        r.handler_stats.latency_samples.end());
     merged.window_stats.events += r.window_stats.events;
     merged.window_stats.late_applied += r.window_stats.late_applied;
     merged.window_stats.late_dropped += r.window_stats.late_dropped;

@@ -3,10 +3,8 @@
 namespace streamq {
 
 AqKSlack::AqKSlack(const Options& options,
-                   std::unique_ptr<QualityModel> quality_model,
-                   bool collect_latency_samples)
-    : BufferedHandlerBase(collect_latency_samples),
-      controller_(options, std::move(quality_model)) {}
+                   std::unique_ptr<QualityModel> quality_model)
+    : controller_(options, std::move(quality_model)) {}
 
 void AqKSlack::OnEvent(const Event& e, EventSink* sink) {
   ObserveLateness(e);

@@ -25,8 +25,7 @@ class AqKSlack : public BufferedHandlerBase {
   /// `quality_model` translates coverage to result quality for the
   /// downstream aggregate (defaults to the identity/coverage model).
   explicit AqKSlack(const Options& options,
-                    std::unique_ptr<QualityModel> quality_model = nullptr,
-                    bool collect_latency_samples = true);
+                    std::unique_ptr<QualityModel> quality_model = nullptr);
 
   std::string_view name() const override { return "aq-kslack"; }
 

@@ -22,9 +22,6 @@ namespace streamq {
 /// release instead of one OnEvent per tuple.
 class BufferedHandlerBase : public DisorderHandler {
  public:
-  explicit BufferedHandlerBase(bool collect_latency_samples = true)
-      : DisorderHandler(collect_latency_samples) {}
-
   size_t buffered() const override { return buffer_.size(); }
 
   void set_buffer_cap(size_t max_buffered_events, ShedPolicy policy) override {

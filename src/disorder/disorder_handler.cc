@@ -44,23 +44,7 @@ void DisorderHandler::RecordRelease(const Event& released, TimestampUs now) {
   const auto latency =
       static_cast<double>(std::max<TimestampUs>(0, now - released.arrival_time));
   stats_.buffering_latency_us.Add(latency);
-  if (collect_latency_samples_) {
-    AddLatencySample(latency);
-  }
   if (observer_ != nullptr) observer_->OnBufferingLatency(latency);
-}
-
-void DisorderHandler::AddLatencySample(double latency) {
-  ++latency_samples_seen_;
-  std::vector<double>& samples = stats_.latency_samples;
-  if (samples.size() < latency_sample_cap_) {
-    samples.push_back(latency);
-    return;
-  }
-  const int64_t j = sample_rng_.NextInt(0, latency_samples_seen_ - 1);
-  if (j < static_cast<int64_t>(latency_sample_cap_)) {
-    samples[static_cast<size_t>(j)] = latency;
-  }
 }
 
 }  // namespace streamq

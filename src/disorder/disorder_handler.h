@@ -5,9 +5,7 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
-#include "common/rng.h"
 #include "common/stats.h"
 #include "common/time.h"
 #include "disorder/event_sink.h"
@@ -63,14 +61,10 @@ struct DisorderHandlerStats {
 
   /// Per-tuple buffering latency in microseconds of stream (arrival) time:
   /// the gap between a tuple's arrival and the arrival that triggered its
-  /// release. Zero for tuples forwarded immediately.
+  /// release. Zero for tuples forwarded immediately. Moments only: the
+  /// percentiles come from the per-release series that
+  /// PipelineObserver::OnBufferingLatency delivers.
   RunningMoments buffering_latency_us;
-
-  /// Latency sample (kept when `collect_latency_samples` is on), for
-  /// percentile reporting in the evaluation harness. Exact up to the
-  /// handler's latency_sample_cap() releases, a deterministic uniform
-  /// reservoir beyond it — so memory stays bounded on unbounded streams.
-  std::vector<double> latency_samples;
 
   std::string ToString() const;
 };
@@ -83,8 +77,7 @@ struct DisorderHandlerStats {
 /// deterministic and lets experiments measure buffering latency exactly.
 class DisorderHandler {
  public:
-  explicit DisorderHandler(bool collect_latency_samples = true)
-      : collect_latency_samples_(collect_latency_samples) {}
+  DisorderHandler() = default;
   virtual ~DisorderHandler() = default;
 
   DisorderHandler(const DisorderHandler&) = delete;
@@ -160,14 +153,6 @@ class DisorderHandler {
 
   const DisorderHandlerStats& stats() const { return stats_; }
 
-  /// Maximum number of retained latency samples. Up to the cap the sample
-  /// is the complete series (exact percentiles); beyond it, reservoir
-  /// sampling keeps a uniform subset with bounded memory. The default cap
-  /// covers the evaluation harness's stream lengths, so harness percentiles
-  /// stay exact.
-  size_t latency_sample_cap() const { return latency_sample_cap_; }
-  void set_latency_sample_cap(size_t cap) { latency_sample_cap_ = cap; }
-
   /// Installs a read-only instrumentation observer (nullptr = none, the
   /// default). When unset, the hot path pays only a pointer null-check —
   /// no virtual calls (the zero-cost-when-off contract of
@@ -178,25 +163,13 @@ class DisorderHandler {
   }
   PipelineObserver* observer() const { return observer_; }
 
-  static constexpr size_t kDefaultLatencySampleCap = 1u << 18;
-
  protected:
   /// Records a released tuple's buffering latency; `now` is the arrival time
   /// of the tuple whose processing triggered the release.
   void RecordRelease(const Event& released, TimestampUs now);
 
   DisorderHandlerStats stats_;
-  bool collect_latency_samples_;
   PipelineObserver* observer_ = nullptr;
-
- private:
-  /// Vitter's algorithm R over the release series (deterministic seed, so
-  /// equal runs keep equal samples).
-  void AddLatencySample(double latency);
-
-  size_t latency_sample_cap_ = kDefaultLatencySampleCap;
-  int64_t latency_samples_seen_ = 0;
-  Rng sample_rng_{0x5AE571E5u};
 };
 
 }  // namespace streamq

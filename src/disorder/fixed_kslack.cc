@@ -4,8 +4,7 @@
 
 namespace streamq {
 
-FixedKSlack::FixedKSlack(DurationUs k, bool collect_latency_samples)
-    : BufferedHandlerBase(collect_latency_samples), k_(k) {
+FixedKSlack::FixedKSlack(DurationUs k) : k_(k) {
   STREAMQ_CHECK_GE(k, 0);
 }
 

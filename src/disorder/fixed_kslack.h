@@ -12,7 +12,7 @@ namespace streamq {
 class FixedKSlack : public BufferedHandlerBase {
  public:
   /// `k` is the slack in event-time microseconds (>= 0).
-  explicit FixedKSlack(DurationUs k, bool collect_latency_samples = true);
+  explicit FixedKSlack(DurationUs k);
 
   std::string_view name() const override { return "fixed-kslack"; }
 

@@ -25,13 +25,6 @@ DisorderHandlerSpec DisorderHandlerSpec::PerKey(bool enabled) const {
   return s;
 }
 
-DisorderHandlerSpec DisorderHandlerSpec::WithLatencySamples(
-    bool enabled) const {
-  DisorderHandlerSpec s = *this;
-  s.collect_latency_samples = enabled;
-  return s;
-}
-
 DisorderHandlerSpec DisorderHandlerSpec::WithBufferCap(
     size_t max_buffered_events, ShedPolicy policy) const {
   DisorderHandlerSpec s = *this;
@@ -223,32 +216,28 @@ std::unique_ptr<DisorderHandler> BuildHandlerInner(
     // The keyed wrapper enforces the cap as one global budget across all
     // keys; shards stay uncapped (max_slack still reaches them below).
     inner.max_buffered_events = 0;
-    // The wrapper records every release itself; shard series go unread.
-    inner.collect_latency_samples = false;
     return std::make_unique<KeyedDisorderHandler>(
-        [inner] { return BuildHandler(inner); }, spec.collect_latency_samples);
+        [inner] { return BuildHandler(inner); });
   }
-  const bool samples = spec.collect_latency_samples;
   const auto model = [&spec]() -> std::unique_ptr<QualityModel> {
     if (spec.quality_gamma <= 0.0) return nullptr;  // coverage model
     return MakePowerQualityModel(spec.quality_gamma);
   };
   switch (spec.kind) {
     case DisorderHandlerSpec::Kind::kPassThrough:
-      return std::make_unique<PassThrough>(samples);
+      return std::make_unique<PassThrough>();
     case DisorderHandlerSpec::Kind::kFixedKSlack:
-      return std::make_unique<FixedKSlack>(spec.fixed_k, samples);
+      return std::make_unique<FixedKSlack>(spec.fixed_k);
     case DisorderHandlerSpec::Kind::kMpKSlack:
-      return std::make_unique<MpKSlack>(spec.mp, samples);
+      return std::make_unique<MpKSlack>(spec.mp);
     case DisorderHandlerSpec::Kind::kAqKSlack:
-      return std::make_unique<AqKSlack>(spec.quality, model(), samples);
+      return std::make_unique<AqKSlack>(spec.quality, model());
     case DisorderHandlerSpec::Kind::kLbKSlack:
-      return std::make_unique<LbKSlack>(spec.lb, samples);
+      return std::make_unique<LbKSlack>(spec.lb);
     case DisorderHandlerSpec::Kind::kWatermark:
-      return std::make_unique<WatermarkReorderer>(spec.wm, samples);
+      return std::make_unique<WatermarkReorderer>(spec.wm);
     case DisorderHandlerSpec::Kind::kSpeculative:
-      return std::make_unique<SpeculativeHandler>(spec.quality, model(),
-                                                  samples);
+      return std::make_unique<SpeculativeHandler>(spec.quality, model());
   }
   STREAMQ_LOG(Fatal) << "unknown disorder handler kind";
   return nullptr;

@@ -45,11 +45,6 @@ struct DisorderHandlerSpec {
   /// keys have heterogeneous delay distributions. Ignored for kPassThrough.
   bool per_key = false;
 
-  /// The one switch for per-release latency sampling: false disables the
-  /// sample vector for every kind — throughput benches use it to keep the
-  /// hot path free of sample bookkeeping.
-  bool collect_latency_samples = true;
-
   /// Hard cap on buffered tuples (0 = unbounded). Applied to the top-level
   /// handler only: for a per-key spec the keyed wrapper enforces it as one
   /// global budget across all keys (shards stay uncapped).
@@ -83,7 +78,6 @@ struct DisorderHandlerSpec {
   /// Chainable modifiers: return an adjusted copy, so specs compose in one
   /// expression, e.g. DisorderHandlerSpec::Fixed(Seconds(1)).PerKey().
   DisorderHandlerSpec PerKey(bool enabled = true) const;
-  DisorderHandlerSpec WithLatencySamples(bool enabled) const;
   /// Bounded-memory degradation: cap the buffer at `max_buffered_events`
   /// tuples, shedding per `policy` (0 removes the cap).
   DisorderHandlerSpec WithBufferCap(

@@ -7,9 +7,8 @@
 
 namespace streamq {
 
-LbKSlack::LbKSlack(const Options& options, bool collect_latency_samples)
-    : BufferedHandlerBase(collect_latency_samples),
-      options_(options),
+LbKSlack::LbKSlack(const Options& options)
+    : options_(options),
       lateness_sketch_(options.sketch_window),
       pi_(PiController::Options{
           .kp = options.kp,

@@ -39,8 +39,7 @@ class LbKSlack : public BufferedHandlerBase {
     double max_step = 0.05;
   };
 
-  explicit LbKSlack(const Options& options,
-                    bool collect_latency_samples = true);
+  explicit LbKSlack(const Options& options);
 
   std::string_view name() const override { return "lb-kslack"; }
 

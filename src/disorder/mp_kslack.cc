@@ -6,9 +6,7 @@
 
 namespace streamq {
 
-MpKSlack::MpKSlack(const Options& options, bool collect_latency_samples)
-    : BufferedHandlerBase(collect_latency_samples),
-      options_(options) {
+MpKSlack::MpKSlack(const Options& options) : options_(options) {
   STREAMQ_CHECK_GT(options.window_size, 0);
   STREAMQ_CHECK_GE(options.safety_factor, 0.0);
 }

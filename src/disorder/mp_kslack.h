@@ -33,8 +33,7 @@ class MpKSlack : public BufferedHandlerBase {
     double safety_factor = 1.0;
   };
 
-  explicit MpKSlack(const Options& options,
-                    bool collect_latency_samples = true);
+  explicit MpKSlack(const Options& options);
 
   std::string_view name() const override { return "mp-kslack"; }
 

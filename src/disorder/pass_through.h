@@ -14,9 +14,6 @@ namespace streamq {
 /// speculative emission (emit early, amend on late arrivals).
 class PassThrough : public DisorderHandler {
  public:
-  explicit PassThrough(bool collect_latency_samples = true)
-      : DisorderHandler(collect_latency_samples) {}
-
   std::string_view name() const override { return "pass-through"; }
 
   void OnEvent(const Event& e, EventSink* sink) override;

@@ -7,10 +7,8 @@
 namespace streamq {
 
 SpeculativeHandler::SpeculativeHandler(
-    const Options& options, std::unique_ptr<QualityModel> quality_model,
-    bool collect_latency_samples)
-    : DisorderHandler(collect_latency_samples),
-      controller_(options, std::move(quality_model)) {}
+    const Options& options, std::unique_ptr<QualityModel> quality_model)
+    : controller_(options, std::move(quality_model)) {}
 
 void SpeculativeHandler::OnEvent(const Event& e, EventSink* sink) {
   OnBatch(std::span<const Event>(&e, 1), sink);

@@ -48,8 +48,7 @@ class SpeculativeHandler : public DisorderHandler {
 
   explicit SpeculativeHandler(const Options& options,
                               std::unique_ptr<QualityModel> quality_model =
-                                  nullptr,
-                              bool collect_latency_samples = true);
+                                  nullptr);
 
   std::string_view name() const override { return "speculative"; }
 

@@ -4,10 +4,8 @@
 
 namespace streamq {
 
-WatermarkReorderer::WatermarkReorderer(const Options& options,
-                                       bool collect_latency_samples)
-    : BufferedHandlerBase(collect_latency_samples),
-      options_(options) {
+WatermarkReorderer::WatermarkReorderer(const Options& options)
+    : options_(options) {
   STREAMQ_CHECK_GE(options.bound, 0);
   STREAMQ_CHECK_GT(options.period_events, 0);
   STREAMQ_CHECK_GE(options.allowed_lateness, 0);

@@ -30,8 +30,7 @@ class WatermarkReorderer : public BufferedHandlerBase {
     DurationUs allowed_lateness = 0;
   };
 
-  explicit WatermarkReorderer(const Options& options,
-                              bool collect_latency_samples = true);
+  explicit WatermarkReorderer(const Options& options);
 
   std::string_view name() const override { return "watermark"; }
 

@@ -131,7 +131,7 @@ TEST_P(RandomizedPipelineTest, FixedKSlackLateSetIsExactlyLatenessAboveK) {
   Rng rng(seed + 5);
   const DurationUs k = rng.NextInt(0, Millis(50));
 
-  FixedKSlack handler(k, /*collect_latency_samples=*/false);
+  FixedKSlack handler(k);
   CollectingSink sink;
   testutil::RunHandler(&handler, w.arrival_order, &sink);
 
